@@ -17,25 +17,32 @@
 open Cmdliner
 open Ppgr_grouprank
 
-let group_of_name = function
-  | "dl-512" -> Ppgr_group.Dl_group.dl_512 ()
-  | "dl-1024" -> Ppgr_group.Dl_group.dl_1024 ()
-  | "dl-2048" -> Ppgr_group.Dl_group.dl_2048 ()
-  | "dl-3072" -> Ppgr_group.Dl_group.dl_3072 ()
-  | "dl-test" -> Ppgr_group.Dl_group.dl_test_128 ()
-  | "ecc-160" -> Ppgr_group.Ec_group.ecc_160 ()
-  | "ecc-192" -> Ppgr_group.Ec_group.ecc_192 ()
-  | "ecc-224" -> Ppgr_group.Ec_group.ecc_224 ()
-  | "ecc-256" -> Ppgr_group.Ec_group.ecc_256 ()
-  | "ecc-tiny" -> Ppgr_group.Ec_group.ecc_tiny ()
-  | s -> failwith (Printf.sprintf "unknown group %S (try: dl-1024 ecc-160 ecc-tiny dl-test)" s)
+(* Every group the CLI can instantiate, by its command-line name. *)
+let groups : (string * (unit -> Ppgr_group.Group_intf.group)) list =
+  [
+    ("dl-512", Ppgr_group.Dl_group.dl_512);
+    ("dl-1024", Ppgr_group.Dl_group.dl_1024);
+    ("dl-2048", Ppgr_group.Dl_group.dl_2048);
+    ("dl-3072", Ppgr_group.Dl_group.dl_3072);
+    ("dl-test", Ppgr_group.Dl_group.dl_test_128);
+    ("ecc-160", Ppgr_group.Ec_group.ecc_160);
+    ("ecc-192", Ppgr_group.Ec_group.ecc_192);
+    ("ecc-224", Ppgr_group.Ec_group.ecc_224);
+    ("ecc-256", Ppgr_group.Ec_group.ecc_256);
+    ("ecc-tiny", Ppgr_group.Ec_group.ecc_tiny);
+  ]
+
+(* [--group] is parsed as an enum over [groups], so only a listed name
+   reaches this lookup. *)
+let group_of_name name = (List.assoc name groups) ()
 
 let group_arg =
-  let doc =
-    "Group instantiation: dl-512, dl-1024, dl-2048, dl-3072, dl-test, \
-     ecc-160, ecc-192, ecc-224, ecc-256, ecc-tiny."
-  in
-  Arg.(value & opt string "ecc-tiny" & info [ "group"; "g" ] ~docv:"GROUP" ~doc)
+  let names = List.map fst groups in
+  let doc = "Group instantiation: " ^ String.concat ", " names ^ "." in
+  Arg.(
+    value
+    & opt (enum (List.map (fun name -> (name, name)) names)) "ecc-tiny"
+    & info [ "group"; "g" ] ~docv:"GROUP" ~doc)
 
 let n_arg =
   Arg.(value & opt int 6 & info [ "n" ] ~docv:"N" ~doc:"Number of participants.")
@@ -498,10 +505,10 @@ let rank_cmd group_name n k seed spec_s jobs shards shard_size committee
     (Array.length res.Shard.winners)
     res.Shard.merge.Shard.committee;
   Printf.printf
-    "  field mults: %d, rounds: %d, elements: %d, opens: %d, wall: %.3f s\n"
-    mc.Ppgr_shamir.Engine.c_mults mc.Ppgr_shamir.Engine.c_rounds
-    mc.Ppgr_shamir.Engine.c_elements mc.Ppgr_shamir.Engine.c_opens
-    res.Shard.merge.Shard.merge_wall_s;
+    "  mults: %d, field mults: %d, rounds: %d, elements: %d, opens: %d, wall: %.3f s\n"
+    mc.Ppgr_shamir.Engine.c_mults mc.Ppgr_shamir.Engine.c_field_mults
+    mc.Ppgr_shamir.Engine.c_rounds mc.Ppgr_shamir.Engine.c_elements
+    mc.Ppgr_shamir.Engine.c_opens res.Shard.merge.Shard.merge_wall_s;
   Printf.printf "\ntotal group mults: %d\n" res.Shard.group_ops;
   Printf.printf "transcript sha256: %s\n" res.Shard.transcript_sha;
   let st = S.simulate_fan_in res in

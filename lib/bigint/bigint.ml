@@ -177,11 +177,10 @@ let to_bytes_be v =
   Mag.to_bytes v.mg
 
 let to_bytes_be_padded len v =
-  let b = to_bytes_be v in
-  let n = Bytes.length b in
-  if n > len then invalid_arg "Bigint.to_bytes_be_padded: too large";
-  let r = Bytes.make len '\000' in
-  Bytes.blit b 0 r (len - n) n;
+  check_nonneg "to_bytes_be" v;
+  if (numbits v + 7) / 8 > len then invalid_arg "Bigint.to_bytes_be_padded: too large";
+  let r = Bytes.create len in
+  Mag.to_bytes_into v.mg r;
   r
 
 let rec gcd a b =
@@ -635,9 +634,33 @@ module Mont = struct
   let to_mont ctx a = mont_mul ctx (pad ctx a) ctx.r2
   let from_mont ctx a = Mag.normalize (mont_mul ctx a ctx.one_p)
 
-  (* Fixed 4-bit window exponentiation in Montgomery form.  Everything
-     mutable lives in the per-domain scratch pack; the only allocation
-     is the escaping result. *)
+  (* Fixed 4-bit window exponentiation in Montgomery form: [s.acc]
+     := bm^e for a Montgomery-form base [bm] of [w] limbs, which must
+     not be [s.acc] or a window-table slot.  Allocation-free. *)
+  let pow_window ctx s (bm : int array) (e : int array) =
+    Array.blit ctx.one_m 0 s.tbl.(0) 0 ctx.w;
+    for i = 1 to 15 do
+      mont_mul_into ctx s.tbl.(i) s.tbl.(i - 1) bm
+    done;
+    let nwin = (Mag.numbits e + 3) / 4 in
+    let acc = s.acc in
+    Array.blit ctx.one_m 0 acc 0 ctx.w;
+    for wi = nwin - 1 downto 0 do
+      for _ = 1 to 4 do
+        mont_sqr_into ctx acc acc
+      done;
+      let d =
+        (if Mag.testbit e ((4 * wi) + 3) then 8 else 0)
+        lor (if Mag.testbit e ((4 * wi) + 2) then 4 else 0)
+        lor (if Mag.testbit e ((4 * wi) + 1) then 2 else 0)
+        lor if Mag.testbit e (4 * wi) then 1 else 0
+      in
+      if d > 0 then mont_mul_into ctx acc acc s.tbl.(d)
+    done
+
+  (* [b^e mod m] for a plain base.  Everything mutable lives in the
+     per-domain scratch pack; the only allocation is the escaping
+     result. *)
   let powmod ctx (b : int array) (e : int array) =
     if Mag.is_zero e then Mag.of_int 1
     else begin
@@ -648,31 +671,12 @@ module Mont = struct
       (* s.bm now holds the base in Montgomery form; it is not an
          operand of any further kernel call's scratch, so the window
          table can be built straight from it. *)
-      Array.blit ctx.one_m 0 s.tbl.(0) 0 ctx.w;
-      for i = 1 to 15 do
-        mont_mul_into ctx s.tbl.(i) s.tbl.(i - 1) s.bm
-      done;
-      let nb = Mag.numbits e in
-      let nwin = (nb + 3) / 4 in
-      let acc = s.acc in
-      Array.blit ctx.one_m 0 acc 0 ctx.w;
-      for wi = nwin - 1 downto 0 do
-        for _ = 1 to 4 do
-          mont_sqr_into ctx acc acc
-        done;
-        let d =
-          (if Mag.testbit e ((4 * wi) + 3) then 8 else 0)
-          lor (if Mag.testbit e ((4 * wi) + 2) then 4 else 0)
-          lor (if Mag.testbit e ((4 * wi) + 1) then 2 else 0)
-          lor if Mag.testbit e (4 * wi) then 1 else 0
-        in
-        if d > 0 then mont_mul_into ctx acc acc s.tbl.(d)
-      done;
+      pow_window ctx s s.bm e;
       (* Demont into [s.bm] (dead once the window table is built) and
          copy out at exact width: the escaping result is the single
          allocation of the whole call, already normalized, instead of
          a w-limb temporary plus a trimmed [Mag.normalize] copy. *)
-      mont_mul_into ctx s.bm acc ctx.one_p;
+      mont_mul_into ctx s.bm s.acc ctx.one_p;
       let top = ref (ctx.w - 1) in
       while !top >= 0 && s.bm.(!top) = 0 do
         decr top
@@ -740,33 +744,44 @@ let powmod b e m =
   end
   else powmod_generic b e m
 
+(* The binary Jacobi algorithm on native ints: [n] odd positive and
+   [0 <= a < n].  Each round strips all factors of two from [a] at once
+   (one sign flip when their count is odd and n = 3, 5 mod 8), then
+   swaps by quadratic reciprocity. *)
+let rec jacobi_native a n acc =
+  if a = 0 then if n = 1 then acc else 0
+  else begin
+    let odd = ref a and z = ref 0 in
+    while !odd land 1 = 0 do
+      odd := !odd lsr 1;
+      incr z
+    done;
+    let n8 = n land 7 in
+    let acc = if !z land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc in
+    let acc = if !odd land 3 = 3 && n8 land 3 = 3 then -acc else acc in
+    jacobi_native (n mod !odd) !odd acc
+  end
+
+(* Bigint rounds of the same algorithm until the modulus fits a native
+   int (62 bits): at 64 bits that is one or two Knuth divisions, after
+   which the rest of the Euclid-like descent runs without allocating. *)
 let jacobi a n =
   if n.sg <= 0 || is_even n then invalid_arg "Bigint.jacobi: n must be odd positive";
-  let rec go a n acc =
-    let a = erem a n in
-    if is_zero a then if equal n one then acc else 0
+  let rec go (a : int array) (n : int array) acc =
+    let a = if Mag.compare a n < 0 then a else Mag.rem a n in
+    if Mag.numbits n <= 62 then
+      jacobi_native (Option.get (Mag.to_int_opt a)) (Option.get (Mag.to_int_opt n)) acc
+    else if Mag.is_zero a then 0 (* n > 1 here *)
     else begin
-      (* Pull out factors of two. *)
-      let rec twos a acc =
-        if is_even a then begin
-          let nmod8 = to_int_exn (logand n (of_int 7)) in
-          let acc = if nmod8 = 3 || nmod8 = 5 then -acc else acc in
-          twos (shift_right a 1) acc
-        end
-        else (a, acc)
-      in
-      let a, acc = twos a acc in
-      if equal a one then acc
-      else begin
-        (* Quadratic reciprocity. *)
-        let amod4 = to_int_exn (logand a (of_int 3)) in
-        let nmod4 = to_int_exn (logand n (of_int 3)) in
-        let acc = if amod4 = 3 && nmod4 = 3 then -acc else acc in
-        go n a acc
-      end
+      let z = Mag.trailing_zeros a in
+      let a = Mag.shift_right a z in
+      let n8 = n.(0) land 7 in
+      let acc = if z land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc in
+      let acc = if a.(0) land 3 = 3 && n8 land 3 = 3 then -acc else acc in
+      go n a acc
     end
   in
-  go a n 1
+  go (if in_range a n then a else erem a n).mg n.mg 1
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
@@ -781,9 +796,13 @@ module Modring = struct
 
   let modulus c = c.m_big
 
-  let enter c v =
-    let r = erem v c.m_big in
-    Mont.to_mont c.mc r.mg
+  let canonical c v = if in_range v c.m_big then v else erem v c.m_big
+
+  let enter c v = Mont.to_mont c.mc (canonical c v).mg
+
+  let enter_into c (dst : elt) v =
+    Mont.pad_into c.mc dst (canonical c v).mg;
+    Mont.mont_mul_into c.mc dst dst c.mc.Mont.r2
 
   let leave c (e : elt) = make 1 (Mont.from_mont c.mc e)
 
@@ -926,13 +945,9 @@ module Modring = struct
 
   let pow c (a : elt) e =
     if e.sg < 0 then invalid_arg "Modring.pow: negative exponent";
-    let nb = numbits e in
-    let acc = ref (one c) in
-    for i = nb - 1 downto 0 do
-      acc := sqr c !acc;
-      if testbit e i then acc := mul c !acc a
-    done;
-    !acc
+    let s = Domain.DLS.get c.mc.Mont.scratch in
+    Mont.pow_window c.mc s a e.mg;
+    Array.sub s.Mont.acc 0 c.mc.Mont.w
 
   let inv_into c (dst : elt) (a : elt) = Mont.inv_into c.mc dst a
 

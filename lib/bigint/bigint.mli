@@ -137,7 +137,9 @@ val pow : t -> int -> t
 (** Small exact power. *)
 
 val jacobi : t -> t -> int
-(** Jacobi symbol [(a/n)] for odd positive [n]. *)
+(** Jacobi symbol [(a/n)] for odd positive [n].  Binary algorithm: each
+    round strips every factor of two in one shift, and once [n] fits in
+    62 bits the rest runs on native ints. *)
 
 (** {1 Operation counters}
 
@@ -170,6 +172,10 @@ module Modring : sig
   val enter : ctx -> t -> elt
   (** Reduce (Euclidean) and convert to Montgomery form. *)
 
+  val enter_into : ctx -> elt -> t -> unit
+  (** [enter_into c dst v] writes the Montgomery form of [v] into [dst];
+      allocation-free when [v] is already in [[0, m)]. *)
+
   val leave : ctx -> elt -> t
   (** Back to a canonical integer in [[0, m)]. *)
 
@@ -182,7 +188,8 @@ module Modring : sig
   val mul : ctx -> elt -> elt -> elt
   val sqr : ctx -> elt -> elt
   val pow : ctx -> elt -> t -> elt
-  (** Exponent must be non-negative. *)
+  (** Fixed 4-bit-window exponentiation on per-domain scratch; allocates
+      only its result.  Exponent must be non-negative. *)
 
   (** {2 In-place variants}
 

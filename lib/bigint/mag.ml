@@ -520,23 +520,53 @@ let of_string_dec (s : string) =
     s;
   !acc
 
-(* Big-endian byte serialization. *)
+(* Big-endian byte serialization, one pass over the bytes: byte [k]
+   counted from the least significant end covers bits [8k, 8k+8), which
+   straddle at most two limbs.  Serialization sits under every wire
+   decode and every [Rng.bigint_below] draw, so neither direction goes
+   through shifts or per-bit tests of whole magnitudes. *)
+
+(* Fill [dst] with the low bytes of [a], big-endian; limbs past the top
+   read as zero, so a short value comes out zero-padded on the left. *)
+let to_bytes_into (a : int array) (dst : Bytes.t) =
+  let la = Array.length a and len = Bytes.length dst in
+  for k = 0 to len - 1 do
+    let pos = 8 * k in
+    let i = pos / base_bits and sh = pos mod base_bits in
+    let v = if i < la then a.(i) lsr sh else 0 in
+    let v =
+      if sh > base_bits - 8 && i + 1 < la then v lor (a.(i + 1) lsl (base_bits - sh))
+      else v
+    in
+    Bytes.unsafe_set dst (len - 1 - k) (Char.unsafe_chr (v land 0xFF))
+  done
+
 let to_bytes (a : int array) =
-  if is_zero a then Bytes.create 0
-  else begin
-    let nb = (numbits a + 7) / 8 in
-    let b = Bytes.create nb in
-    for i = 0 to nb - 1 do
-      let byte = ref 0 in
-      for k = 0 to 7 do
-        if testbit a ((8 * i) + k) then byte := !byte lor (1 lsl k)
-      done;
-      Bytes.set b (nb - 1 - i) (Char.chr !byte)
-    done;
-    b
-  end
+  let b = Bytes.create ((numbits a + 7) / 8) in
+  to_bytes_into a b;
+  b
 
 let of_bytes (b : Bytes.t) =
-  let acc = ref zero in
-  Bytes.iter (fun c -> acc := add_int (shift_left !acc 8) (Char.code c)) b;
-  !acc
+  let nb = Bytes.length b in
+  let a = Array.make (((8 * nb) + base_bits - 1) / base_bits) 0 in
+  for k = 0 to nb - 1 do
+    let byte = Char.code (Bytes.unsafe_get b (nb - 1 - k)) in
+    let pos = 8 * k in
+    let i = pos / base_bits and sh = pos mod base_bits in
+    a.(i) <- a.(i) lor ((byte lsl sh) land mask);
+    if sh > base_bits - 8 then a.(i + 1) <- byte lsr (base_bits - sh)
+  done;
+  normalize a
+
+(* Index of the lowest set bit of a non-zero magnitude. *)
+let trailing_zeros (a : int array) =
+  let i = ref 0 in
+  while a.(!i) = 0 do
+    incr i
+  done;
+  let v = ref a.(!i) and z = ref (!i * base_bits) in
+  while !v land 1 = 0 do
+    v := !v lsr 1;
+    incr z
+  done;
+  !z

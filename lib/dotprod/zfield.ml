@@ -33,8 +33,10 @@ let default_prime =
 let default () = create default_prime
 
 let modulus f = f.p
+let ring f = f.ring
 let mult_count f = Ppgr_exec.Meter.read f.mults
 let reset_mult_count f = Ppgr_exec.Meter.reset f.mults
+let count_mults f k = Ppgr_exec.Meter.add f.mults k
 
 let reduce f v = Bigint.erem v f.p
 let of_int f v = reduce f (Bigint.of_int v)

@@ -21,10 +21,20 @@ val default : unit -> t
 val default_prime : Bigint.t
 val modulus : t -> Bigint.t
 
+val ring : t -> Bigint.Modring.ctx
+(** The field's cached Montgomery context.  Code that keeps field
+    elements in limb form (the MPC engine's shares) works on this
+    context's [_into] kernels and reports its multiplications through
+    {!count_mults}. *)
+
 (** {1 Cost accounting} *)
 
 val mult_count : t -> int
 val reset_mult_count : t -> unit
+
+val count_mults : t -> int -> unit
+(** [count_mults f k] adds [k] multiplications done on {!ring}
+    elements to the meter {!mul} ticks. *)
 
 (** {1 Scalar operations} *)
 

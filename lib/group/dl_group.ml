@@ -77,8 +77,8 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
 
   let digit_slots = Bigint.numbits order + 8
 
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
+  let scratch : scratch Ppgr_exec.Slot_local.t =
+    Ppgr_exec.Slot_local.make (fun () ->
         let elts n = Array.init n (fun _ -> Bigint.Modring.alloc ring) in
         {
           acc = Bigint.Modring.alloc ring;
@@ -137,7 +137,7 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     (* wNAF-4 with precomputed odd powers; every group multiplication
        (squarings included) ticks the op counter once — the squarings go
        through the cheaper dedicated squaring kernel. *)
-    let s = Domain.DLS.get scratch in
+    let s = Ppgr_exec.Slot_local.get scratch in
     fill_odd s s.odd x;
     s.inv_mask <- 0;
     let len = Group_intf.wnaf4_into e s.dg in
@@ -204,7 +204,7 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
          digit array (one boxed bigint per nibble) plus a [Some] per
          non-zero digit.  Tick parity: one multiplication per non-zero
          digit after the first. *)
-      let s = Domain.DLS.get scratch in
+      let s = Ppgr_exec.Slot_local.get scratch in
       let nb = Bigint.numbits e in
       let n = (nb + table_window - 1) / table_window in
       let started = ref false in
@@ -239,7 +239,7 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     if Bigint.is_zero e then pow b f
     else if Bigint.is_zero f then pow a e
     else begin
-      let s = Domain.DLS.get scratch in
+      let s = Ppgr_exec.Slot_local.get scratch in
       fill_odd s s.odd a;
       s.inv_mask <- 0;
       fill_odd s s.odd2 b;

@@ -50,13 +50,13 @@ type curve = {
   a_is_minus3 : bool;
   ops : Ppgr_exec.Meter.t; (* point additions/doublings performed *)
   invs : Ppgr_exec.Meter.t; (* field inversions (normalization cost) *)
-  scratch : Modring.elt array Domain.DLS.key;
+  scratch : Modring.elt array Ppgr_exec.Slot_local.t;
       (* 13 per-domain field temporaries for the Jacobian formulas: the
          add/double hot paths run entirely in these via the Modring
          [_into] ops and only allocate the three limb arrays of the
          returned point.  Curves are shared across pool workers, hence
          domain-local. *)
-  pscratch : pscratch Domain.DLS.key;
+  pscratch : pscratch Ppgr_exec.Slot_local.t;
 }
 
 let make_curve prm =
@@ -74,9 +74,9 @@ let make_curve prm =
     a_is_minus3 = Bigint.equal (Bigint.erem prm.a prm.p) (Bigint.sub prm.p (Bigint.of_int 3));
     ops = Ppgr_exec.Meter.create ();
     invs = Ppgr_exec.Meter.create ();
-    scratch = Domain.DLS.new_key (fun () -> Array.init 13 (fun _ -> Modring.alloc fp));
+    scratch = Ppgr_exec.Slot_local.make (fun () -> Array.init 13 (fun _ -> Modring.alloc fp));
     pscratch =
-      Domain.DLS.new_key (fun () ->
+      Ppgr_exec.Slot_local.make (fun () ->
           {
             pacc = fresh_point ();
             ptmp = fresh_point ();
@@ -201,7 +201,7 @@ let double_into cv dst pt =
   else begin
     Ppgr_exec.Meter.incr cv.ops;
     let f = cv.fp in
-    let sc = Domain.DLS.get cv.scratch in
+    let sc = Ppgr_exec.Slot_local.get cv.scratch in
     let yy = sc.(0) and yyyy = sc.(1) and zz = sc.(2) and s = sc.(3) in
     let m = sc.(4) and ta = sc.(5) and tb = sc.(6) and td = sc.(7) and zt = sc.(8) in
     Modring.sqr_into f yy pt.y;
@@ -253,7 +253,7 @@ let add_into cv dst p1 p2 =
   else if is_infinity cv p2 then copy_point_into cv dst p1
   else begin
     let f = cv.fp in
-    let sc = Domain.DLS.get cv.scratch in
+    let sc = Ppgr_exec.Slot_local.get cv.scratch in
     let z1z1 = sc.(0) and z2z2 = sc.(1) and u1 = sc.(2) and u2 = sc.(3) in
     let s1 = sc.(4) and s2 = sc.(5) and t = sc.(6) in
     Modring.sqr_into f z1z1 p1.z;
@@ -313,7 +313,7 @@ let mixed_add_into cv dst p1 p2 =
   else if is_infinity cv p2 then copy_point_into cv dst p1
   else begin
     let f = cv.fp in
-    let sc = Domain.DLS.get cv.scratch in
+    let sc = Ppgr_exec.Slot_local.get cv.scratch in
     let z1z1 = sc.(0) and u2 = sc.(1) and s2 = sc.(2) and t = sc.(6) in
     Modring.sqr_into f z1z1 p1.z;
     Modring.mul_into f u2 p2.x z1z1;
@@ -403,7 +403,7 @@ let scalar_mul cv pt e =
   else begin
     (* wNAF-4 over the per-domain point scratch: the whole ladder runs
        in place and only the returned point allocates. *)
-    let s = Domain.DLS.get cv.pscratch in
+    let s = Ppgr_exec.Slot_local.get cv.pscratch in
     fill_odd_points cv s s.podd pt;
     let len = Group_intf.wnaf4_into e s.pdg in
     set_infinity_into cv s.pacc;
@@ -476,7 +476,7 @@ let scalar_mul_table cv t e =
     let nd = Stdlib.max 1 ((nb + t.pw - 1) / t.pw) in
     if nd > Array.length t.ptbl then
       invalid_arg "Ec_curve.scalar_mul_table: exponent wider than table";
-    let s = Domain.DLS.get cv.pscratch in
+    let s = Ppgr_exec.Slot_local.get cv.pscratch in
     let started = ref false in
     for i = 0 to nd - 1 do
       let d = ref 0 in
@@ -507,7 +507,7 @@ let scalar_mul2 cv p e q f =
   if Bigint.is_zero e || is_infinity cv p then scalar_mul cv q f
   else if Bigint.is_zero f || is_infinity cv q then scalar_mul cv p e
   else begin
-    let s = Domain.DLS.get cv.pscratch in
+    let s = Ppgr_exec.Slot_local.get cv.pscratch in
     fill_odd_points cv s s.podd p;
     fill_odd_points cv s s.podd2 q;
     let len = Group_intf.wnaf4_pair_into e f s.pdg s.pdg2 in
@@ -530,7 +530,7 @@ let equal cv p1 p2 =
   | true, false | false, true -> false
   | false, false ->
       let f = cv.fp in
-      let sc = Domain.DLS.get cv.scratch in
+      let sc = Ppgr_exec.Slot_local.get cv.scratch in
       let z1z1 = sc.(0) and z2z2 = sc.(1) and a = sc.(2) and b = sc.(3) and t = sc.(4) in
       Modring.sqr_into f z1z1 p1.z;
       Modring.sqr_into f z2z2 p2.z;

@@ -15,18 +15,32 @@
     Degree reduction after multiplication follows Gennaro–Rabin–Rabin:
     each party reshares its local product with a fresh degree-[t]
     polynomial and the new share is the Lagrange-weighted sum of the
-    subshares, so the engine requires [n >= 2t + 1]. *)
+    subshares, so the engine requires [n >= 2t + 1].
+
+    Shares are Montgomery-form limb vectors over the field's cached
+    context ({!Zfield.ring}): every share operation runs on the
+    allocation-free [_into] kernels, and values meet {!Bigint.t} only
+    where they enter ({!input}, {!of_public}, public constants) or
+    leave ({!open_}).  The Lagrange weights at 0 for the points [1..n]
+    are computed once in {!create} and serve every degree reduction and
+    every opening. *)
 
 open Ppgr_bigint
 open Ppgr_rng
 open Ppgr_dotprod
+module M = Bigint.Modring
 
 type t = {
   f : Zfield.t;
+  ring : M.ctx;
   n : int;
   th : int; (* polynomial degree t; tolerates t colluders *)
   rng : Rng.t;
-  lagrange_all : Bigint.t array; (* weights at 0 for points 1..n *)
+  xs : M.elt array; (* evaluation points 1..n *)
+  lagrange_all : M.elt array; (* weights at 0 for points 1..n *)
+  half : M.elt; (* 1/2 *)
+  root_exp : Bigint.t; (* (p+1)/4: v^root_exp is a square root of a square v *)
+  half_p : Bigint.t; (* (p-1)/2, the largest canonical square root *)
   mutable mults : int;
   mutable rounds : int;
   mutable field_elements_sent : int;
@@ -34,7 +48,9 @@ type t = {
   mutable randoms : int;
 }
 
-type shared = Bigint.t array (* length n *)
+(* Length n.  Operations never write into an operand's elements, so one
+   element may back several shares (see {!of_public}). *)
+type shared = M.elt array
 
 let create ?(threshold = `Max_colluders) rng f ~n =
   let th =
@@ -43,12 +59,24 @@ let create ?(threshold = `Max_colluders) rng f ~n =
     | `Fixed t -> t
   in
   if n < (2 * th) + 1 then invalid_arg "Engine.create: need n >= 2t + 1";
+  let p = Zfield.modulus f in
+  (* Random bits take square roots as one exponentiation by (p+1)/4,
+     which needs p = 3 mod 4 (every vendored prime is). *)
+  if Bigint.to_int_exn (Bigint.logand p (Bigint.of_int 3)) <> 3 then
+    invalid_arg "Engine.create: field prime must be 3 mod 4";
+  let ring = Zfield.ring f in
+  let xs = Shamir.points f n in
   {
     f;
+    ring;
     n;
     th;
     rng;
-    lagrange_all = Shamir.lagrange_weights_at_zero f (Array.init n (fun i -> i + 1));
+    xs;
+    lagrange_all = Shamir.lagrange_at_zero f xs;
+    half = M.inv ring (M.of_int ring 2);
+    root_exp = Bigint.shift_right (Bigint.succ p) 2;
+    half_p = Bigint.shift_right p 1;
     mults = 0;
     rounds = 0;
     field_elements_sent = 0;
@@ -116,45 +144,95 @@ let absorb ?rounds e child =
   e.opens <- e.opens + child.opens;
   e.randoms <- e.randoms + child.randoms
 
+(* Fresh zero elements: a share vector, or dealing scratch. *)
+let fresh e len = Array.init len (fun _ -> M.alloc e.ring)
+
+(* Party i's share of the result is [op a_i], written into a fresh
+   element. *)
+let map e op (a : shared) : shared =
+  Array.map
+    (fun s ->
+      let d = M.alloc e.ring in
+      op d s;
+      d)
+    a
+
+(* Party i's share of the result is [op a_i b_i]. *)
+let map2 e op (a : shared) (b : shared) : shared =
+  Array.init e.n (fun i ->
+      let d = M.alloc e.ring in
+      op d a.(i) b.(i);
+      d)
+
+(* Every party multiplies its share by the public [c]. *)
+let scale_elt e c (a : shared) : shared =
+  Zfield.count_mults e.f e.n;
+  map e (fun d s -> M.mul_into e.ring d c s) a
+
+(* Shares of [a + c] for a public [c]: the constant polynomial adds to
+   every share. *)
+let add_elt e (a : shared) c : shared = map e (fun d s -> M.add_into e.ring d s c) a
+
 (** {1 Linear (communication-free) operations} *)
 
 let of_public e v : shared =
   (* Shares of a public constant: the constant polynomial. *)
-  Array.make e.n (Zfield.reduce e.f v)
+  Array.make e.n (M.enter e.ring v)
 
-let add e (a : shared) b : shared = Array.map2 (Zfield.add e.f) a b
-let sub e (a : shared) b : shared = Array.map2 (Zfield.sub e.f) a b
-let add_public e (a : shared) v = Array.map (fun s -> Zfield.add e.f s (Zfield.reduce e.f v)) a
-let scale e k (a : shared) : shared = Array.map (Zfield.mul e.f k) a
-let neg e (a : shared) : shared = Array.map (Zfield.neg e.f) a
+let add e (a : shared) b : shared = map2 e (M.add_into e.ring) a b
+let sub e (a : shared) b : shared = map2 e (M.sub_into e.ring) a b
+let add_public e (a : shared) v = add_elt e a (M.enter e.ring v)
+let scale e k (a : shared) : shared = scale_elt e (M.enter e.ring k) a
+let neg e (a : shared) : shared = map e (M.neg_into e.ring) a
 
 (** {1 Interactive operations} *)
+
+(* A fresh sharing of [v] drawn from the engine's stream. *)
+let deal e coeffs v : shared =
+  let out = fresh e e.n in
+  Shamir.share_into e.rng e.f ~coeffs ~xs:e.xs v out;
+  out
 
 (** A party shares a private input with the others (1 round, n-1
     elements). *)
 let input e v : shared =
   e.rounds <- e.rounds + 1;
   e.field_elements_sent <- e.field_elements_sent + (e.n - 1);
-  Shamir.share e.rng e.f ~t:e.th ~n:e.n v
+  deal e (fresh e (e.th + 1)) (M.enter e.ring v)
 
 (** Many parties share their private inputs simultaneously (1 round,
     n-1 elements each) — the merge-stage fan-in, where every shard
     representative feeds its masked gain to the committee at once. *)
 let input_batch e vs : shared list =
   e.rounds <- e.rounds + 1;
+  let coeffs = fresh e (e.th + 1) in
   List.map
     (fun v ->
       e.field_elements_sent <- e.field_elements_sent + (e.n - 1);
-      Shamir.share e.rng e.f ~t:e.th ~n:e.n v)
+      deal e coeffs (M.enter e.ring v))
     vs
+
+(* Reconstruction with the cached weights, left in Montgomery form. *)
+let reveal e (a : shared) = Shamir.interpolate e.f e.lagrange_all a
+
+let count_opens e k =
+  e.rounds <- e.rounds + 1;
+  e.opens <- e.opens + k;
+  e.field_elements_sent <- e.field_elements_sent + (k * e.n * (e.n - 1))
 
 (** Open a shared value to all parties (1 round; every party broadcasts
     its share). *)
 let open_ e (a : shared) =
-  e.rounds <- e.rounds + 1;
-  e.opens <- e.opens + 1;
-  e.field_elements_sent <- e.field_elements_sent + (e.n * (e.n - 1));
-  Shamir.reconstruct e.f (Array.init e.n (fun i -> (i + 1, a.(i))))
+  count_opens e 1;
+  M.leave e.ring (reveal e a)
+
+(** Open many shared values in a single round. *)
+let open_batch e (vs : shared list) =
+  match vs with
+  | [] -> []
+  | _ ->
+      count_opens e (List.length vs);
+      List.map (fun a -> M.leave e.ring (reveal e a)) vs
 
 (* GRR degree reduction for a batch of products computed in lockstep:
    counting the batch as a single communication round models parallel
@@ -164,25 +242,27 @@ let mul_batch e (pairs : (shared * shared) list) : shared list =
   | [] -> []
   | _ ->
       e.rounds <- e.rounds + 1;
+      let ring = e.ring in
+      let coeffs = fresh e (e.th + 1) and subs = fresh e e.n in
+      let prod = M.alloc ring and term = M.alloc ring in
       List.map
-        (fun (a, b) ->
+        (fun ((a : shared), (b : shared)) ->
           e.mults <- e.mults + 1;
           e.field_elements_sent <- e.field_elements_sent + (e.n * (e.n - 1));
-          (* Party i reshares its local product a_i * b_i. *)
-          let subshares =
-            Array.init e.n (fun i ->
-                Shamir.share e.rng e.f ~t:e.th ~n:e.n
-                  (Zfield.mul e.f a.(i) b.(i)))
-          in
-          (* New share of party j: sum_i lambda_i * subshare_{i->j}. *)
-          Array.init e.n (fun j ->
-              let acc = ref Bigint.zero in
-              for i = 0 to e.n - 1 do
-                acc :=
-                  Zfield.add e.f !acc
-                    (Zfield.mul e.f e.lagrange_all.(i) subshares.(i).(j))
-              done;
-              !acc))
+          let out = fresh e e.n in
+          (* The local products, then the n^2 weighted recombinations. *)
+          Zfield.count_mults e.f (e.n * (e.n + 1));
+          for i = 0 to e.n - 1 do
+            (* Party i reshares its local product a_i * b_i; party j's
+               new share is sum_i lambda_i * subshare_{i->j}. *)
+            M.mul_into ring prod a.(i) b.(i);
+            Shamir.share_into e.rng e.f ~coeffs ~xs:e.xs prod subs;
+            for j = 0 to e.n - 1 do
+              M.mul_into ring term e.lagrange_all.(i) subs.(j);
+              M.add_into ring out.(j) out.(j) term
+            done
+          done;
+          out)
         pairs
 
 let mul e a b =
@@ -190,35 +270,18 @@ let mul e a b =
   | [ r ] -> r
   | _ -> assert false
 
-(** Jointly generated uniformly random shared value (every party
-    contributes a sharing; 1 round). *)
-let random e : shared =
-  e.rounds <- e.rounds + 1;
-  e.randoms <- e.randoms + 1;
-  e.field_elements_sent <- e.field_elements_sent + (e.n * (e.n - 1));
-  let contributions =
-    Array.init e.n (fun _ -> Shamir.share e.rng e.f ~t:e.th ~n:e.n (Zfield.random e.rng e.f))
-  in
-  Array.init e.n (fun j ->
-      let acc = ref Bigint.zero in
-      for i = 0 to e.n - 1 do
-        acc := Zfield.add e.f !acc contributions.(i).(j)
-      done;
-      !acc)
-
-(** Open many shared values in a single round. *)
-let open_batch e (vs : shared list) =
-  match vs with
-  | [] -> []
-  | _ ->
-      e.rounds <- e.rounds + 1;
-      e.opens <- e.opens + List.length vs;
-      e.field_elements_sent <-
-        e.field_elements_sent + (List.length vs * e.n * (e.n - 1));
-      List.map
-        (fun (a : shared) ->
-          Shamir.reconstruct e.f (Array.init e.n (fun i -> (i + 1, a.(i)))))
-        vs
+(* One jointly random value: every party deals a sharing of its own
+   uniform draw, and the shares add up. *)
+let random_shared e coeffs subs secret : shared =
+  let out = fresh e e.n in
+  for _ = 1 to e.n do
+    M.enter_into e.ring secret (Zfield.random e.rng e.f);
+    Shamir.share_into e.rng e.f ~coeffs ~xs:e.xs secret subs;
+    for j = 0 to e.n - 1 do
+      M.add_into e.ring out.(j) out.(j) subs.(j)
+    done
+  done;
+  out
 
 (** [k] jointly random shared values in a single round. *)
 let random_batch e k : shared array =
@@ -227,77 +290,58 @@ let random_batch e k : shared array =
     e.rounds <- e.rounds + 1;
     e.randoms <- e.randoms + k;
     e.field_elements_sent <- e.field_elements_sent + (k * e.n * (e.n - 1));
-    Array.init k (fun _ ->
-        let contributions =
-          Array.init e.n (fun _ ->
-              Shamir.share e.rng e.f ~t:e.th ~n:e.n (Zfield.random e.rng e.f))
-        in
-        Array.init e.n (fun j ->
-            let acc = ref Bigint.zero in
-            for i = 0 to e.n - 1 do
-              acc := Zfield.add e.f !acc contributions.(i).(j)
-            done;
-            !acc))
+    let coeffs = fresh e (e.th + 1) and subs = fresh e e.n in
+    let secret = M.alloc e.ring in
+    Array.init k (fun _ -> random_shared e coeffs subs secret)
   end
 
-(* Square root in the field with public input, for random-bit generation:
-   returns the canonical root <= (p-1)/2. *)
+(** Jointly generated uniformly random shared value (every party
+    contributes a sharing; 1 round). *)
+let random e : shared = (random_batch e 1).(0)
+
+(* The canonical square root (at most (p-1)/2) of a non-zero public
+   value [v], as [v^((p+1)/4)] checked by squaring; [None] when [v] is
+   not a square. *)
 let sqrt_public e v =
-  match Ppgr_bigint.Prime.sqrt_mod (fun b -> Rng.bigint_below e.rng b) v ~p:(Zfield.modulus e.f) with
-  | None -> None
-  | Some r ->
-      let r' = Zfield.neg e.f r in
-      Some (if Bigint.compare r r' <= 0 then r else r')
+  let r = M.pow e.ring v e.root_exp in
+  if not (M.equal e.ring (M.sqr e.ring r) v) then None
+  else if Bigint.compare (M.leave e.ring r) e.half_p <= 0 then Some r
+  else Some (M.neg e.ring r)
 
-(** Jointly generated random shared bit (Damgård et al.): sample [r],
-    open [r^2], retry on 0, and output [(r / sqrt(r^2) + 1) / 2]. *)
-let rec random_bit e : shared =
-  let r = random e in
-  let r2 = open_ e (mul e r r) in
-  if Bigint.is_zero r2 then random_bit e
-  else begin
-    match sqrt_public e r2 with
-    | None -> assert false (* r^2 is always a residue *)
-    | Some root ->
-        let vinv = Zfield.inv e.f root in
-        let half = Zfield.inv e.f (Zfield.of_int e.f 2) in
-        (* b = (r * vinv + 1) * half: linear in the shares of r. *)
-        let scaled = scale e vinv r in
-        let plus1 = add_public e scaled Bigint.one in
-        scale e half plus1
-  end
+(* b = (r / root + 1) / 2: linear in the shares of r. *)
+let bit_of e (r : shared) root =
+  let scaled = scale_elt e (M.inv e.ring root) r in
+  scale_elt e e.half (add_elt e scaled (M.one e.ring))
 
-(** [k] random shared bits generated with batched rounds: one round of
-    joint randomness, one of multiplications, one of openings (plus rare
-    retries for candidates whose square opened to 0). *)
+(** [k] random shared bits generated with batched rounds (Damgård et
+    al.): sample [r], open [r^2], retry on 0, and output
+    [(r / sqrt(r^2) + 1) / 2].  One round of joint randomness, one of
+    multiplications, one of openings, plus rare retries for candidates
+    whose square opened to 0. *)
 let random_bit_batch e k : shared array =
   let out = Array.make k (of_public e Bigint.zero) in
-  let half = Zfield.inv e.f (Zfield.of_int e.f 2) in
   let rec fill needed_idx =
     (* Indexes in [out] still awaiting a bit. *)
     match needed_idx with
     | [] -> ()
     | _ ->
-        let k' = List.length needed_idx in
-        let rs = random_batch e k' in
+        let rs = random_batch e (List.length needed_idx) in
         let squares = mul_batch e (Array.to_list (Array.map (fun r -> (r, r)) rs)) in
-        let opened = open_batch e squares in
+        count_opens e (List.length squares);
         let remaining = ref [] in
         List.iteri
-          (fun i (idx, r2) ->
-            if Bigint.is_zero r2 then remaining := idx :: !remaining
+          (fun i (idx, sq) ->
+            let v = reveal e sq in
+            if M.is_zero e.ring v then remaining := idx :: !remaining
             else begin
-              match sqrt_public e r2 with
+              match sqrt_public e v with
               | None -> assert false (* squares are residues *)
-              | Some root ->
-                  let vinv = Zfield.inv e.f root in
-                  out.(idx) <-
-                    scale e half (add_public e (scale e vinv rs.(i)) Bigint.one)
+              | Some root -> out.(idx) <- bit_of e rs.(i) root
             end)
-          (List.combine needed_idx opened);
+          (List.combine needed_idx squares);
         fill (List.rev !remaining)
   in
-  fill (List.init k (fun i -> i));
+  fill (List.init k Fun.id);
   out
 
 (** [nbits] independent random shared bits, with their weighted value

@@ -1,17 +1,25 @@
 (** A synchronous-lockstep simulator of [n]-party Shamir-based MPC.
 
-    A {!shared} value is the vector of all parties' shares (index [i] =
-    party [i+1]'s share); the engine executes each sub-protocol for
-    every party and keeps the cost ledger the evaluation reads.  Degree
-    reduction after multiplication follows Gennaro–Rabin–Rabin, so the
-    engine requires [n >= 2t + 1]. *)
+    A {!shared} value is the vector of all parties' shares; the engine
+    executes each sub-protocol for every party and keeps the cost ledger
+    the evaluation reads.  Degree reduction after multiplication follows
+    Gennaro–Rabin–Rabin, so the engine requires [n >= 2t + 1].
+
+    Shares live in Montgomery limb form over the field's cached context
+    and are only converted to {!Bigint.t} at {!input}, {!of_public} and
+    {!open_}.  The field's multiplication meter ([c_field_mults]) counts
+    the multiplications the simulation performs, all parties together:
+    [t+1] per share dealt, one per share of a local product or public
+    scaling, [n^2] per degree reduction and [n] per opening (the Lagrange
+    weights are computed once, in {!create}). *)
 
 open Ppgr_bigint
 open Ppgr_dotprod
 
 type t
 
-type shared = Bigint.t array
+type shared
+(** Every party's share of one value. *)
 
 val create :
   ?threshold:[ `Max_colluders | `Fixed of int ] ->
@@ -20,7 +28,9 @@ val create :
   n:int ->
   t
 (** [`Max_colluders] (default) picks the largest [t] with [n >= 2t+1].
-    @raise Invalid_argument if the threshold is unusable. *)
+    @raise Invalid_argument if the threshold is unusable, or unless the
+    field prime is 3 mod 4 (random bits take square roots as one
+    exponentiation by [(p+1)/4]). *)
 
 val field : t -> Zfield.t
 val parties : t -> int
@@ -86,11 +96,9 @@ val random : t -> shared
 
 val random_batch : t -> int -> shared array
 
-val random_bit : t -> shared
-(** One jointly random shared bit (Damgård et al. square-root trick). *)
-
 val random_bit_batch : t -> int -> shared array
-(** [k] random bits with batched rounds (3 rounds plus rare retries). *)
+(** [k] jointly random shared bits (Damgård et al. square-root trick)
+    with batched rounds (3 rounds plus rare retries). *)
 
 val random_bits : t -> int -> shared array * shared
 (** [nbits] bits plus their weighted value [Σ 2^i b_i]. *)

@@ -38,6 +38,38 @@ let zero_alloc_tests =
     check_zero "copy_into is allocation-free" (fun () -> Bigint.Modring.copy_into c d x);
   ]
 
+(* The same pins at the MPC engine's width: the shard-merge field is the
+   64-bit test prime, two 61-bit limbs, and every share operation of the
+   engine runs on these kernels. *)
+let zero_alloc_64_tests =
+  let p64 = Ppgr_group.Modp_params.test_64 in
+  let c = Bigint.Modring.ctx ~modulus:p64 in
+  let v = Bigint.sub p64 (Bigint.of_int 123456789) in
+  let x = Bigint.Modring.enter c (Bigint.of_string "0xfeedfacecafebeef") in
+  let y = Bigint.Modring.enter c v in
+  let d = Bigint.Modring.alloc c in
+  [
+    check_zero "mont mul_into is allocation-free" (fun () -> Bigint.Modring.mul_into c d x y);
+    check_zero "mont sqr_into is allocation-free" (fun () -> Bigint.Modring.sqr_into c d x);
+    check_zero "add_into is allocation-free" (fun () -> Bigint.Modring.add_into c d x y);
+    check_zero "sub_into is allocation-free" (fun () -> Bigint.Modring.sub_into c d x y);
+    check_zero "neg_into is allocation-free" (fun () -> Bigint.Modring.neg_into c d y);
+    check_zero "double_into is allocation-free" (fun () -> Bigint.Modring.double_into c d y);
+    check_zero "copy_into is allocation-free" (fun () -> Bigint.Modring.copy_into c d x);
+    check_zero "mont inv_into is allocation-free" (fun () -> Bigint.Modring.inv_into c d x);
+    check_zero "enter_into of a canonical value is allocation-free" (fun () ->
+        Bigint.Modring.enter_into c d v);
+    Alcotest.test_case "Modring.pow allocates its result only" `Quick (fun () ->
+        (* Two limbs plus the array header, whatever the exponent. *)
+        List.iter
+          (fun e ->
+            let s = Allocs.measure ~warmup:8 ~iters:50 (fun () -> ignore (Bigint.Modring.pow c x e)) in
+            Alcotest.(check (float 0.01))
+              (Printf.sprintf "words/call at a %d-bit exponent" (Bigint.numbits e))
+              3.0 s.Allocs.words_per_iter)
+          [ Bigint.of_int 3; Bigint.shift_right (Bigint.succ p64) 2 ]);
+  ]
+
 (* powmod allocates only its escaping result: the per-call figure must
    not grow with the exponent (the window table, accumulator and
    conversion temporaries all live in ctx scratch). *)
@@ -124,6 +156,38 @@ let group_tests =
         Alcotest.(check (float 0.01))
           "words/call equal for tiny and full-width exponents"
           s_small.Allocs.words_per_iter s_big.Allocs.words_per_iter);
+  ]
+
+(* A group or curve that goes out of scope must take its per-domain
+   scratch with it.  The runtime frees no [Domain.DLS] key, so scratch
+   under a key per instance would pin about 230 words per DL-test-64
+   group for good.  Live words after a full major collection may not
+   grow with the number of instances built. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let check_no_retention name build =
+  Alcotest.test_case name `Quick (fun () ->
+      build ();
+      let before = live_words () in
+      let instances = 200 in
+      for _ = 1 to instances do
+        build ()
+      done;
+      let grown = live_words () - before in
+      if grown > 4 * instances then
+        Alcotest.failf "%s: %d live words after %d instances" name grown instances)
+
+let retention_tests =
+  [
+    check_no_retention "a dropped DL group retains nothing" (fun () ->
+        let module G = (val Ppgr_group.Dl_group.dl_test_64 ()) in
+        ignore (G.pow (G.pow_gen (Bigint.of_int 5)) (Bigint.of_int 7)));
+    check_no_retention "a dropped EC curve retains nothing" (fun () ->
+        let module E = Ppgr_group.Ec_curve in
+        let cv = E.make_curve Ppgr_group.Ec_params.secp160r1 in
+        ignore (E.scalar_mul cv (E.base_point cv) (Bigint.of_int 12345)));
   ]
 
 (* Telemetry layer (PR 8): recording into a histogram or the flight
@@ -215,8 +279,10 @@ let () =
   Alcotest.run "allocs"
     [
       ("zero-alloc", zero_alloc_tests);
+      ("zero-alloc-64", zero_alloc_64_tests);
       ("powmod", powmod_tests);
       ("group-alloc", group_tests);
+      ("group-retention", retention_tests);
       ("telemetry-alloc", telemetry_tests);
       ("window-alloc", window_tests);
     ]

@@ -282,6 +282,120 @@ let division_stress_tests =
         done);
   ]
 
+(* ---- Kernels: byte packing and the binary Jacobi ---- *)
+
+(* The Euclid-style Jacobi the library used before the binary rewrite,
+   kept as the oracle: a Euclidean remainder per round and one shift
+   per factor of two. *)
+let jacobi_ref a n =
+  let open Bigint in
+  let rec go a n acc =
+    let a = erem a n in
+    if is_zero a then if equal n one then acc else 0
+    else begin
+      let rec twos a acc =
+        if is_even a then begin
+          let nmod8 = to_int_exn (logand n (of_int 7)) in
+          let acc = if nmod8 = 3 || nmod8 = 5 then -acc else acc in
+          twos (shift_right a 1) acc
+        end
+        else (a, acc)
+      in
+      let a, acc = twos a acc in
+      if equal a one then acc
+      else begin
+        let amod4 = to_int_exn (logand a (of_int 3)) in
+        let nmod4 = to_int_exn (logand n (of_int 3)) in
+        let acc = if amod4 = 3 && nmod4 = 3 then -acc else acc in
+        go n a acc
+      end
+    end
+  in
+  go a n 1
+
+(* Shift-and-add references for the big-endian byte codecs. *)
+let of_bytes_ref b =
+  Bytes.fold_left
+    (fun acc c -> Bigint.add (Bigint.shift_left acc 8) (bi (Char.code c)))
+    Bigint.zero b
+
+let to_bytes_ref v =
+  let rec go v acc =
+    if Bigint.is_zero v then acc
+    else
+      go (Bigint.shift_right v 8)
+        (Char.chr (Bigint.to_int_exn (Bigint.logand v (bi 255))) :: acc)
+  in
+  Bytes.of_seq (List.to_seq (go v []))
+
+let kernel_rng = Ppgr_rng.Rng.create ~seed:"test-bigint-kernels"
+
+(* A random odd modulus of exactly [bits] bits. *)
+let odd_of_bits bits =
+  let v = Ppgr_rng.Rng.bigint_bits kernel_rng bits in
+  Bigint.logor v (Bigint.logor (Bigint.nth_bit_weight (bits - 1)) Bigint.one)
+
+let kernel_tests =
+  [
+    Alcotest.test_case "jacobi: every odd n < 1024, every a in [0, n)" `Quick
+      (fun () ->
+        let n = ref 1 in
+        while !n < 1024 do
+          let bn = bi !n in
+          for a = 0 to !n - 1 do
+            let got = Bigint.jacobi (bi a) bn and want = jacobi_ref (bi a) bn in
+            if got <> want then Alcotest.failf "(%d/%d): got %d, oracle %d" a !n got want
+          done;
+          n := !n + 2
+        done);
+    Alcotest.test_case "jacobi: random pairs across the native hand-off" `Quick
+      (fun () ->
+        (* Moduli at 61-65 bits straddle the 62-bit switch to native
+           ints; 128 and 1024 bits take several bigint rounds first.
+           Numerators range past the modulus and below zero, and a
+           shared factor of 3 must give 0. *)
+        List.iter
+          (fun (bits, count) ->
+            for i = 1 to count do
+              let n = odd_of_bits bits in
+              let a = Ppgr_rng.Rng.bigint_bits kernel_rng (bits + 8) in
+              let a = if i mod 5 = 0 then Bigint.neg a else a in
+              let n, a =
+                if i mod 7 = 0 then (Bigint.mul_int n 3, Bigint.mul_int a 3) else (n, a)
+              in
+              let got = Bigint.jacobi a n and want = jacobi_ref a n in
+              if got <> want then
+                Alcotest.failf "(%s/%s) at %d bits: got %d, oracle %d"
+                  (Bigint.to_string a) (Bigint.to_string n) bits got want
+            done)
+          [ (61, 300); (62, 300); (63, 300); (64, 300); (65, 300); (128, 200); (1024, 20) ]);
+    Alcotest.test_case "byte codecs match shift-and-add at lengths 0-300" `Quick
+      (fun () ->
+        for len = 0 to 300 do
+          let random = Ppgr_rng.Rng.bytes kernel_rng len in
+          let leading_zeros = Bytes.copy random in
+          Bytes.fill leading_zeros 0 (Stdlib.min len (1 + (len / 3))) '\000';
+          List.iter
+            (fun (what, b) ->
+              let ctx = Printf.sprintf "%s, %d bytes" what len in
+              let v = Bigint.of_bytes_be b in
+              check_bi ("of_bytes_be " ^ ctx) (of_bytes_ref b) v;
+              Alcotest.(check string) ("to_bytes_be " ^ ctx)
+                (Bytes.to_string (to_bytes_ref v))
+                (Bytes.to_string (Bigint.to_bytes_be v));
+              Alcotest.(check string) ("to_bytes_be_padded " ^ ctx) (Bytes.to_string b)
+                (Bytes.to_string (Bigint.to_bytes_be_padded len v)))
+            [
+              ("random", random);
+              ("leading zeros", leading_zeros);
+              ("all 0xFF", Bytes.make len '\255');
+            ]
+        done;
+        Alcotest.check_raises "padded length too short"
+          (Invalid_argument "Bigint.to_bytes_be_padded: too large") (fun () ->
+            ignore (Bigint.to_bytes_be_padded 8 (Bigint.of_bytes_be (Bytes.make 9 '\255')))));
+  ]
+
 (* Alcotest.run can only be called once per binary; re-run the full set
    including the stress suite. *)
 
@@ -292,4 +406,5 @@ let () =
       ("properties", property_tests);
       ("modring", modring_tests);
       ("division-stress", division_stress_tests);
+      ("kernels", kernel_tests);
     ]

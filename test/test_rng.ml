@@ -104,6 +104,31 @@ let bigint_sampling_tests =
       (fun (bits, seed) ->
         let r = Rng.create ~seed:(string_of_int seed) in
         Bigint.numbits (Rng.bigint_bits r bits) <= bits);
+    Alcotest.test_case "bigint_below first draws pinned" `Quick (fun () ->
+        (* A fixed seed's first draws below 2^bits - 189: the byte
+           packing under each draw is an implementation detail, the
+           values it yields are not. *)
+        List.iter
+          (fun (bits, want) ->
+            let r = Rng.create ~seed:"bigint-below-pin" in
+            let bound = Bigint.sub (Bigint.nth_bit_weight bits) (Bigint.of_int 189) in
+            let got = List.init 3 (fun _ -> Bigint.to_string_hex (Rng.bigint_below r bound)) in
+            Alcotest.(check (list string)) (Printf.sprintf "%d-bit bound" bits) want got)
+          [
+            (64, [ "640cb08628d39191"; "7295e05c4ff00d8a"; "2b495d8a6b84339b" ]);
+            ( 192,
+              [
+                "640cb08628d391917295e05c4ff00d8a2b495d8a6b84339b";
+                "db4bea845f5010f1cfbb97ba61d50b38a043cb99ff5309c0";
+                "55c3568bf7f8ac24db88c74ca6f92364ad0ed21e135316de";
+              ] );
+            ( 1024,
+              [
+                "640cb08628d391917295e05c4ff00d8a2b495d8a6b84339bdb4bea845f5010f1cfbb97ba61d50b38a043cb99ff5309c055c3568bf7f8ac24db88c74ca6f92364ad0ed21e135316deda7ce74b5f7b4e623b33d2e2814b39145b56002f6a3b153812114aaeca126df0d9cd6d4e54c41c47664b11557989cc5f4e94769ee4a3f002";
+                "b2514e14349ff761333166384038010671d8a6361f5d1b48b27070be24c1f8b03e0b67f8dbc8cadafa4f95a4f821f882f08499173b3407661494fb7b996d4cede7fc1a29bd624d7079cb18f23a408d479b85bd1360c29153e7e70f4860475e49dd7f914f7d395f6df9818c2b45e65b172db0ae5360031f50c94217097874eef9";
+                "a80f9a4c42f41c948bbe88d1f8d993b005b2e8d600a54618efd388825dd219af86768786a2b417746d64ec589aa267199f341c147e8ec2c3e3776e8a7b52730ddfa881c88f142c5c91fdbb3ad69d021c37ef4e8697659c9630aa7daac198fe4ba4f65a35d90cf5e9b70e8ef625c20b4eb13c3e24b75d6be1db10cecfc8548e1c";
+              ] );
+          ]);
     prop "bigint_in_range inclusive"
       QCheck2.Gen.(int_range 0 500)
       (fun seed ->

@@ -60,6 +60,35 @@ let sharing_tests =
             ignore (Shamir.share rng f ~t:3 ~n:3 (bi 1))));
   ]
 
+(* Values pinned for fixed seeds on the 64-bit test field: the share
+   representation is an implementation detail, but the coefficient draw
+   order, the evaluation points and the choice of square root under
+   each random bit decide every value a run deals and opens. *)
+let pinned_tests =
+  let f64 = Zfield.create Ppgr_group.Modp_params.test_64 in
+  [
+    Alcotest.test_case "shares pinned for a fixed seed" `Quick (fun () ->
+        let shares =
+          Shamir.share (Rng.create ~seed:"shamir-pin") f64 ~t:2 ~n:5 (bi 123456789)
+        in
+        Alcotest.(check (array string)) "shares"
+          [| "2b82570e2558e73a"; "7d98c07d0275f24e"; "71dcd8646177f3ae"; "84e9ec4425eeb5a";
+             "49badb6d1fa0ce98" |]
+          (Array.map Bigint.to_string_hex shares));
+    Alcotest.test_case "engine openings pinned for a fixed seed" `Quick (fun () ->
+        let e = Engine.create (Rng.create ~seed:"engine-pin") f64 ~n:5 in
+        let x = Engine.input e (bi 1000) and y = Engine.input e (bi 2024) in
+        let r = Engine.random e in
+        let _, v = Engine.random_bits e 16 in
+        Alcotest.(check string) "x * y" "2024000" (Bigint.to_string (Engine.open_ e (Engine.mul e x y)));
+        Alcotest.(check string) "random" "7f47bee142484d39" (Bigint.to_string_hex (Engine.open_ e r));
+        Alcotest.(check string) "random bits" "27506" (Bigint.to_string (Engine.open_ e v)));
+    Alcotest.test_case "fields other than 3 mod 4 rejected" `Quick (fun () ->
+        Alcotest.check_raises "p = 1 mod 4"
+          (Invalid_argument "Engine.create: field prime must be 3 mod 4") (fun () ->
+            ignore (Engine.create rng (Zfield.create (bi 1000033)) ~n:3)));
+  ]
+
 let make_engine ?(n = 7) () =
   let e = Engine.create rng f ~n in
   Engine.reset_costs e;
@@ -278,6 +307,7 @@ let () =
   Alcotest.run "shamir"
     [
       ("sharing", sharing_tests);
+      ("pinned", pinned_tests);
       ("engine", engine_tests);
       ("compare", compare_tests);
       ("sort-network", network_tests);

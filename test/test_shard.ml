@@ -193,6 +193,60 @@ let differential_tests =
     ;
   ]
 
+(* The merge at the benchmark's shape (six candidates, a committee of
+   five, k = 3, l = 16): the winners and the whole protocol ledger are
+   pinned to the values the Bigint-share engine produced, so a change of
+   share representation cannot move the protocol.  The sharded
+   workload's per-party wire bytes are derived from these counters.  The
+   field-multiplication meter counts local work, so it is pinned
+   relative to that engine: openings reuse the Lagrange weights cached
+   at engine creation instead of recomputing them. *)
+let invariance_tests =
+  [
+    Alcotest.test_case "merge ledger pinned at the benchmark shape" `Quick
+      (fun () ->
+        let betas = [| 40000; 1234; 65535; 7; 30000; 512 |] in
+        let candidates = Array.mapi (fun i b -> (10 + i, bi b)) betas in
+        let st =
+          Shard.merge_top_k (fresh_rng "merge-invariance") ~l:16 ~committee:5 ~k:3
+            ~candidates
+        in
+        let c = st.Shard.merge_costs in
+        Alcotest.(check (array int)) "winners" [| 10; 12; 14 |] st.Shard.winners;
+        Alcotest.(check int) "c_mults" 12444 c.Ppgr_shamir.Engine.c_mults;
+        Alcotest.(check int) "c_rounds" 936 c.Ppgr_shamir.Engine.c_rounds;
+        Alcotest.(check int) "c_opens" 5938 c.Ppgr_shamir.Engine.c_opens;
+        Alcotest.(check int) "c_elements" 483944 c.Ppgr_shamir.Engine.c_elements;
+        Alcotest.(check int) "c_randoms" 5814 c.Ppgr_shamir.Engine.c_randoms;
+        (* That engine ticked 2147780; an opening costs n = 5 field
+           mults instead of n + n(2n-1), 45 fewer each. *)
+        Alcotest.(check int) "c_field_mults" (2147780 - (5938 * 45))
+          c.Ppgr_shamir.Engine.c_field_mults)
+    ;
+    Alcotest.test_case "sharded transcript pinned at the benchmark shape" `Quick
+      (fun () ->
+        (* n = 16 in two shards of 8: the global digest chains both
+           shard transcripts and the merge's candidates, winners and
+           ledger. *)
+        let betas = Array.init 16 (fun i -> bi (((i * 7919) + 13) mod 65536)) in
+        let r =
+          S.run ~shard_size:8 ~committee:5 ~k:3 (fresh_rng "shard-invariance") ~l:16
+            ~betas
+        in
+        Alcotest.(check (array int)) "winners" [| 7; 8; 15 |] r.Shard.winners;
+        Alcotest.(check string) "digest"
+          "9e7e5557576945c4235de2804df143a4dc272a89b33e6548c8c7bde28787f403"
+          r.Shard.transcript_sha)
+    ;
+    Alcotest.test_case "merge wall is timed with histograms off" `Quick
+      (fun () ->
+        Ppgr_obs.Hist.set_enabled false;
+        let _, r = sharded ~n:8 ~l:6 () in
+        Alcotest.(check bool) "merge_wall_s > 0" true
+          (r.Shard.merge.Shard.merge_wall_s > 0.))
+    ;
+  ]
+
 let topology_tests =
   [
     Alcotest.test_case "two-level tree shape" `Quick (fun () ->
@@ -343,6 +397,7 @@ let () =
       ("plan", plan_tests);
       ("determinism", determinism_tests);
       ("differential", differential_tests);
+      ("invariance", invariance_tests);
       ("topology", topology_tests);
       ("cost-model", cost_model_tests);
       ("observability", observability_tests);
