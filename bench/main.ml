@@ -5,23 +5,27 @@
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig2 fig3a   # a subset
-   Sections: calibrate fig2 fig3a fig3b analysis ablations micro trajectory
-   scaling obs ring chaos limbs exp obsv2 shard async, plus scaling-smoke,
-   ring-smoke, chaos-smoke, limbs-smoke, exp-smoke, obsv2-smoke,
-   shard-smoke and async-smoke (the cheap CI determinism checks, not part
-   of the default set).  "shard" is also excluded from the default set:
-   its 10k-point leg runs for an hour-plus on one core
-   (PPGR_SHARD_BENCH_N shrinks it). *)
+   Sections: calibrate fig2 fig3a fig3b analysis ablations micro.  An
+   unknown name is an error (exit 2).  Repeated, gated performance
+   measurements live in perfbench/ (see BENCHMARK.json). *)
+
+let sections =
+  [ "calibrate"; "fig2"; "fig3a"; "fig3b"; "analysis"; "ablations"; "micro" ]
 
 let sections_requested =
   match Array.to_list Sys.argv with
   | _ :: (_ :: _ as rest) -> rest
-  | _ ->
-      [
-        "calibrate"; "fig2"; "fig3a"; "fig3b"; "analysis"; "ablations"; "micro";
-        "trajectory"; "scaling"; "obs"; "ring"; "chaos"; "limbs"; "exp";
-        "obsv2"; "async";
-      ]
+  | _ -> sections
+
+let () =
+  match List.filter (fun s -> not (List.mem s sections)) sections_requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown section%s %s; valid sections: %s\n"
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat ", " unknown)
+        (String.concat " " sections);
+      exit 2
 
 let want s = List.mem s sections_requested
 
@@ -54,22 +58,4 @@ let () =
   if want "analysis" then Figures.analysis ();
   if want "ablations" then Figures.ablations ();
   if want "micro" then Micro.run ();
-  if want "trajectory" then Trajectory.run ();
-  if want "scaling" then Scaling.run ();
-  if want "obs" then Obs.run ();
-  if want "ring" then Ring.run ();
-  if want "chaos" then Chaos.run ();
-  if want "limbs" then Limbs.run ();
-  if want "exp" then Exp.run ();
-  if want "obsv2" then Obsv2.run ();
-  if want "async" then Async.run ();
-  if want "shard" then Shard.run ();
-  if want "scaling-smoke" then Scaling.smoke ();
-  if want "ring-smoke" then Ring.smoke ();
-  if want "chaos-smoke" then Chaos.smoke ();
-  if want "limbs-smoke" then Limbs.smoke ();
-  if want "exp-smoke" then Exp.smoke ();
-  if want "obsv2-smoke" then Obsv2.smoke ();
-  if want "shard-smoke" then Shard.smoke ();
-  if want "async-smoke" then Async.smoke ();
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)

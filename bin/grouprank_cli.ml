@@ -53,12 +53,35 @@ let k_arg =
 let seed_arg =
   Arg.(value & opt string "cli" & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic RNG seed.")
 
+(* A library parser that raises [Invalid_argument] or [Failure] on a
+   malformed value, as a cmdliner converter: the bad value becomes a
+   usage error (exit 124) with the parser's message, before any
+   protocol work. *)
+let conv_of ~docv parse print =
+  let parse s =
+    try Ok (parse s) with Invalid_argument m | Failure m -> Error (`Msg m)
+  in
+  Arg.conv ~docv (parse, print)
+
+let parse_spec s =
+  match List.map int_of_string_opt (String.split_on_char ',' s) with
+  | [ Some m; Some t; Some d1; Some d2 ] -> Attrs.spec ~m ~t ~d1 ~d2
+  | _ -> invalid_arg (Printf.sprintf "spec must be four integers m,t,d1,d2, got %S" s)
+
+let default_spec = parse_spec "4,2,8,4"
+
 let spec_arg =
   let doc =
     "Attribute spec as m,t,d1,d2: m attributes, the first t of them \
      \"equal to\", d1-bit values, d2-bit weights."
   in
-  Arg.(value & opt string "4,2,8,4" & info [ "spec" ] ~docv:"M,T,D1,D2" ~doc)
+  let print ppf (s : Attrs.spec) =
+    Format.fprintf ppf "%d,%d,%d,%d" s.Attrs.m s.Attrs.t s.Attrs.d1 s.Attrs.d2
+  in
+  Arg.(
+    value
+    & opt (conv_of ~docv:"M,T,D1,D2" parse_spec print) default_spec
+    & info [ "spec" ] ~docv:"M,T,D1,D2" ~doc)
 
 let h_arg =
   Arg.(value & opt int 12 & info [ "h" ] ~docv:"H" ~doc:"Bits of the multiplicative gain mask rho.")
@@ -95,17 +118,31 @@ let faults_arg =
      duplicates, simulated backoff) and the physical transcript digest; \
      exits with status 3 on a typed Party_dropped abort."
   in
-  Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
+  let open Ppgr_mpcnet.Faultplan in
+  let print ppf s = Format.pp_print_string ppf (spec_to_string s) in
+  Arg.(
+    value
+    & opt (some (conv_of ~docv:"SPEC" spec_of_string print)) None
+    & info [ "faults" ] ~docv:"SPEC" ~doc)
 
 let window_arg =
   let doc =
     "Transport window spec for the distributed (runtime) leg, e.g. \
      $(b,window=8,rto=4,link-0-1=16): sliding-window size per directed \
-     link (1 = stop-and-wait), retransmission timeout in ticks, \
-     per-link overrides.  Implies the runtime leg even without \
-     $(b,--faults) (a clean schedule is used)."
+     link, retransmission timeout in ticks, per-link overrides.  The \
+     protocol posts at most one message per link per step, so no link \
+     ever has more than one frame in flight: the transcript and the \
+     recovery counters are the same at every window size, and only the \
+     simulated link clock changes (a windowed step is charged its \
+     slowest link; stop-and-wait, the default, charges every wire touch \
+     in turn).  Implies the runtime leg even without $(b,--faults) (a \
+     clean schedule is used)."
   in
-  Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc)
+  let print ppf w = Format.pp_print_string ppf (Transport.winspec_to_string w) in
+  Arg.(
+    value
+    & opt (some (conv_of ~docv:"SPEC" Transport.winspec_of_string print)) None
+    & info [ "window" ] ~docv:"SPEC" ~doc)
 
 let restart_arg =
   let doc =
@@ -137,12 +174,18 @@ let apply_jobs = function
   | None -> () (* leave PPGR_JOBS (or the default of 1) in charge *)
   | Some k -> Ppgr_exec.Pool.set_jobs k
 
-let parse_spec s =
-  match String.split_on_char ',' s with
-  | [ m; t; d1; d2 ] ->
-      Attrs.spec ~m:(int_of_string m) ~t:(int_of_string t)
-        ~d1:(int_of_string d1) ~d2:(int_of_string d2)
-  | _ -> failwith "spec must be m,t,d1,d2"
+(* Range checks across flags.  The first failing one is a usage error
+   (exit 124), reported before any protocol work. *)
+let usage_checked checks run =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, msg) -> `Error (true, msg)
+  | None -> `Ok (run ())
+
+let count_checks ~n ~k =
+  [
+    (n >= 1, "-n must be at least 1");
+    (k >= 1 && k <= n, Printf.sprintf "-k must be between 1 and n = %d" n);
+  ]
 
 (* The chaos leg of [run]: the same participants' gains pushed through
    the message-passing runtime with a fault plan on every link.  The
@@ -161,10 +204,8 @@ let run_faults group spec criterion infos ~seed ?flows_out ?window
   let l =
     Array.fold_left (fun a b -> Stdlib.max a (Bigint.numbits b)) 1 betas
   in
-  let fspec = Ppgr_mpcnet.Faultplan.spec_of_string fspec in
   Printf.printf "\nfault schedule: %s\n"
     (Ppgr_mpcnet.Faultplan.spec_to_string fspec);
-  let window = Option.map Transport.winspec_of_string window in
   (match window with
   | Some w -> Printf.printf "window spec:    %s\n" (Transport.winspec_to_string w)
   | None -> ());
@@ -287,11 +328,11 @@ let run_faults group spec criterion infos ~seed ?flows_out ?window
         f.Transport.fr_flight;
       3
 
-let run_cmd group_name n k seed spec_s h verbose jobs trace jsonl metrics faults
+let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     window restart stats_out =
+  usage_checked (count_checks ~n ~k) @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
-  let spec = parse_spec spec_s in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
   let cfg = Framework.config ~h ~spec ~k () in
@@ -407,7 +448,11 @@ let run_cmd group_name n k seed spec_s h verbose jobs trace jsonl metrics faults
       (* --window / --restart imply the runtime leg even without a
          fault schedule (a clean seeded plan is used).  A traced leg
          writes its own flow-arrow trace next to the main one. *)
-      let fspec = Option.value faults ~default:"seed=clean" in
+      let fspec =
+        match faults with
+        | Some f -> f
+        | None -> Ppgr_mpcnet.Faultplan.spec_of_string "seed=clean"
+      in
       let flows_out = Option.map (fun p -> p ^ ".flows.json") trace in
       run_faults group spec criterion infos ~seed ?flows_out ?window
         ~restarts:restart fspec
@@ -440,20 +485,36 @@ let committee_arg =
 (* Committee-sharded ranking: the quadratic ring broken into rings of
    bounded size plus a secure top-k merge (lib/grouprank/shard.ml).
    Near-linear in n — this is the subcommand that ranks 10k+. *)
-let rank_cmd group_name n k seed spec_s jobs shards shard_size committee
+let rank_cmd group_name n k seed spec jobs shards shard_size committee
     metrics =
-  apply_jobs jobs;
+  let exclusive = shards = None || shard_size = None in
+  (* [--shards S] derives the bound s = ceil(n / S). *)
   let shard_size =
     match (shards, shard_size) with
-    | Some _, Some _ -> failwith "--shards and --shard-size are mutually exclusive"
-    | Some s, None ->
-        if s < 1 then failwith "--shards must be >= 1";
-        Stdlib.max 2 ((n + s - 1) / s)
-    | None, Some sz -> sz
-    | None, None -> 16
+    | Some s, _ when s >= 1 -> Stdlib.max 2 ((n + s - 1) / s)
+    | _, Some sz -> sz
+    | _ -> 16
   in
+  (* The fan-in simulation seats the committee on the coordinator, the
+     shard aggregators and then the leaves of its two-level tree. *)
+  let tree_nodes = 1 + ((n + shard_size - 1) / Stdlib.max 2 shard_size) + n in
+  usage_checked
+    (count_checks ~n ~k
+    @ [
+        (exclusive, "--shards and --shard-size are mutually exclusive");
+        ( Option.fold ~none:true ~some:(fun s -> s >= 1) shards,
+          "--shards must be at least 1" );
+        (shard_size >= 2, "--shard-size must be at least 2");
+        (committee >= 3, "--committee must be at least 3");
+        ( committee <= tree_nodes,
+          Printf.sprintf
+            "--committee must be at most %d, the nodes of this run's fan-in \
+             tree"
+            tree_nodes );
+      ])
+  @@ fun () ->
+  apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
-  let spec = parse_spec spec_s in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
   let gains = Array.map (Attrs.gain spec criterion) infos in
@@ -525,9 +586,10 @@ let rank_cmd group_name n k seed spec_s jobs shards shard_size committee
   Printf.printf "\nwall clock: %.3f s\n" dt
 
 let simulate_cmd group_name n k seed nodes edges jobs metrics =
+  usage_checked (count_checks ~n ~k) @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
-  let spec = parse_spec "4,2,8,4" in
+  let spec = default_spec in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
   let cfg = Framework.config ~h:10 ~spec ~k () in
@@ -580,14 +642,16 @@ let inspect_cmd group_name =
 
 let run_term =
   Term.(
-    const run_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ spec_arg $ h_arg
-    $ verbose_arg $ jobs_arg $ trace_arg $ jsonl_arg $ metrics_arg
-    $ faults_arg $ window_arg $ restart_arg $ stats_out_arg)
+    ret
+      (const run_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ spec_arg $ h_arg
+     $ verbose_arg $ jobs_arg $ trace_arg $ jsonl_arg $ metrics_arg
+     $ faults_arg $ window_arg $ restart_arg $ stats_out_arg))
 
 let rank_term =
   Term.(
-    const rank_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ spec_arg
-    $ jobs_arg $ shards_arg $ shard_size_arg $ committee_arg $ metrics_arg)
+    ret
+      (const rank_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ spec_arg
+     $ jobs_arg $ shards_arg $ shard_size_arg $ committee_arg $ metrics_arg))
 
 let nodes_arg =
   Arg.(value & opt int 80 & info [ "nodes" ] ~docv:"V" ~doc:"Topology nodes.")
@@ -597,8 +661,9 @@ let edges_arg =
 
 let simulate_term =
   Term.(
-    const simulate_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ nodes_arg
-    $ edges_arg $ jobs_arg $ metrics_arg)
+    ret
+      (const simulate_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ nodes_arg
+     $ edges_arg $ jobs_arg $ metrics_arg))
 
 let inspect_term = Term.(const inspect_cmd $ group_arg)
 

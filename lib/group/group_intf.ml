@@ -231,7 +231,7 @@ let window_digits ~window (e : Bigint.t) : int array =
 (** Strip a group of its fixed-base and simultaneous-exponentiation
     machinery: [pow_gen]/[pow_table]/[pow2] fall back to plain
     variable-base [pow].  The reference implementation for property
-    tests and the baseline for the bench trajectory. *)
+    tests. *)
 module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let name = G.name ^ "-naive"
   let security_bits = G.security_bits

@@ -24,25 +24,6 @@ let total_bytes (s : schedule) =
       List.fold_left (fun a (m : Netsim.message) -> a + m.Netsim.bytes) acc r.messages)
     0 s
 
-(** The same schedule as it would look on a deployed wire: every
-    message grows by the per-message framing [overhead] (in practice
-    {!Wire.envelope_overhead} — sequence number, addressing, CRC).
-    Lockstep protocols count payload bytes; feed the enveloped schedule
-    to {!Netsim} when modeling the hardened transport. *)
-let with_envelopes ~overhead (s : schedule) : schedule =
-  if overhead < 0 then invalid_arg "Cost.with_envelopes: negative overhead";
-  List.map
-    (fun r ->
-      {
-        r with
-        messages =
-          List.map
-            (fun (m : Netsim.message) ->
-              { m with Netsim.bytes = m.Netsim.bytes + overhead })
-            r.messages;
-      })
-    s
-
 let total_critical_ops (s : schedule) =
   List.fold_left (fun acc r -> acc + r.critical_ops) 0 s
 

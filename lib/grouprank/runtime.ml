@@ -124,17 +124,23 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     in
     (y, ok)
 
-  (** Step 5-6: receive everyone's announcements, verify the proofs,
-      form the joint key, and emit the bitwise encryption of one's own
-      beta. *)
+  (** Step 5-6: receive everyone's announcements, verify the other
+      parties' proofs, form the joint key, and emit the bitwise
+      encryption of one's own beta.  A party does not re-verify its own
+      proof, so the count stays at §VI-B's n-1 verifications. *)
   let receive_keys_and_encrypt p ~(pub_msgs : Bytes.t array)
       ~(proof_msgs : Bytes.t array) : Bytes.t =
     let pubs =
       Array.mapi
         (fun i pub_bytes ->
-          let y, ok = verify_announcement ~pub_bytes ~proof_bytes:proof_msgs.(i) in
-          if not ok then p.zkp_failures <- i :: p.zkp_failures;
-          y)
+          if i = p.index then W.decode_pubkey pub_bytes
+          else begin
+            let y, ok =
+              verify_announcement ~pub_bytes ~proof_bytes:proof_msgs.(i)
+            in
+            if not ok then p.zkp_failures <- i :: p.zkp_failures;
+            y
+          end)
         pub_msgs
     in
     if p.zkp_failures <> [] then

@@ -144,7 +144,7 @@ let write_jsonl path spans =
     registered {!Hist} a histogram (cumulative [le] buckets over the
     non-empty log-linear buckets' upper bounds).  This is the scrape
     payload for the upcoming daemon mode; today the CLI snapshots it to
-    a file ([--stats-out]) and the bench archives it as an artifact. *)
+    a file ([--stats-out]). *)
 
 let prom_sanitize name =
   String.map

@@ -152,8 +152,8 @@ let by_shard (spans : Trace.span list) : row list =
     spans;
   List.sort (fun a b -> compare a.party b.party) !out
 
-(** Collapse rows over parties: one row per phase (the bench JSON
-    shape).  Returned in first-appearance order. *)
+(** Collapse rows over parties: one row per phase.  Returned in
+    first-appearance order. *)
 let by_phase rows_ =
   let out = ref [] in
   List.iter

@@ -15,6 +15,9 @@ open Ppgr_group
 open Ppgr_grouprank
 module Faultplan = Ppgr_mpcnet.Faultplan
 module Pool = Ppgr_exec.Pool
+module Hist = Ppgr_obs.Hist
+module Metrics = Ppgr_obs.Metrics
+module Trace = Ppgr_obs.Trace
 
 let ranks_of_betas betas =
   Array.map
@@ -336,6 +339,24 @@ module Windowed (G : Group_intf.GROUP) = struct
           (name ^ ": abort after full budget")
           (retry_budget + 1) f.Transport.fr_attempts
 
+  (* Why the transcript is window-invariant: a link never holds more
+     than one frame in flight, so selective acks and the out-of-order
+     buffer never engage.  Every windowed run records the occupancy it
+     saw at each admission and pins it at 1. *)
+  let run_recording_occupancy spec w =
+    Hist.reset Hist.window_occupancy;
+    Hist.set_enabled true;
+    let out =
+      Fun.protect
+        ~finally:(fun () -> Hist.set_enabled false)
+        (fun () -> run_spec ~window:(winspec w) spec)
+    in
+    Alcotest.(check bool) "admissions recorded" true
+      (Hist.count Hist.window_occupancy > 0);
+    Alcotest.(check int) "window occupancy never exceeds 1" 1
+      (Hist.max_value Hist.window_occupancy);
+    out
+
   let windowed_cases =
     List.concat_map
       (fun name ->
@@ -348,12 +369,15 @@ module Windowed (G : Group_intf.GROUP) = struct
               (fun () ->
                 let spec = Faultplan.spec_of_string spec_str in
                 let sync = run_spec spec in
-                check_windowed name sync (run_spec ~window:(winspec w) spec)))
+                check_windowed name sync (run_recording_occupancy spec w)))
           [ 4; 16 ])
       windowed_scenarios
 
-  (* Latency is where the window pays: under the delay-heavy plan the
-     pipelined engine must finish strictly earlier on the link clock. *)
+  (* The link clock charges stop-and-wait serially per wire touch and a
+     windowed step the max over its concurrent links, so under the
+     delay-heavy plan the windowed run finishes strictly earlier on that
+     clock.  The gain is the accounting, not pipelining within a link:
+     occupancy stays at 1 (above). *)
   let pipelining_wins_case =
     Alcotest.test_case "delay-heavy: window=16 strictly faster" `Quick
       (fun () ->
@@ -389,6 +413,81 @@ module Windowed (G : Group_intf.GROUP) = struct
   let cases =
     window_one_cases @ windowed_cases
     @ [ pipelining_wins_case; windowed_jobs_case ]
+end
+
+(* ---- Invariant 1: one transcript across jobs, windows, telemetry ---- *)
+
+module Invariant (G : Group_intf.GROUP) = struct
+  module RT = Runtime.Make (G)
+
+  (* Telemetry on is everything the CLI's observability flags switch
+     on: span tracing with probe sampling, histograms and the causal
+     flow ledger. *)
+  let with_telemetry f =
+    let probes =
+      ("exps", Opmeter.count) :: ("group_mults", G.op_count) :: G.probes
+    in
+    List.iter (fun (name, read) -> Metrics.register ~name read) probes;
+    Hist.reset Hist.hop_us;
+    Hist.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Hist.set_enabled false;
+        List.iter (fun (name, _) -> Metrics.unregister ~name) probes)
+      (fun () -> fst (Trace.capture f))
+
+  let run ~jobs ~window ~telemetry spec =
+    let prev = Pool.jobs () in
+    Pool.set_jobs jobs;
+    Fun.protect ~finally:(fun () -> Pool.set_jobs prev) @@ fun () ->
+    let go () =
+      RT.run ?window ~faults:spec ~retry_budget
+        (Rng.create ~seed:"chaos-protocol")
+        ~l ~betas
+    in
+    if telemetry then with_telemetry go else go ()
+
+  let cases =
+    [
+      Alcotest.test_case
+        "all-faults-moderate: one digest over jobs x window x telemetry"
+        `Quick (fun () ->
+          let spec =
+            Faultplan.spec_of_string (List.assoc "all-faults-moderate" scenarios)
+          in
+          let base = run ~jobs:1 ~window:None ~telemetry:false spec in
+          Alcotest.(check (array int)) "ranks golden" golden base.RT.ranks;
+          List.iter
+            (fun jobs ->
+              List.iter
+                (fun (wname, window) ->
+                  List.iter
+                    (fun telemetry ->
+                      let st = run ~jobs ~window ~telemetry spec in
+                      let what =
+                        Printf.sprintf "jobs=%d %s telemetry=%b" jobs wname
+                          telemetry
+                      in
+                      Alcotest.(check string) (what ^ ": transcript digest")
+                        base.RT.transcript_sha st.RT.transcript_sha;
+                      Alcotest.(check (array int)) (what ^ ": ranks") golden
+                        st.RT.ranks;
+                      if telemetry then
+                        Alcotest.(check int) (what ^ ": one hop sample per party")
+                          (Array.length betas) (Hist.count Hist.hop_us);
+                      (* Only the stop-and-wait engine keeps the causal
+                         ledger: one flow per logical message, traced. *)
+                      if window = None then
+                        Alcotest.(check int) (what ^ ": flows")
+                          (if telemetry then st.RT.messages else 0)
+                          (List.length st.RT.flows))
+                    [ false; true ])
+                [
+                  ("stop-and-wait", None);
+                  ("window=4", Some (Transport.winspec_of_string "window=4,rto=4"));
+                ])
+            [ 1; 2; 4 ]);
+    ]
 end
 
 (* Group-independent window-spec grammar behaviour. *)
@@ -625,6 +724,9 @@ module Win_dl = Windowed (G_dl)
 module Win_ec = Windowed (G_ec)
 module G_small = (val Dl_group.dl_test_64 () : Group_intf.GROUP)
 module Fl = Flight (G_small)
+module G_tiny = (val Ec_group.ecc_tiny () : Group_intf.GROUP)
+module Inv_dl = Invariant (G_small)
+module Inv_ec = Invariant (G_tiny)
 
 let () =
   Alcotest.run "chaos"
@@ -636,4 +738,5 @@ let () =
       ("windowed-dl-512", Win_dl.cases);
       ("windowed-ecc-160", Win_ec.cases);
       ("flightrec", Fl.cases);
+      ("invariant-1", Inv_dl.cases @ Inv_ec.cases);
     ]

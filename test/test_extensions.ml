@@ -1,6 +1,5 @@
 (* Tests for the extension substrates: the probabilistic top-k baseline
-   (Burkhart-Dimitropoulos style), the re-encryption mix-net, and the
-   Paillier cryptosystem. *)
+   (Burkhart-Dimitropoulos style) and the re-encryption mix-net. *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -212,58 +211,10 @@ let mixnet_tests =
             ignore (M.collect rng [| G.generator |])));
   ]
 
-let paillier_tests =
-  let open Ppgr_paillier in
-  let sk, pk = Paillier.keygen rng ~bits:256 in
-  [
-    Alcotest.test_case "encrypt/decrypt round trip" `Quick (fun () ->
-        for _ = 1 to 10 do
-          let m = Rng.bigint_below rng pk.Paillier.n in
-          Alcotest.(check string) "roundtrip" (Bigint.to_string m)
-            (Bigint.to_string (Paillier.decrypt sk (Paillier.encrypt rng pk m)))
-        done);
-    Alcotest.test_case "additive homomorphism" `Quick (fun () ->
-        for _ = 1 to 10 do
-          let a = Rng.int_below rng 1_000_000 and b = Rng.int_below rng 1_000_000 in
-          let ca = Paillier.encrypt rng pk (bi a) in
-          let cb = Paillier.encrypt rng pk (bi b) in
-          Alcotest.(check string) "sum" (string_of_int (a + b))
-            (Bigint.to_string (Paillier.decrypt sk (Paillier.add pk ca cb)))
-        done);
-    Alcotest.test_case "scalar multiplication and negation" `Quick (fun () ->
-        let c = Paillier.encrypt rng pk (bi 111) in
-        Alcotest.(check string) "scale" "777"
-          (Bigint.to_string (Paillier.decrypt sk (Paillier.scale pk c (bi 7))));
-        let neg = Paillier.neg pk c in
-        Alcotest.(check string) "m + (-m) = 0" "0"
-          (Bigint.to_string (Paillier.decrypt sk (Paillier.add pk c neg))));
-    Alcotest.test_case "add_clear" `Quick (fun () ->
-        let c = Paillier.encrypt rng pk (bi 40) in
-        Alcotest.(check string) "40+2" "42"
-          (Bigint.to_string (Paillier.decrypt sk (Paillier.add_clear pk c (bi 2)))));
-    Alcotest.test_case "rerandomize keeps plaintext, changes ciphertext" `Quick
-      (fun () ->
-        let c = Paillier.encrypt rng pk (bi 9) in
-        let c' = Paillier.rerandomize rng pk c in
-        Alcotest.(check bool) "changed" false (Bigint.equal c c');
-        Alcotest.(check string) "kept" "9" (Bigint.to_string (Paillier.decrypt sk c')));
-    Alcotest.test_case "ciphertexts are randomized" `Quick (fun () ->
-        let c1 = Paillier.encrypt rng pk (bi 5) in
-        let c2 = Paillier.encrypt rng pk (bi 5) in
-        Alcotest.(check bool) "distinct" false (Bigint.equal c1 c2));
-    Alcotest.test_case "wraps modulo n" `Quick (fun () ->
-        let m = Bigint.pred pk.Paillier.n in
-        let c = Paillier.encrypt rng pk m in
-        (* (n-1) + 2 = 1 mod n *)
-        Alcotest.(check string) "wrap" "1"
-          (Bigint.to_string (Paillier.decrypt sk (Paillier.add_clear pk c (bi 2)))));
-  ]
-
 let () =
   Alcotest.run "extensions"
     [
       ("topk", topk_tests);
       ("topk-det", topk_det_tests);
       ("mixnet", mixnet_tests);
-      ("paillier", paillier_tests);
     ]

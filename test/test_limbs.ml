@@ -1,5 +1,5 @@
 (* Differential battery: the live 61-bit magnitude engine against the
-   frozen 26-bit reference ([Ppgr_bigint.Mag26_ref]), with values bridged
+   frozen 26-bit reference ([Mag26_ref]), with values bridged
    across the representations as big-endian bytes.  Covers add, sub, mul,
    divmod (both the single-limb and Knuth paths), powmod (Montgomery and
    even-modulus), invmod, serialization round trips, and sign handling,

@@ -57,13 +57,16 @@ let pool_suite =
         Pool.set_jobs 4;
         let got =
           Pool.parallel_init 6 (fun i ->
-              Alcotest.(check bool) "inner sees task context" true
-                (Pool.in_parallel_task ());
-              Array.fold_left ( + ) 0 (Pool.parallel_init 10 (fun j -> i + j)))
+              ( Pool.in_parallel_task (),
+                Array.fold_left ( + ) 0 (Pool.parallel_init 10 (fun j -> i + j)) ))
         in
         Pool.set_jobs 1;
+        (* Assert on the main domain: Alcotest's reporter is not safe to
+           call from several domains at once. *)
+        Alcotest.(check (array bool)) "inner sees task context"
+          (Array.make 6 true) (Array.map fst got);
         let expect = Array.init 6 (fun i -> (10 * i) + 45) in
-        Alcotest.(check (array int)) "nested sums" expect got);
+        Alcotest.(check (array int)) "nested sums" expect (Array.map snd got));
     Alcotest.test_case "three-deep nesting keeps slot order" `Quick (fun () ->
         Pool.set_jobs 4;
         let got =
@@ -130,7 +133,7 @@ let pool_suite =
         Alcotest.(check int) "reset" 0 (Meter.read m));
   ]
 
-(* ---- Protocol-level determinism: jobs=1 vs jobs=4 ---- *)
+(* ---- Protocol-level determinism: jobs=1 vs jobs=2 and jobs=4 ---- *)
 
 let phase2_suite =
   let run_once jobs =
@@ -157,17 +160,21 @@ let phase2_suite =
         r.P2.schedule )
   in
   [
-    Alcotest.test_case "phase-2 results identical at jobs=1 and jobs=4" `Quick
-      (fun () ->
+    Alcotest.test_case "phase-2 results identical at jobs=1 and jobs in {2, 4}"
+      `Quick (fun () ->
         let ra, oa, ea, za, sa = run_once 1 in
-        let rb, ob, eb, zb, sb = run_once 4 in
-        Alcotest.(check (array int)) "ranks" ra rb;
-        Alcotest.(check (array int)) "per-party ops" oa ob;
-        Alcotest.(check (array int)) "per-party exps" ea eb;
-        Alcotest.(check (array (array bool)))
-          "zero-flag transcript (post-permutation positions)" za zb;
-        Alcotest.(check (list (pair int (pair int int))))
-          "schedule (critical ops, messages, bytes per round)" sa sb)
+        List.iter
+          (fun jobs ->
+            let rb, ob, eb, zb, sb = run_once jobs in
+            let what s = Printf.sprintf "%s (jobs=%d)" s jobs in
+            Alcotest.(check (array int)) (what "ranks") ra rb;
+            Alcotest.(check (array int)) (what "per-party ops") oa ob;
+            Alcotest.(check (array int)) (what "per-party exps") ea eb;
+            Alcotest.(check (array (array bool)))
+              (what "zero-flag transcript (post-permutation positions)") za zb;
+            Alcotest.(check (list (pair int (pair int int))))
+              (what "schedule (critical ops, messages, bytes per round)") sa sb)
+          [ 2; 4 ])
   ]
 
 let runtime_suite =
@@ -185,13 +192,17 @@ let runtime_suite =
     (s.R.ranks, s.R.bytes_on_wire, s.R.messages)
   in
   [
-    Alcotest.test_case "message-passing runtime identical at jobs=1 and jobs=4"
+    Alcotest.test_case "message-passing runtime identical at jobs 1, 2 and 4"
       `Quick (fun () ->
         let ra, ba, ma = run_once 1 in
-        let rb, bb, mb = run_once 4 in
-        Alcotest.(check (array int)) "ranks" ra rb;
-        Alcotest.(check int) "bytes on wire" ba bb;
-        Alcotest.(check int) "messages" ma mb);
+        List.iter
+          (fun jobs ->
+            let rb, bb, mb = run_once jobs in
+            let what s = Printf.sprintf "%s (jobs=%d)" s jobs in
+            Alcotest.(check (array int)) (what "ranks") ra rb;
+            Alcotest.(check int) (what "bytes on wire") ba bb;
+            Alcotest.(check int) (what "messages") ma mb)
+          [ 2; 4 ]);
   ]
 
 let mixnet_suite =
@@ -207,12 +218,16 @@ let mixnet_suite =
       Array.map (fun x -> Bytes.to_string (G.to_bytes x)) messages )
   in
   [
-    Alcotest.test_case "mixnet output identical at jobs=1 and jobs=4" `Quick
-      (fun () ->
+    Alcotest.test_case "mixnet output identical at jobs=1 and jobs in {2, 4}"
+      `Quick (fun () ->
         let pa, ma = run_once 1 in
-        let pb, _ = run_once 4 in
-        Alcotest.(check (array string))
-          "plaintext batch (order included)" pa pb;
+        List.iter
+          (fun jobs ->
+            let pb, _ = run_once jobs in
+            Alcotest.(check (array string))
+              (Printf.sprintf "plaintext batch (order included, jobs=%d)" jobs)
+              pa pb)
+          [ 2; 4 ];
         Alcotest.(check (list string))
           "multiset of messages survives"
           (List.sort compare (Array.to_list ma))

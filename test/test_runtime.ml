@@ -45,6 +45,22 @@ let suite (name, g) =
         let r = RT.run rng ~l ~betas in
         Alcotest.(check bool) "bytes" true (r.RT.bytes_on_wire > 0);
         Alcotest.(check bool) "messages" true (r.RT.messages > 20));
+    Alcotest.test_case (name ^ ": exponentiations = n x the VI-B count") `Quick
+      (fun () ->
+        (* A party verifies the other n-1 key proofs, never its own. *)
+        List.iter
+          (fun n ->
+            let l = 16 in
+            let betas =
+              Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
+            in
+            let before = Opmeter.snapshot () in
+            ignore (RT.run rng ~l ~betas);
+            Alcotest.(check int)
+              (Printf.sprintf "n=%d l=%d" n l)
+              (n * Cost_model.He_model.analytic_exps ~n ~l)
+              (Opmeter.since before))
+          [ 3; 4; 5 ]);
     Alcotest.test_case (name ^ ": rejects out-of-range beta") `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try

@@ -82,26 +82,31 @@ let plan_tests =
 
 let determinism_tests =
   [
-    Alcotest.test_case "transcripts byte-identical at jobs 1 vs 4" `Quick
+    Alcotest.test_case "transcripts byte-identical at jobs 1, 2 and 4" `Quick
       (fun () ->
         let run jobs =
           Pool.set_jobs jobs;
           Fun.protect ~finally:(fun () -> Pool.set_jobs 1)
-            (fun () -> sharded ~n:10 ~l:6 ())
+            (fun () -> snd (sharded ~n:10 ~l:6 ()))
         in
-        let _, r1 = run 1 and _, r4 = run 4 in
-        Alcotest.(check string) "global transcript" r1.Shard.transcript_sha
-          r4.Shard.transcript_sha;
-        Array.iteri
-          (fun i (st1 : Shard.shard_stat) ->
-            Alcotest.(check string)
-              (Printf.sprintf "shard %d transcript" i)
-              st1.Shard.shard_sha r4.Shard.shard_stats.(i).Shard.shard_sha)
-          r1.Shard.shard_stats;
-        Alcotest.(check (array int)) "local ranks" r1.Shard.local_ranks
-          r4.Shard.local_ranks;
-        Alcotest.(check (array int)) "winners" r1.Shard.winners
-          r4.Shard.winners)
+        let r1 = run 1 in
+        List.iter
+          (fun jobs ->
+            let rj = run jobs in
+            let what s = Printf.sprintf "%s (jobs=%d)" s jobs in
+            Alcotest.(check string) (what "global transcript")
+              r1.Shard.transcript_sha rj.Shard.transcript_sha;
+            Array.iteri
+              (fun i (st1 : Shard.shard_stat) ->
+                Alcotest.(check string)
+                  (what (Printf.sprintf "shard %d transcript" i))
+                  st1.Shard.shard_sha rj.Shard.shard_stats.(i).Shard.shard_sha)
+              r1.Shard.shard_stats;
+            Alcotest.(check (array int)) (what "local ranks")
+              r1.Shard.local_ranks rj.Shard.local_ranks;
+            Alcotest.(check (array int)) (what "winners") r1.Shard.winners
+              rj.Shard.winners)
+          [ 2; 4 ])
     ;
     Alcotest.test_case "same seed reruns to the same digest" `Quick
       (fun () ->
