@@ -221,20 +221,37 @@ let analysis () =
 
 (* Ablations called out in DESIGN.md §5. *)
 let ablations () =
-  (* (1) Suffix-sum vs naive omega circuit in step 7. *)
+  (* (1) Suffix-sum vs naive omega circuit in step 7: the group ops of
+     the circuit over every ordered pair of an n=6 session, and its
+     end-to-end share of a clean session's total (with the naive
+     circuit swapped in for the suffix one). *)
   let module G = (val Dl_group.dl_test_64 ()) in
-  let module P2 = Phase2.Make (G) in
+  let module RT = Runtime.Make (G) in
+  let n = 6 in
   header "Ablation: suffix-sum vs naive omega circuit (group ops, n=6)"
-    [ "suffix ops"; "naive ops"; "ratio" ];
+    [ "suffix ops"; "naive ops"; "ratio"; "suffix share"; "naive share" ];
   List.iter
     (fun l ->
       let betas =
-        Array.init 6 (fun _ -> Rng.bigint_below rng (Ppgr_bigint.Bigint.nth_bit_weight l))
+        Array.init n (fun _ -> Rng.bigint_below rng (Ppgr_bigint.Bigint.nth_bit_weight l))
       in
-      let total r = float_of_int (Array.fold_left ( + ) 0 r.P2.per_party_ops) in
-      let fast = total (P2.run rng ~l ~betas) in
-      let naive = total (P2.run ~naive_omega:true rng ~l ~betas) in
-      row (Printf.sprintf "l=%d" l) [ fast; naive; naive /. fast ])
+      let total = float_of_int (Array.fold_left ( + ) 0 (RT.run rng ~l ~betas).RT.per_party_ops) in
+      let bits = Array.map (fun b -> Ppgr_bigint.Bigint.bits_of b ~width:l) betas in
+      let tbl = RT.E.keytable (snd (RT.E.keygen rng)) in
+      let enc = Array.map (Array.map (RT.E.encrypt_exp_int_with rng tbl)) bits in
+      let circuit_ops naive_omega =
+        let s = G.op_snapshot () in
+        Array.iteri
+          (fun j own_bits ->
+            Array.iteri
+              (fun i e -> if i <> j then ignore (RT.compare_circuit ~naive_omega ~l ~own_bits e))
+              enc)
+          bits;
+        float_of_int (G.ops_since s)
+      in
+      let fast = circuit_ops false and naive = circuit_ops true in
+      row (Printf.sprintf "l=%d" l)
+        [ fast; naive; naive /. fast; fast /. total; naive /. (total -. fast +. naive) ])
     [ 16; 32; 64; 96 ];
   (* (2) Karatsuba cutoff. *)
   header "Ablation: multiplication time vs bits (Karatsuba on)" [ "ns/mult" ];

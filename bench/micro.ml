@@ -60,29 +60,27 @@ let figure_tests () =
   let p1cfg = Phase1.config ~spec ~h:15 () in
   let secrets = Phase1.draw_masks rng p1cfg ~n:1 in
   let module G = (val Dl_group.dl_test_64 ()) in
-  let module P2 = Phase2.Make (G) in
+  let module RT = Runtime.Make (G) in
   let l = Phase1.beta_bits p1cfg in
   let betas5 = Array.init 5 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
+  let labels = RT.make_labels ~n:5 ~l in
   let field = Ppgr_dotprod.Zfield.default () in
   let engine () = Ppgr_shamir.Engine.create rng field ~n:5 in
   let prm = { Ppgr_shamir.Compare.l = 16; kappa = 40; log_prefix = true } in
   let topo_rng = Rng.split rng ~label:"topo" in
   [
-    (* Fig 2(a-d) unit: one secure gain computation + one phase-2 run. *)
+    (* Fig 2(a-d) unit: one secure gain computation + one phase-2 session. *)
     Test.make ~name:"fig2-unit-phase1-interaction"
       (Staged.stage (fun () ->
            ignore (Phase1.run_one rng p1cfg ~criterion ~secrets ~j:0 ~info)));
-    Test.make ~name:"fig2-unit-phase2-n5"
-      (Staged.stage (fun () -> ignore (P2.run rng ~l ~betas:betas5)));
+    Test.make ~name:"fig2-unit-ring-n5"
+      (Staged.stage (fun () -> ignore (RT.run rng ~l ~betas:betas5)));
     (* Fig 3(a) unit: one full-size exponentiation at each level is the
        dominant term; covered by dl1024-exp/ecc160-scalar-mult above;
-       here the joint-key setup. *)
+       here one party's step 5 (key pair, key proof, announcements). *)
     Test.make ~name:"fig3a-unit-keygen-and-proof"
       (Staged.stage (fun () ->
-           let module Z = Ppgr_zkp.Schnorr.Make (G) in
-           let x = G.random_scalar rng in
-           let t = Z.prove_interactive rng ~secret:x ~statement:(G.pow_gen x) ~n_verifiers:4 in
-           ignore (Z.verify_transcript ~statement:(G.pow_gen x) t)));
+           ignore (RT.create_party ~index:0 ~n:5 ~l ~labels ~beta:Bigint.zero rng)));
     (* Fig 3(b) unit: routing + event simulation of one broadcast round. *)
     Test.make ~name:"fig3b-unit-netsim-round"
       (Staged.stage (fun () ->

@@ -93,7 +93,8 @@ let trace_arg =
   let doc =
     "Write a Chrome trace-event JSON of the run to $(docv) (loadable in \
      Perfetto / chrome://tracing): one span per protocol step per party, \
-     with operation and byte counts as span arguments."
+     with operation and byte counts as span arguments, and one causal \
+     flow arrow per phase-2 message."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -111,8 +112,7 @@ let metrics_arg =
 
 let faults_arg =
   let doc =
-    "After the ranking, replay the distributed (bytes-only) runtime under \
-     a seeded fault schedule, e.g. \
+    "Run phase 2 under a seeded fault schedule on every link, e.g. \
      $(b,drop=0.1,corrupt=0.05,dup=0.05,reorder=0.05,delay=0.1,maxdelay=4,seed=chaos). \
      Prints the recovery report (retransmissions, CRC rejects, suppressed \
      duplicates, simulated backoff) and the physical transcript digest; \
@@ -127,7 +127,7 @@ let faults_arg =
 
 let window_arg =
   let doc =
-    "Transport window spec for the distributed (runtime) leg, e.g. \
+    "Transport window spec for phase 2, e.g. \
      $(b,window=8,rto=4,link-0-1=16): sliding-window size per directed \
      link, retransmission timeout in ticks, per-link overrides.  The \
      protocol posts at most one message per link per step, so no link \
@@ -135,8 +135,7 @@ let window_arg =
      recovery counters are the same at every window size, and only the \
      simulated link clock changes (a windowed step is charged its \
      slowest link; stop-and-wait, the default, charges every wire touch \
-     in turn).  Implies the runtime leg even without $(b,--faults) (a \
-     clean schedule is used)."
+     in turn).  Prints the recovery report."
   in
   let print ppf w = Format.pp_print_string ppf (Transport.winspec_to_string w) in
   Arg.(
@@ -146,11 +145,11 @@ let window_arg =
 
 let restart_arg =
   let doc =
-    "Supervise the runtime leg with checkpoint/restart: on a \
-     Party_dropped abort, resume from the last completed step up to \
-     $(docv) times, then re-elect the ring without the dead party \
-     (collusion bound degrades to n-3 for that session).  Implies the \
-     runtime leg even without $(b,--faults)."
+    "Supervise phase 2 with checkpoint/restart: on a Party_dropped \
+     abort, resume from the last completed step up to $(docv) times, then \
+     re-elect the ring without the dead party (collusion bound degrades \
+     to n-3 for that session; the dead party learns no rank).  Prints the \
+     recovery report."
   in
   Arg.(value & opt int 0 & info [ "restart" ] ~docv:"N" ~doc)
 
@@ -181,163 +180,42 @@ let usage_checked checks run =
   | Some (_, msg) -> `Error (true, msg)
   | None -> `Ok (run ())
 
-let count_checks ~n ~k =
+(* [run] and [simulate] execute phase 2, whose ring needs two parties;
+   [rank] seats a singleton shard without one. *)
+let count_checks ~min_n ~n ~k =
   [
-    (n >= 1, "-n must be at least 1");
+    (n >= min_n, Printf.sprintf "-n must be at least %d" min_n);
     (k >= 1 && k <= n, Printf.sprintf "-k must be between 1 and n = %d" n);
   ]
 
-(* The chaos leg of [run]: the same participants' gains pushed through
-   the message-passing runtime with a fault plan on every link.  The
-   contract (test/test_chaos.ml): correct ranks or a typed abort with
-   forensics — never a hang, never a silently wrong ranking. *)
-let run_faults group spec criterion infos ~seed ?flows_out ?window
-    ~restarts fspec =
-  let module G = (val group : Ppgr_group.Group_intf.GROUP) in
-  let module RT = Runtime.Make (G) in
-  let open Ppgr_bigint in
-  let gains = Array.map (Attrs.gain spec criterion) infos in
-  (* Gains may be negative; ranking is invariant under a common shift,
-     and phase 2 wants non-negative l-bit betas. *)
-  let lo = Array.fold_left Stdlib.min 0 gains in
-  let betas = Array.map (fun g -> Bigint.of_int (g - lo)) gains in
-  let l =
-    Array.fold_left (fun a b -> Stdlib.max a (Bigint.numbits b)) 1 betas
-  in
-  Printf.printf "\nfault schedule: %s\n"
-    (Ppgr_mpcnet.Faultplan.spec_to_string fspec);
-  (match window with
-  | Some w -> Printf.printf "window spec:    %s\n" (Transport.winspec_to_string w)
-  | None -> ());
-  let rng = Ppgr_rng.Rng.create ~seed:(seed ^ "-faults") in
-  (* [restarts] above 0 supervises with checkpoint/restart; the result
-     carries how the run got there (resumes / ring re-election). *)
-  let run () =
-    if restarts = 0 then (RT.run ~faults:fspec ?window rng ~l ~betas, 0, None)
-    else begin
-      let rc =
-        RT.run_with_restart ~faults:fspec ?window ~max_restarts:restarts rng
-          ~l ~betas
-      in
-      (rc.RT.rec_stats, rc.RT.rec_resumes, rc.RT.rec_reelected)
-    end
-  in
-  (* With --trace the chaos leg is captured too: its spans plus the
-     transport's causal ledger become a flow-arrow trace beside the
-     main one. *)
-  let outcome =
-    match flows_out with
-    | None -> ( try Ok (run (), None) with Transport.Party_dropped f -> Error f)
-    | Some _ -> (
-        try
-          let st, spans = Ppgr_obs.Trace.capture run in
-          Ok (st, Some spans)
-        with Transport.Party_dropped f -> Error f)
-  in
-  match outcome with
-  | Ok ((st, resumes, reelected), spans_opt) ->
-      let injected =
-        String.concat ", "
-          (List.filter_map
-             (fun (k, c) -> if c = 0 then None else Some (Printf.sprintf "%s %d" k c))
-             st.RT.faults_injected)
-      in
-      Printf.printf "runtime survived: ranks %s\n"
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int st.RT.ranks)));
-      (match (resumes, reelected) with
-      | 0, None -> ()
-      | r, None ->
-          Printf.printf "  recovery:          resumed from checkpoint %d time(s)\n" r
-      | r, Some dead ->
-          Printf.printf
-            "  recovery:          %d failed resume(s); ring re-elected without \
-             P%d (collusion bound now n-3)\n"
-            r (dead + 1));
-      Printf.printf "  injected:          %s\n"
-        (if injected = "" then "nothing" else injected);
-      Printf.printf "  retransmissions:   %d\n" st.RT.retransmits;
-      Printf.printf "  CRC rejects:       %d\n" st.RT.crc_rejects;
-      Printf.printf "  dups suppressed:   %d\n" st.RT.dup_suppressed;
-      Printf.printf "  backoff ticks:     %d\n" st.RT.backoff_ticks;
-      if st.RT.acks_sent > 0 then
-        Printf.printf "  acks:              %d (%d bytes, control plane)\n"
-          st.RT.acks_sent st.RT.ack_bytes;
-      Printf.printf "  simulated ticks:   %d\n" st.RT.sim_ticks;
-      Printf.printf "  bytes (logical):   %d in %d messages\n" st.RT.bytes_on_wire
-        st.RT.messages;
-      Printf.printf "  bytes (physical):  %d in %d transmissions\n" st.RT.phys_bytes
-        st.RT.phys_messages;
-      Printf.printf "  transcript sha256: %s\n" st.RT.transcript_sha;
-      (* Per-directed-link physical accounting; the links must tile the
-         global physical counters exactly (they tally at transmit time,
-         so the check holds under reordering too). *)
-      Printf.printf "  per-link physical traffic:\n";
-      Printf.printf "    %4s %4s %10s %12s %8s\n" "from" "to" "msgs" "bytes"
-        "retrans";
-      List.iter
-        (fun (lk : Transport.link) ->
-          Printf.printf "    %4d %4d %10d %12d %8d\n" lk.Transport.lk_src
-            lk.Transport.lk_dst lk.Transport.lk_msgs lk.Transport.lk_bytes
-            lk.Transport.lk_retrans)
-        st.RT.links;
-      let sum f = List.fold_left (fun a lk -> a + f lk) 0 st.RT.links in
-      let lk_msgs = sum (fun lk -> lk.Transport.lk_msgs) in
-      let lk_bytes = sum (fun lk -> lk.Transport.lk_bytes) in
-      let lk_retrans = sum (fun lk -> lk.Transport.lk_retrans) in
-      Printf.printf "    links total: %d msgs, %d bytes, %d retrans  %s\n" lk_msgs
-        lk_bytes lk_retrans
-        (if
-           lk_msgs = st.RT.phys_messages
-           && lk_bytes = st.RT.phys_bytes
-           && lk_retrans = st.RT.retransmits
-         then "(tiles physical counters: ok)"
-         else "(MISMATCH vs physical counters)");
-      if
-        lk_msgs <> st.RT.phys_messages
-        || lk_bytes <> st.RT.phys_bytes
-        || lk_retrans <> st.RT.retransmits
-      then failwith "per-link accounting does not tile the physical counters";
-      (match (flows_out, spans_opt) with
-      | Some path, Some spans ->
-          Ppgr_obs.Export.write_chrome
-            ~flows:(Transport.flows_to_export st.RT.flows)
-            path spans;
-          Printf.printf
-            "  flows trace: %d spans + %d causal arrows -> %s (Perfetto)\n"
-            (List.length spans) (List.length st.RT.flows) path
-      | _ -> ());
-      0
-  | Error f ->
-      Printf.printf "runtime aborted: Party_dropped\n";
-      Printf.printf "  step:      %s\n" f.Transport.fr_step;
-      Printf.printf "  link:      P%d -> P%d (seq %d)\n" (f.Transport.fr_src + 1)
-        (f.Transport.fr_dst + 1) f.Transport.fr_seq;
-      Printf.printf "  attempts:  %d (%s)\n" f.Transport.fr_attempts
-        (String.concat "," f.Transport.fr_events);
-      Printf.printf "  digest at abort: %s\n" f.Transport.fr_digest;
-      (* The dropping sender's flight-recorder tail: the last wire
-         events preceding the abort, oldest first. *)
-      Printf.printf "  flight recorder (P%d, last %d events):\n"
-        (f.Transport.fr_src + 1)
-        (List.length f.Transport.fr_flight);
-      List.iter
-        (fun ev ->
-          Printf.printf "    %s\n"
-            (Format.asprintf "%a" Ppgr_obs.Flightrec.pp_event ev))
-        f.Transport.fr_flight;
-      3
+(* A typed Party_dropped abort: where it happened, and the dropping
+   sender's flight-recorder tail (its last wire events, oldest first). *)
+let print_abort (f : Transport.forensics) =
+  Printf.printf "runtime aborted: Party_dropped\n";
+  Printf.printf "  step:      %s\n" f.Transport.fr_step;
+  Printf.printf "  link:      P%d -> P%d (seq %d)\n" (f.Transport.fr_src + 1)
+    (f.Transport.fr_dst + 1) f.Transport.fr_seq;
+  Printf.printf "  attempts:  %d (%s)\n" f.Transport.fr_attempts
+    (String.concat "," f.Transport.fr_events);
+  Printf.printf "  digest at abort: %s\n" f.Transport.fr_digest;
+  Printf.printf "  flight recorder (P%d, last %d events):\n"
+    (f.Transport.fr_src + 1)
+    (List.length f.Transport.fr_flight);
+  List.iter
+    (fun ev ->
+      Printf.printf "    %s\n" (Format.asprintf "%a" Ppgr_obs.Flightrec.pp_event ev))
+    f.Transport.fr_flight
 
 let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     window restart stats_out =
-  usage_checked (count_checks ~n ~k) @@ fun () ->
+  usage_checked (count_checks ~min_n:2 ~n ~k) @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
   let cfg = Framework.config ~h ~spec ~k () in
-  let group = group_of_name group_name in
-  let module G = (val group) in
+  let module G = (val group_of_name group_name) in
+  let module F = Framework.Make (G) in
   Printf.printf "group: %s (order %d bits), participants: %d, k: %d\n" G.name
     (Ppgr_bigint.Bigint.numbits G.order)
     n k;
@@ -362,22 +240,55 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
   let exps0 = Ppgr_group.Opmeter.count () in
   let mults0 = G.op_count () in
   let t0 = Unix.gettimeofday () in
-  let out, spans =
-    if observing then
-      Ppgr_obs.Trace.capture (fun () ->
-          Framework.run_with_group group rng cfg ~criterion ~infos)
-    else (Framework.run_with_group group rng cfg ~criterion ~infos, [])
+  (* The one execution: phase 1, one phase-2 session shaped by
+     --faults/--window/--restart, phase 3.  An abort keeps its spans. *)
+  let go () =
+    try Ok (F.run ?faults ?window ~restarts:restart rng cfg ~criterion ~infos)
+    with Transport.Party_dropped f -> Error f
   in
-  (* Probes stay registered until after the --stats-out snapshot (end
-     of this function) so the exposition includes their counters. *)
-  let unregister_probes () =
+  let result, spans =
+    if observing then Ppgr_obs.Trace.capture go else (go (), [])
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  let write_traces flows =
+    (match trace with
+    | Some path ->
+        Ppgr_obs.Export.write_chrome ~flows path spans;
+        Printf.printf
+          "\ntrace: %d spans + %d causal arrows -> %s (load in https://ui.perfetto.dev)\n"
+          (List.length spans) (List.length flows) path
+    | None -> ());
+    match jsonl with
+    | Some path ->
+        Ppgr_obs.Export.write_jsonl path spans;
+        Printf.printf "jsonl: %d spans -> %s\n" (List.length spans) path
+    | None -> ()
+  in
+  (* Probes stay registered until after the --stats-out snapshot so the
+     exposition includes their counters. *)
+  let finish () =
+    (match stats_out with
+    | Some path ->
+        Ppgr_obs.Export.write_prometheus path;
+        Ppgr_obs.Hist.set_enabled false;
+        Printf.printf "stats: Prometheus snapshot -> %s\n" path
+    | None -> ());
     if observing then begin
       Ppgr_obs.Metrics.unregister ~name:"exps";
       Ppgr_obs.Metrics.unregister ~name:"group_mults";
       List.iter (fun (name, _) -> Ppgr_obs.Metrics.unregister ~name) G.probes
     end
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let out, rc =
+    match result with
+    | Ok r -> r
+    | Error f ->
+        write_traces [];
+        print_abort f;
+        finish ();
+        exit 3
+  in
+  let st = rc.F.RT.rec_stats in
   Printf.printf "\n%-4s %-10s %s\n" "who" "rank" "gain (cleartext, for reference only)";
   Array.iteri
     (fun j r ->
@@ -402,22 +313,13 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
       (String.concat ", "
          (Array.to_list (Array.map string_of_int c.Framework.participant_exps)));
     Printf.printf "  initiator field mults: %d\n" c.Framework.initiator_field_mults;
-    Printf.printf "  rounds: %d, messages: %d, bytes: %d\n"
+    Printf.printf "  rounds: %d, messages: %d, bytes: %d (payload %d)\n"
       (List.length c.Framework.schedule)
       (Cost.total_messages c.Framework.schedule)
       (Cost.total_bytes c.Framework.schedule)
+      c.Framework.wire_bytes
   end;
-  (match trace with
-  | Some path ->
-      Ppgr_obs.Export.write_chrome path spans;
-      Printf.printf "\ntrace: %d spans -> %s (load in https://ui.perfetto.dev)\n"
-        (List.length spans) path
-  | None -> ());
-  (match jsonl with
-  | Some path ->
-      Ppgr_obs.Export.write_jsonl path spans;
-      Printf.printf "jsonl: %d spans -> %s\n" (List.length spans) path
-  | None -> ());
+  write_traces (Transport.flows_to_export st.F.RT.flows);
   if metrics then begin
     let rows = Ppgr_obs.Summary.rows spans in
     Printf.printf "\nper-phase x per-party metrics:\n%s"
@@ -429,7 +331,7 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     let sum_bytes = Ppgr_obs.Summary.total rows "bytes_out" in
     let glob_exps = Ppgr_group.Opmeter.count () - exps0 in
     let glob_mults = G.op_count () - mults0 in
-    let glob_bytes = Cost.total_bytes out.Framework.costs.Framework.schedule in
+    let glob_bytes = out.Framework.costs.Framework.wire_bytes in
     let check label a b =
       Printf.printf "  %-12s %12d (table) %12d (global)  %s\n" label a b
         (if a = b then "ok" else "MISMATCH")
@@ -442,30 +344,73 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     then failwith "metrics consistency check failed"
   end;
   Printf.printf "\nwall clock: %.3f s\n" dt;
-  let code =
-    if faults = None && window = None && restart = 0 then 0
-    else begin
-      (* --window / --restart imply the runtime leg even without a
-         fault schedule (a clean seeded plan is used).  A traced leg
-         writes its own flow-arrow trace next to the main one. *)
-      let fspec =
-        match faults with
-        | Some f -> f
-        | None -> Ppgr_mpcnet.Faultplan.spec_of_string "seed=clean"
-      in
-      let flows_out = Option.map (fun p -> p ^ ".flows.json") trace in
-      run_faults group spec criterion infos ~seed ?flows_out ?window
-        ~restarts:restart fspec
-    end
-  in
-  (match stats_out with
-  | Some path ->
-      Ppgr_obs.Export.write_prometheus path;
-      Ppgr_obs.Hist.set_enabled false;
-      Printf.printf "stats: Prometheus snapshot -> %s\n" path
-  | None -> ());
-  unregister_probes ();
-  if code <> 0 then exit code
+  (* --faults, --window and --restart shaped the session: report how it
+     survived.  The per-link table must tile the physical counters (they
+     tally at transmit time, so the check holds under reordering too). *)
+  if faults <> None || window <> None || restart > 0 then begin
+    Printf.printf "\nfault schedule: %s\n"
+      (match faults with
+      | Some f -> Ppgr_mpcnet.Faultplan.spec_to_string f
+      | None -> "none");
+    (match window with
+    | Some w -> Printf.printf "window spec:    %s\n" (Transport.winspec_to_string w)
+    | None -> ());
+    (match (rc.F.RT.rec_resumes, rc.F.RT.rec_reelected) with
+    | 0, None -> ()
+    | r, None ->
+        Printf.printf "  recovery:          resumed from checkpoint %d time(s)\n" r
+    | r, Some dead ->
+        Printf.printf
+          "  recovery:          %d failed resume(s); ring re-elected without \
+           P%d (collusion bound now n-3)\n"
+          r (dead + 1));
+    let injected =
+      String.concat ", "
+        (List.filter_map
+           (fun (k, c) -> if c = 0 then None else Some (Printf.sprintf "%s %d" k c))
+           st.F.RT.faults_injected)
+    in
+    Printf.printf "  injected:          %s\n"
+      (if injected = "" then "nothing" else injected);
+    Printf.printf "  retransmissions:   %d\n" st.F.RT.retransmits;
+    Printf.printf "  CRC rejects:       %d\n" st.F.RT.crc_rejects;
+    Printf.printf "  dups suppressed:   %d\n" st.F.RT.dup_suppressed;
+    Printf.printf "  backoff ticks:     %d\n" st.F.RT.backoff_ticks;
+    if st.F.RT.acks_sent > 0 then
+      Printf.printf "  acks:              %d (%d bytes, control plane)\n"
+        st.F.RT.acks_sent st.F.RT.ack_bytes;
+    Printf.printf "  simulated ticks:   %d\n" st.F.RT.sim_ticks;
+    Printf.printf "  bytes (logical):   %d in %d messages\n" st.F.RT.bytes_on_wire
+      st.F.RT.messages;
+    Printf.printf "  bytes (physical):  %d in %d transmissions\n" st.F.RT.phys_bytes
+      st.F.RT.phys_messages;
+    Printf.printf "  transcript sha256: %s\n" st.F.RT.transcript_sha;
+    Printf.printf "  per-link physical traffic:\n";
+    Printf.printf "    %4s %4s %10s %12s %8s\n" "from" "to" "msgs" "bytes"
+      "retrans";
+    List.iter
+      (fun (lk : Transport.link) ->
+        Printf.printf "    %4d %4d %10d %12d %8d\n" lk.Transport.lk_src
+          lk.Transport.lk_dst lk.Transport.lk_msgs lk.Transport.lk_bytes
+          lk.Transport.lk_retrans)
+      st.F.RT.links;
+    let sum f = List.fold_left (fun a lk -> a + f lk) 0 st.F.RT.links in
+    let lk_msgs = sum (fun lk -> lk.Transport.lk_msgs) in
+    let lk_bytes = sum (fun lk -> lk.Transport.lk_bytes) in
+    let lk_retrans = sum (fun lk -> lk.Transport.lk_retrans) in
+    let tiles =
+      lk_msgs = st.F.RT.phys_messages
+      && lk_bytes = st.F.RT.phys_bytes
+      && lk_retrans = st.F.RT.retransmits
+    in
+    Printf.printf "    links total: %d msgs, %d bytes, %d retrans  %s\n" lk_msgs
+      lk_bytes lk_retrans
+      (if tiles then "(tiles physical counters: ok)"
+       else "(MISMATCH vs physical counters)");
+    if not tiles then
+      failwith "per-link accounting does not tile the physical counters"
+  end;
+  finish ()
 
 let shards_arg =
   let doc =
@@ -499,7 +444,7 @@ let rank_cmd group_name n k seed spec jobs shards shard_size committee
      shard aggregators and then the leaves of its two-level tree. *)
   let tree_nodes = 1 + ((n + shard_size - 1) / Stdlib.max 2 shard_size) + n in
   usage_checked
-    (count_checks ~n ~k
+    (count_checks ~min_n:1 ~n ~k
     @ [
         (exclusive, "--shards and --shard-size are mutually exclusive");
         ( Option.fold ~none:true ~some:(fun s -> s >= 1) shards,
@@ -586,7 +531,7 @@ let rank_cmd group_name n k seed spec jobs shards shard_size committee
   Printf.printf "\nwall clock: %.3f s\n" dt
 
 let simulate_cmd group_name n k seed nodes edges jobs metrics =
-  usage_checked (count_checks ~n ~k) @@ fun () ->
+  usage_checked (count_checks ~min_n:2 ~n ~k) @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let spec = default_spec in

@@ -19,7 +19,7 @@
     {b Nesting.}  A task may itself invoke a [parallel_*] combinator:
     the nested batch is published on the submitting domain's deque,
     drained by the submitter, and stolen from by idle domains, so inner
-    loops (per-pair comparison circuits, [phase2.count]) exploit domains
+    loops (per-pair comparison circuits, [runtime.count]) exploit domains
     left idle by an outer loop's tail.  The submitter's own drain alone
     completes every task nobody stole, so joins terminate by induction
     on the nesting depth — work stealing is a throughput refinement,

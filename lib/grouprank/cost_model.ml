@@ -60,15 +60,20 @@ module He_model = struct
     mpe_test : float; (* mults per exponentiation on the fit group *)
   }
 
-  (* One instrumented run on the test group; returns the maximum
-     per-party (ops, exps). *)
-  let measure_once rng ~l ~n =
+  (* One instrumented session on the test group: its per-party group
+     operations and exponentiations. *)
+  let measure_parties rng ~l ~n =
     let module G = (val Ppgr_group.Dl_group.dl_test_64 ()) in
-    let module P2 = Phase2.Make (G) in
+    let module RT = Runtime.Make (G) in
     let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
-    let r = P2.run rng ~l ~betas in
+    let st = RT.run rng ~l ~betas in
+    (st.RT.per_party_ops, st.RT.per_party_exps)
+
+  (* The maximum per-party (ops, exps) of one session. *)
+  let measure_once rng ~l ~n =
+    let ops, exps = measure_parties rng ~l ~n in
     let maxi a = Array.fold_left Stdlib.max 0 a in
-    (maxi r.P2.per_party_ops, maxi r.P2.per_party_exps)
+    (maxi ops, maxi exps)
 
   (* Measured mults-per-exponentiation for any group value. *)
   let measure_mpe (g : Ppgr_group.Group_intf.group) ~samples rng =
@@ -124,13 +129,11 @@ module He_model = struct
 
   (** The phase-2 message schedule, built analytically (byte counts are
       exact; per-round critical ops distributed from the model).  Party
-      [n] is the initiator (phases 1/3 use it).
-
-      [pipelined] (default true) models a store-and-forward ring in
-      which a party forwards each owner's ciphertext set as soon as it
-      has processed it, so a hop's critical path is one set's work, not
-      all [n-1]; the sequential-ring model is the [false] case. *)
-  let schedule ?(pipelined = true) m ~n ~cipher_bytes ~elem_bytes
+      [n] is the initiator (phases 1/3 use it).  The ring is modelled
+      store-and-forward: a party forwards each owner's ciphertext set as
+      soon as it has processed it, so a hop's critical path is one set's
+      work, not all [n-1]. *)
+  let schedule m ~n ~cipher_bytes ~elem_bytes
       ~scalar_bytes ~mpe_target : Cost.schedule =
     let open Ppgr_mpcnet in
     let l = m.l in
@@ -172,7 +175,7 @@ module He_model = struct
       let full =
         (float_of_int (2 * n1 * per_set) *. mpe) +. (ring_share /. float_of_int n)
       in
-      f2i (if pipelined then full /. float_of_int (Stdlib.max 1 n1) else full)
+      f2i (full /. float_of_int (Stdlib.max 1 n1))
     in
     let ring =
       List.init n (fun hop ->
@@ -217,17 +220,10 @@ module Shard_model = struct
     committee : int;
   }
 
-  (* One instrumented distributed run on the test group; returns the
-     total group-op count, the quantity Shard.run accounts per shard. *)
+  (* The total group-op count of one session (its party spans tile
+     the run), the quantity Shard.run accounts per shard. *)
   let measure_total_ops rng ~l ~n =
-    let module G = (val Ppgr_group.Dl_group.dl_test_64 ()) in
-    let module RT = Runtime.Make (G) in
-    let betas =
-      Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
-    in
-    let s = G.op_snapshot () in
-    ignore (RT.run rng ~l ~betas);
-    G.ops_since s
+    Array.fold_left ( + ) 0 (fst (He_model.measure_parties rng ~l ~n))
 
   let fit ?(ns = [ 3; 4; 5 ]) ?(committee = 3) ?(r0 = 8) rng ~l =
     let pts =

@@ -2,11 +2,12 @@
     secure gain computation, unlinkable gain comparison, and ranking
     submission, glued together over a chosen group instantiation.
 
-    The runtime entry point {!run} executes all three phases for an
+    The entry point {!Make.run} executes all three phases for an
     initiator (criterion + weights) and [n] participants (information
     vectors), returning everyone's view: each participant's rank, the
     top-[k] submissions received by the initiator, the over-claim check,
-    and the full cost ledger for the evaluation harness. *)
+    and the full cost ledger for the evaluation harness.  Phase 2 is one
+    {!Runtime} session over the wire transport. *)
 
 open Ppgr_bigint
 open Ppgr_mpcnet
@@ -35,7 +36,10 @@ type costs = {
   participant_ops : int array; (* phase-2 group multiplications *)
   participant_exps : int array; (* phase-2 full exponentiations *)
   initiator_field_mults : int; (* phase-1 work on the initiator *)
-  schedule : Cost.schedule; (* full message schedule, phases 1-3 *)
+  schedule : Cost.schedule; (* phases 1-3; phase 2 as physical traffic *)
+  wire_bytes : int;
+      (* payload bytes of phases 1-3 (every phase-2 attempt's completed
+         steps), the quantity the wire spans tile *)
   beta_bits : int; (* the l of this run *)
 }
 
@@ -48,7 +52,7 @@ type outcome = {
 }
 
 module Make (G : Ppgr_group.Group_intf.GROUP) = struct
-  module P2 = Phase2.Make (G)
+  module RT = Runtime.Make (G)
 
   (** Over-claim detection (§V, ranking submission): the initiator
       recomputes each submitter's gain and rejects a submission whose
@@ -94,10 +98,17 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
             (step ^ ".wire")
       done
 
-  let run ?(naive_omega = false) rng (cfg : config)
-      ~(criterion : Attrs.criterion) ~(infos : Attrs.info array) : outcome =
+  (** [faults], [window] and [restarts] shape the phase-2 session as in
+      {!Shard.run}; the session's recovery record comes back with the
+      outcome.  After a ring re-election the dead participant learns no
+      rank ([n + 1], so it never submits) and costs nothing.
+      @raise Invalid_argument below two participants (phase 2's ring).
+      @raise Transport.Party_dropped when the session aborts. *)
+  let run ?faults ?window ?(restarts = 0) rng (cfg : config)
+      ~(criterion : Attrs.criterion) ~(infos : Attrs.info array) :
+      outcome * RT.recovery =
     let n = Array.length infos in
-    if n = 0 then invalid_arg "Framework.run: no participants";
+    if n < 2 then invalid_arg "Framework.run: need at least 2 participants";
     if cfg.k > n then invalid_arg "Framework.run: k larger than group";
     Trace.with_span
       ~attrs:
@@ -153,8 +164,33 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       phase1_rounds;
     (* Phase 2: unlinkable comparison on the unsigned masked gains. *)
     let betas = Array.map (fun i -> i.Phase1.beta_unsigned) interactions in
-    let p2 = P2.run ~naive_omega rng ~l ~betas in
-    let ranks = p2.P2.ranks in
+    let rc =
+      if restarts > 0 then
+        RT.run_with_restart ?faults ?window ~max_restarts:restarts rng ~l ~betas
+      else
+        let st = RT.run ?faults ?window rng ~l ~betas in
+        { RT.rec_stats = st; rec_resumes = 0; rec_reelected = None; rec_abandoned_bytes = 0 }
+    in
+    let st = rc.RT.rec_stats in
+    (* Session index -> participant index: the identity unless the ring
+       was re-elected without [dead], whose slot takes [absent]. *)
+    let seat_of j =
+      match rc.RT.rec_reelected with Some dead when j >= dead -> j + 1 | _ -> j
+    in
+    let seated absent (a : int array) =
+      let out = Array.make n absent in
+      Array.iteri (fun j v -> out.(seat_of j) <- v) a;
+      out
+    in
+    let ranks = seated (n + 1) st.RT.ranks in
+    let seat_msg (m : Netsim.message) =
+      { m with Netsim.src = seat_of m.Netsim.src; dst = seat_of m.Netsim.dst }
+    in
+    let phase2_rounds =
+      List.map
+        (fun (r : Cost.round) -> { r with Cost.messages = List.map seat_msg r.Cost.messages })
+        st.RT.schedule
+    in
     (* Phase 3: top-k submission and over-claim vetting. *)
     let submissions, accepted, flagged, phase3_round =
       Trace.with_span ~attrs:[ ("n", Trace.Int n) ] "phase3" @@ fun () ->
@@ -180,26 +216,29 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       record_wire ~step:"phase3" ~n phase3_round.Cost.messages;
       (submissions, accepted, flagged, phase3_round)
     in
-    {
-      ranks;
-      submissions;
-      accepted;
-      flagged;
-      costs =
-        {
-          participant_ops = p2.P2.per_party_ops;
-          participant_exps = p2.P2.per_party_exps;
-          initiator_field_mults;
-          schedule = phase1_rounds @ p2.P2.schedule @ [ phase3_round ];
-          beta_bits = l;
-        };
-    }
+    ( {
+        ranks;
+        submissions;
+        accepted;
+        flagged;
+        costs =
+          {
+            participant_ops = seated 0 st.RT.per_party_ops;
+            participant_exps = seated 0 st.RT.per_party_exps;
+            initiator_field_mults;
+            schedule = phase1_rounds @ phase2_rounds @ [ phase3_round ];
+            wire_bytes =
+              Cost.total_bytes (phase3_round :: phase1_rounds)
+              + st.RT.bytes_on_wire + rc.RT.rec_abandoned_bytes;
+            beta_bits = l;
+          };
+      },
+      rc )
 end
 
 (** Runtime-dispatch convenience: run the framework over a first-class
-    group value. *)
-let run_with_group ?naive_omega (g : Ppgr_group.Group_intf.group) rng cfg
-    ~criterion ~infos =
+    group value, keeping the outcome. *)
+let run_with_group (g : Ppgr_group.Group_intf.group) rng cfg ~criterion ~infos =
   let module G = (val g) in
   let module F = Make (G) in
-  F.run ?naive_omega rng cfg ~criterion ~infos
+  fst (F.run rng cfg ~criterion ~infos)

@@ -18,7 +18,7 @@ open Ppgr_bigint
 open Ppgr_rng
 
 module Make (G : Ppgr_group.Group_intf.GROUP) = struct
-  module P2 = Phase2.Make (G)
+  module RT = Runtime.Make (G)
 
   (** Run phase 2 on two beta vectors that agree on the colluders'
       positions, and report whether every colluder observed the same
@@ -32,20 +32,16 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
           invalid_arg "Games: colluder betas must agree between branches")
       betas_a;
     (* The two branches are independent end-to-end runs given forked
-       RNG streams, so they execute as two pool tasks.  Meters are
-       reset once before both: a per-branch reset would race with the
-       other branch's concurrent ticks, so the counts a run reports are
-       no longer branch-local — the games only consume [ranks], which
-       are schedule-independent by the pool's determinism contract. *)
-    G.reset_op_count ();
-    Ppgr_group.Opmeter.reset ();
+       RNG streams, so they execute as two pool tasks; the games only
+       consume [ranks], which are schedule-independent by the pool's
+       determinism contract. *)
     let branch_rngs =
       [| Rng.split rng ~label:"branch-a"; Rng.split rng ~label:"branch-b" |]
     in
     let branch_betas = [| betas_a; betas_b |] in
     let results =
       Ppgr_exec.Pool.parallel_init 2 (fun b ->
-          (P2.run branch_rngs.(b) ~l ~betas:branch_betas.(b)).P2.ranks)
+          (RT.run branch_rngs.(b) ~l ~betas:branch_betas.(b)).RT.ranks)
     in
     let ra = results.(0) and rb = results.(1) in
     let ok = ref true in
@@ -53,6 +49,18 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       if (not (List.mem i honest)) && ra.(i) <> rb.(i) then ok := false
     done;
     !ok
+
+  (* [n] betas: each honest [(index, beta)] at its index, the adversary's
+     values in order everywhere else. *)
+  let seat_betas ~n honest adversary =
+    let rest = ref adversary in
+    Array.init n (fun i ->
+        match (List.assoc_opt i honest, !rest) with
+        | Some b, _ -> b
+        | None, v :: tl ->
+            rest := tl;
+            v
+        | None, [] -> invalid_arg "Games: not enough adversary values")
 
   (** Gain-hiding game (Def. 5), functional part: the honest participant
       [honest] takes value [beta0] or [beta1]; both must lie strictly in
@@ -74,18 +82,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     if not same_interval then `Bad_interval
     else begin
       let n = Array.length adversary_betas + 1 in
-      let build honest_beta =
-        let out = Array.make n Bigint.zero in
-        let adv = ref 0 in
-        for i = 0 to n - 1 do
-          if i = honest then out.(i) <- honest_beta
-          else begin
-            out.(i) <- adversary_betas.(!adv);
-            incr adv
-          end
-        done;
-        out
-      in
+      let build b = seat_betas ~n [ (honest, b) ] (Array.to_list adversary_betas) in
       if
         colluder_ranks_invariant rng ~l ~honest:[ honest ]
           ~betas_a:(build beta0) ~betas_b:(build beta1)
@@ -99,22 +96,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
   let identity_unlinkability rng ~l ~pi ~pj ~beta0 ~beta1 ~others =
     let n = List.length others + 2 in
     if pi = pj || pi >= n || pj >= n then invalid_arg "Games: bad honest indices";
-    let build first second =
-      let out = Array.make n Bigint.zero in
-      let rest = ref others in
-      for i = 0 to n - 1 do
-        if i = pi then out.(i) <- first
-        else if i = pj then out.(i) <- second
-        else begin
-          match !rest with
-          | [] -> invalid_arg "Games: not enough adversary values"
-          | v :: tl ->
-              out.(i) <- v;
-              rest := tl
-        end
-      done;
-      out
-    in
+    let build first second = seat_betas ~n [ (pi, first); (pj, second) ] others in
     if
       colluder_ranks_invariant rng ~l ~honest:[ pi; pj ]
         ~betas_a:(build beta0 beta1) ~betas_b:(build beta1 beta0)
@@ -141,11 +123,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     let flags =
       Ppgr_exec.Pool.parallel_init trials (fun t ->
           let r =
-            P2.run
+            RT.run
               (Rng.split rng ~label:(Printf.sprintf "zero-pos-%d" (t + 1)))
               ~l ~betas
           in
-          r.P2.zero_flags.(0))
+          r.RT.zero_flags.(0))
     in
     Array.iter
       (Array.iteri (fun c z -> if z then positions.(c) <- positions.(c) + 1))

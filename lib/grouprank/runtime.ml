@@ -1,25 +1,27 @@
-(** A message-passing execution of the unlinkable comparison phase.
-
-    {!Phase2} simulates the protocol in lockstep with shared OCaml
-    values, which is ideal for counting but does not demonstrate a
-    deployable system.  This runtime executes the same protocol with
-    {e parties as isolated state machines that exchange only bytes}
-    through the {!Wire} codecs: every group element, proof and
-    ciphertext crosses a party boundary serialized, is validated on
-    decode, and no party ever touches another's secrets.
+(** Phase 2 (Fig. 1 steps 5–8): each participant learns the rank of
+    its [l]-bit masked gain among all [n], and nothing else, in [O(n)]
+    rounds — key generation with proofs of key knowledge and the joint
+    key (5), bitwise encryption (6), the blind comparison
+    {!compare_circuit} against every other party (7), and the
+    decryption ring that strips, blinds and permutes every set before
+    each owner counts its zeros (8).  Parties are {e isolated state
+    machines that exchange only bytes} through the {!Wire} codecs:
+    every group element, proof and ciphertext crosses a party boundary
+    serialized, is validated on decode, and no party ever touches
+    another's secrets.
 
     One deliberate deviation from Fig. 1: key-knowledge proofs use the
     Fiat–Shamir non-interactive variant instead of the 3-round
     multi-verifier interaction, so that each protocol step is a single
-    message flight (the interactive version is exercised by {!Phase2}).
+    message flight (DESIGN.md §2).
 
     The driver below runs each protocol step's sends through
     {!Transport.post}/{!Transport.flush}: in stop-and-wait mode (every
-    window at 1) that delivers immediately and in order, byte-identical
-    to the PR 5 driver; with a sliding window it becomes a pipelined
-    event loop that overlaps delivery per directed link.  The party
-    logic itself is transport-agnostic, and completed steps checkpoint
-    so an aborted run can resume (see {!run} and {!run_with_restart}). *)
+    window at 1) that delivers immediately and in order; with a sliding
+    window it becomes a pipelined event loop that overlaps delivery per
+    directed link.  The party logic itself is transport-agnostic, and
+    completed steps checkpoint so an aborted run can resume (see {!run}
+    and {!run_with_restart}). *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -75,20 +77,13 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     seckey : E.seckey;
     pub_msg : Bytes.t; (* announced public key *)
     proof_msg : Bytes.t; (* announced NI proof *)
-    mutable joint : E.keytable option;
-        (* joint key with its fixed-base table, built at key exchange *)
-    mutable zkp_failures : int list; (* indices whose proofs failed *)
   }
 
   let zkp_context = "ppgr-runtime-key-knowledge"
 
   (** Create a party: generates its key pair and announcement messages.
-      [labels] shares one preformatted label set across parties; when
-      omitted a private set is built (convenient for tests). *)
-  let create_party ~index ~n ~l ?labels ~beta rng =
-    let labels =
-      match labels with Some ls -> ls | None -> make_labels ~n ~l
-    in
+      [labels] is the one preformatted label set all parties share. *)
+  let create_party ~index ~n ~l ~labels ~beta rng =
     if Bigint.sign beta < 0 || Bigint.numbits beta > l then
       invalid_arg "Runtime.create_party: beta out of range";
     let seckey, pub = E.keygen rng in
@@ -109,8 +104,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
             challenges = [];
             response = proof.Z.ni_response;
           };
-      joint = None;
-      zkp_failures = [];
     }
 
   (* The NI proof rides in a transcript envelope with no challenges; the
@@ -118,11 +111,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
   let verify_announcement ~pub_bytes ~proof_bytes =
     let y = W.decode_pubkey pub_bytes in
     let t = W.decode_zkp proof_bytes in
-    let ok =
-      Z.verify_fs ~statement:y ~context:zkp_context
-        { Z.ni_commitment = t.Z.commitment; ni_response = t.Z.response }
-    in
-    (y, ok)
+    if
+      not
+        (Z.verify_fs ~statement:y ~context:zkp_context
+           { Z.ni_commitment = t.Z.commitment; ni_response = t.Z.response })
+    then invalid_arg "Runtime: a key-knowledge proof failed";
+    y
 
   (** Step 5-6: receive everyone's announcements, verify the other
       parties' proofs, form the joint key, and emit the bitwise
@@ -134,19 +128,10 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       Array.mapi
         (fun i pub_bytes ->
           if i = p.index then W.decode_pubkey pub_bytes
-          else begin
-            let y, ok =
-              verify_announcement ~pub_bytes ~proof_bytes:proof_msgs.(i)
-            in
-            if not ok then p.zkp_failures <- i :: p.zkp_failures;
-            y
-          end)
+          else verify_announcement ~pub_bytes ~proof_bytes:proof_msgs.(i))
         pub_msgs
     in
-    if p.zkp_failures <> [] then
-      invalid_arg "Runtime: a key-knowledge proof failed";
     let joint = E.keytable (E.joint_pubkey (Array.to_list pubs)) in
-    p.joint <- Some joint;
     (* Each bit encrypts under its own child stream keyed by position,
        so the bits fan out over the domain pool with a transcript
        independent of the job count. *)
@@ -159,25 +144,33 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     in
     W.encode_cipher_batch enc
 
-  (* The step-7 circuit against a decoded batch of another party's
-     encrypted bits; same algebra as Phase2.compare_circuit. *)
-  let compare_circuit p (enc_bits : E.cipher array) =
-    let l = p.l in
+  (** The step-7 circuit: [P_j]'s clear bits [own_bits] against [P_i]'s
+      encrypted bits, giving [E(tau^b)] for [gamma^b = own^b XOR other^b],
+      [tau^b = (l-b)(1 - gamma^b) + Σ_{v>b} gamma^v + own^b], which is 0
+      for at most one [b], iff own < other.  The suffix sums take one
+      O(l) pass; [naive_omega] recomputes each, the paper's O(l^2)
+      accounting, as the ablation reference. *)
+  let compare_circuit ?(naive_omega = false) ~l ~own_bits
+      (enc_bits : E.cipher array) =
     if Array.length enc_bits <> l then invalid_arg "Runtime: bad bit batch length";
     let enc_zero = { E.c = G.identity; c' = G.identity } in
+    (* gamma^b = own XOR other: linear because own bits are clear. *)
     let gamma =
       Array.init l (fun b ->
-          if p.beta_bits.(b) = 0 then enc_bits.(b)
+          if own_bits.(b) = 0 then enc_bits.(b)
           else E.add_clear (E.neg enc_bits.(b)) Bigint.one)
     in
     let s = Array.make l enc_zero in
     for b = l - 2 downto 0 do
-      s.(b) <- E.add s.(b + 1) gamma.(b + 1)
+      s.(b) <-
+        (if naive_omega then
+           Array.fold_left E.add enc_zero (Array.sub gamma (b + 1) (l - 1 - b))
+         else E.add s.(b + 1) gamma.(b + 1))
     done;
     Array.init l (fun b ->
         let one_minus = E.add_clear (E.neg gamma.(b)) Bigint.one in
         let omega = E.add (E.scale_int one_minus (l - b)) s.(b) in
-        if p.beta_bits.(b) = 0 then omega else E.add_clear omega Bigint.one)
+        if own_bits.(b) = 0 then omega else E.add_clear omega Bigint.one)
 
   (** Step 7: consume everyone's encrypted-bit announcements and emit
       this party's comparison sets, flattened in owner order with own
@@ -187,7 +180,9 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     let sets =
       Ppgr_exec.Pool.parallel_init p.n (fun i ->
           if i = p.index then [||]
-          else compare_circuit p (W.decode_cipher_batch enc_msgs.(i)))
+          else
+            compare_circuit ~l:p.l ~own_bits:p.beta_bits
+              (W.decode_cipher_batch enc_msgs.(i)))
     in
     W.encode_cipher_batch (Array.concat (Array.to_list sets))
   (* The flattened array has (n-1) * l ciphertexts; the ring treats it
@@ -259,15 +254,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
               (Array.length payloads) p.n));
     payloads
 
-  (** Final step: strip one's own layer from the returned set and read
-      off the rank. *)
-  let finish p ~(own_set : Bytes.t) : int =
+  (** Final step: strip one's own layer from the returned set and flag
+      its zero plaintexts; the rank is one plus the number of zeros. *)
+  let finish p ~(own_set : Bytes.t) : bool array =
     let set = W.decode_cipher_batch own_set in
-    let flags =
-      Ppgr_exec.Pool.parallel_map (fun c -> E.decrypt_exp_is_zero p.seckey c) set
-    in
-    let zeros = Array.fold_left (fun acc z -> if z then acc + 1 else acc) 0 flags in
-    zeros + 1
+    Ppgr_exec.Pool.parallel_map (fun c -> E.decrypt_exp_is_zero p.seckey c) set
 
   type stats = {
     ranks : int array;
@@ -299,6 +290,13 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     flows : Transport.flow list;
         (* causal ledger (empty unless tracing was on) *)
     flight : Ppgr_obs.Flightrec.t; (* recent-wire-event ring, per party *)
+    per_party_ops : int array; (* group operations in each party's spans *)
+    per_party_exps : int array; (* full-size exponentiations, likewise *)
+    schedule : Cost.schedule;
+        (* [net_rounds] priced with each step's critical-path ops, then
+           the count as a round without messages *)
+    zero_flags : bool array array;
+        (* .(j).(c): slot c of P_j's returned, permuted set is zero *)
   }
 
   (** Drive a full distributed execution.  All inter-party state passes
@@ -434,10 +432,24 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         r
       end
     in
-    let party_span step j f =
+    (* Each party's group ops and exponentiations, metered in its spans
+       (which tile the run); [step_ops.(k)] is the largest per-party op
+       delta feeding wire step k: 0 announce (key generation), 1
+       encrypt, 2 compare, 3+h ring hop h, n+3 the closing count. *)
+    let ops = Array.make n 0 and exps = Array.make n 0 in
+    let step_ops = Array.make (n + 4) 0 in
+    let party_span ?(attrs = []) ~k step j f =
       Trace.with_span
-        ~attrs:(("party", Trace.Int j) :: shard_attrs)
-        ("runtime." ^ step) f
+        ~attrs:((("party", Trace.Int j) :: attrs) @ shard_attrs)
+        ("runtime." ^ step)
+        (fun () ->
+          let ops0 = G.op_snapshot () and exps0 = Ppgr_group.Opmeter.snapshot () in
+          let r = f () in
+          let d = G.ops_since ops0 in
+          ops.(j) <- ops.(j) + d;
+          exps.(j) <- exps.(j) + Ppgr_group.Opmeter.since exps0;
+          step_ops.(k) <- Stdlib.max step_ops.(k) d;
+          r)
     in
     (* Serialize the complete post-step state (logical ledgers, the
        step's data dependencies, transport snapshot) and hand it to the
@@ -469,8 +481,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     let labels = session.s_labels in
     let parties =
       Array.init n (fun index ->
-          party_span "keygen" index (fun () ->
-              create_party ~index ~n ~l ?labels:(Some labels) ~beta:betas.(index)
+          party_span ~k:0 "keygen" index (fun () ->
+              create_party ~index ~n ~l ~labels ~beta:betas.(index)
                 (Rng.split rng ~label:session.s_party.(index))))
     in
     (* Announcements broadcast: count each as n-1 sends.  A broadcast
@@ -503,7 +515,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       | _ ->
           Array.mapi
             (fun j p ->
-              party_span "encrypt" j (fun () ->
+              party_span ~k:1 "encrypt" j (fun () ->
                   receive_keys_and_encrypt p ~pub_msgs ~proof_msgs))
             parties
     in
@@ -521,7 +533,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
                 Array.mapi
                   (fun j p ->
                     post ~src:j ~dst:0
-                      (party_span "compare" j (fun () -> compare_all p ~enc_msgs)))
+                      (party_span ~k:2 "compare" j (fun () ->
+                           compare_all p ~enc_msgs)))
                   parties
               in
               let out = Transport.flush tr in
@@ -539,10 +552,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       if start <= 3 + hop then begin
         let hop_t0 = if Hist.enabled () then Unix.gettimeofday () else 0. in
         let processed =
-          Trace.with_span
-            ~attrs:
-              ([ ("party", Trace.Int hop); ("hop", Trace.Int hop) ] @ shard_attrs)
-            "runtime.ring"
+          party_span ~attrs:[ ("hop", Trace.Int hop) ] ~k:(3 + hop) "ring" hop
             (fun () -> ring_hop parties.(hop) ~v_msgs:!v)
         in
         if Hist.enabled () then
@@ -576,13 +586,20 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       end
     done;
     (* Return each set to its owner; owners decode and count. *)
-    let ranks =
+    let zero_flags =
       Array.mapi
-        (fun j p -> party_span "count" j (fun () -> finish p ~own_set:!v.(j)))
+        (fun j p ->
+          party_span ~k:(n + 3) "count" j (fun () -> finish p ~own_set:!v.(j)))
         parties
+    in
+    let ranks =
+      Array.map
+        (Array.fold_left (fun rank z -> if z then rank + 1 else rank) 1)
+        zero_flags
     in
     Transport.drain tr;
     let st = Transport.stats tr in
+    let net_rounds = Transport.net_rounds tr in
     {
       ranks;
       bytes_on_wire = !bytes_total;
@@ -606,10 +623,19 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         | None -> List.map (fun k -> (k, 0)) Ppgr_mpcnet.Faultplan.kinds
         | Some p -> Ppgr_mpcnet.Faultplan.injected p);
       transcript_sha = Transport.transcript_sha tr;
-      net_rounds = Transport.net_rounds tr;
+      net_rounds;
       links = Transport.links tr;
       flows = Transport.flows tr;
       flight = Transport.flight tr;
+      per_party_ops = ops;
+      per_party_exps = exps;
+      schedule =
+        List.mapi
+          (fun k (r : Ppgr_mpcnet.Netsim.round) ->
+            { Cost.critical_ops = step_ops.(k); messages = r.Ppgr_mpcnet.Netsim.messages })
+          net_rounds
+        @ [ { Cost.critical_ops = step_ops.(n + 3); messages = [] } ];
+      zero_flags;
     }
 
   (** Outcome of a supervised execution: the completed run's stats plus
@@ -619,6 +645,9 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     rec_resumes : int; (* resume attempts consumed (successful or not) *)
     rec_reelected : int option;
         (* [Some dead] when the ring was re-elected without that party *)
+    rec_abandoned_bytes : int;
+        (* logical bytes of the wire steps the abandoned session
+           completed before a re-election (0 without one) *)
   }
 
   (** Supervise a run with checkpoint/restart.  The run checkpoints
@@ -657,17 +686,24 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         run ?faults ~retry_budget ?flight_cap ?shard ?window rng' ~l
           ~betas:betas'
       in
-      { rec_stats = st; rec_resumes = resumes; rec_reelected = Some dead }
+      let rec_abandoned_bytes =
+        match !latest with
+        | None -> 0
+        | Some ck -> (Wire.decode_checkpoint ck).Wire.ck_bytes_total
+      in
+      { rec_stats = st; rec_resumes = resumes; rec_reelected = Some dead; rec_abandoned_bytes }
+    in
+    let completed ~resumes st =
+      { rec_stats = st; rec_resumes = resumes; rec_reelected = None; rec_abandoned_bytes = 0 }
     in
     match go ~kill_after () with
-    | st -> { rec_stats = st; rec_resumes = 0; rec_reelected = None }
+    | st -> completed ~resumes:0 st
     | exception Transport.Party_dropped f0 ->
         let rec retry k last_f =
           if k >= max_restarts then reelect ~resumes:k last_f
           else
             match go ?resume:!latest ~kill_after:(-1) () with
-            | st ->
-                { rec_stats = st; rec_resumes = k + 1; rec_reelected = None }
+            | st -> completed ~resumes:(k + 1) st
             | exception Transport.Party_dropped f -> retry (k + 1) f
         in
         retry 0 f0

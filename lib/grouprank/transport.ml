@@ -502,8 +502,8 @@ let links t =
 let now_us () = Unix.gettimeofday () *. 1e6
 
 (** Close the current step's physical round.  Called by the runtime at
-    every protocol-step boundary so the schedule mirrors the lockstep
-    rounds, retransmissions included. *)
+    every protocol-step boundary so the schedule mirrors the protocol
+    steps, retransmissions included. *)
 let begin_step t step =
   if t.round_rev <> [] then
     t.rounds_rev <- (t.step, List.rev t.round_rev) :: t.rounds_rev;

@@ -117,21 +117,21 @@ let tag_submission = 0x20
     of the {!tag_envelope} transport envelope.  Pure integer table
     lookup; result in [0, 2^32). *)
 
+(* Built eagerly: forcing a lazy table from two domains at once raises
+   [CamlinternalLazy.Undefined], and concurrent sessions share it. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 ?(pos = 0) ?len (data : Bytes.t) =
   let len = match len with Some l -> l | None -> Bytes.length data - pos in
-  let tbl = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := tbl.((!c lxor Char.code (Bytes.get data i)) land 0xFF) lxor (!c lsr 8)
+    c := crc_table.((!c lxor Char.code (Bytes.get data i)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -23,6 +23,9 @@ let k =
 type ctx = {
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* 64-byte block buffer *)
+  w : int array;
+      (* message schedule of the block being compressed; per context, so
+         hashes running on different domains never share it *)
   mutable buf_len : int;
   mutable total : int; (* bytes fed so far *)
 }
@@ -35,13 +38,13 @@ let init () =
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
     buf = Bytes.create 64;
+    w = Array.make 64 0;
     buf_len = 0;
     total = 0;
   }
 
-let w = Array.make 64 0
-
 let compress ctx block off =
+  let w = ctx.w in
   let b i = Char.code (Bytes.get block (off + i)) in
   for t = 0 to 15 do
     w.(t) <-

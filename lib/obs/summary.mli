@@ -11,7 +11,7 @@
 val dimension_keys : string list
 
 type row = {
-  phase : string;  (** span name, e.g. "phase2.ring" *)
+  phase : string;  (** span name, e.g. "runtime.ring" *)
   party : int;
   mutable wall_us : float;
   mutable metrics : (string * int) list;  (** summed integer attrs *)

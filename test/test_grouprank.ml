@@ -1,6 +1,7 @@
 (* End-to-end tests of the group ranking framework: the gain model,
-   both secure phases, phase-3 vetting, and agreement between the HE
-   frameworks and the SS baseline. *)
+   both secure phases, phase-3 vetting, the framework under faults, and
+   agreement between the HE frameworks and the SS baseline.  Phase 2
+   runs on Runtime; its wire-level behaviour is tested in test_runtime. *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -142,69 +143,40 @@ let ranks_of_betas betas =
 
 let phase2_tests =
   let module G = (val Dl_group.dl_test_64 ()) in
-  let module P2 = Phase2.Make (G) in
+  let module RT = Runtime.Make (G) in
   [
     Alcotest.test_case "ranks match beta ordering (random)" `Quick (fun () ->
         for _ = 1 to 6 do
           let n = 2 + Rng.int_below rng 5 in
           let l = 10 in
           let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
-          let r = P2.run rng ~l ~betas in
-          Alcotest.(check (array int)) "ranks" (ranks_of_betas betas) r.P2.ranks
+          let r = RT.run rng ~l ~betas in
+          Alcotest.(check (array int)) "ranks" (ranks_of_betas betas) r.RT.ranks
         done);
     Alcotest.test_case "equal betas share a rank" `Quick (fun () ->
         let betas = Array.map Bigint.of_int [| 5; 9; 5; 1; 9 |] in
-        let r = P2.run rng ~l:8 ~betas in
-        Alcotest.(check (array int)) "ranks" [| 3; 1; 3; 5; 1 |] r.P2.ranks);
-    Alcotest.test_case "single participant" `Quick (fun () ->
-        let r = P2.run rng ~l:8 ~betas:[| Bigint.of_int 3 |] in
-        Alcotest.(check (array int)) "rank" [| 1 |] r.P2.ranks);
+        let r = RT.run rng ~l:8 ~betas in
+        Alcotest.(check (array int)) "ranks" [| 3; 1; 3; 5; 1 |] r.RT.ranks);
     Alcotest.test_case "two participants" `Quick (fun () ->
-        let r = P2.run rng ~l:8 ~betas:(Array.map Bigint.of_int [| 200; 100 |]) in
-        Alcotest.(check (array int)) "ranks" [| 1; 2 |] r.P2.ranks);
+        let r = RT.run rng ~l:8 ~betas:(Array.map Bigint.of_int [| 200; 100 |]) in
+        Alcotest.(check (array int)) "ranks" [| 1; 2 |] r.RT.ranks);
     Alcotest.test_case "extreme betas (0 and 2^l - 1)" `Quick (fun () ->
         let l = 12 in
         let betas =
           [| Bigint.zero; Bigint.pred (Bigint.nth_bit_weight l); Bigint.of_int 5 |]
         in
-        let r = P2.run rng ~l ~betas in
-        Alcotest.(check (array int)) "ranks" [| 3; 1; 2 |] r.P2.ranks);
-    Alcotest.test_case "all zkp proofs verify" `Quick (fun () ->
-        let betas = Array.map Bigint.of_int [| 1; 2; 3; 4 |] in
-        let r = P2.run rng ~l:6 ~betas in
-        Alcotest.(check bool) "all ok" true
-          (Array.for_all (Array.for_all Fun.id) r.P2.zkp_ok));
-    Alcotest.test_case "naive omega variant agrees" `Quick (fun () ->
-        let betas = Array.map Bigint.of_int [| 17; 3; 90; 17 |] in
-        let fast = P2.run rng ~l:8 ~betas in
-        let naive = P2.run ~naive_omega:true rng ~l:8 ~betas in
-        Alcotest.(check (array int)) "same ranks" fast.P2.ranks naive.P2.ranks);
-    Alcotest.test_case "naive omega costs more group ops" `Quick (fun () ->
-        let betas = Array.init 4 (fun i -> Bigint.of_int (i * 37)) in
-        let fast = P2.run rng ~l:24 ~betas in
-        let naive = P2.run ~naive_omega:true rng ~l:24 ~betas in
-        let total r = Array.fold_left ( + ) 0 r.P2.per_party_ops in
-        Alcotest.(check bool) "naive > fast" true (total naive > total fast));
+        let r = RT.run rng ~l ~betas in
+        Alcotest.(check (array int)) "ranks" [| 3; 1; 2 |] r.RT.ranks);
     Alcotest.test_case "rejects out-of-range beta" `Quick (fun () ->
         Alcotest.check_raises "too big"
-          (Invalid_argument "Phase2.run: beta out of l-bit range") (fun () ->
-            ignore (P2.run rng ~l:4 ~betas:[| Bigint.of_int 16; Bigint.one |])));
-    Alcotest.test_case "communication: O(n) rounds" `Quick (fun () ->
-        let run n =
-          let betas = Array.init n (fun i -> Bigint.of_int i) in
-          List.length (P2.run rng ~l:6 ~betas).P2.schedule
-        in
-        (* rounds = n + constant: difference between n=6 and n=4 is 2. *)
-        Alcotest.(check int) "linear growth" 2 (run 6 - run 4));
-    Alcotest.test_case "per-party ciphertext count formula" `Quick (fun () ->
-        Alcotest.(check int) "l(1 + n(n+1))" (6 * (1 + (5 * 6)))
-          (P2.ciphertexts_per_party ~n:5 ~l:6));
+          (Invalid_argument "Runtime.create_party: beta out of range") (fun () ->
+            ignore (RT.run rng ~l:4 ~betas:[| Bigint.of_int 16; Bigint.one |])));
     Alcotest.test_case "ranks agree across group families" `Quick (fun () ->
         let module Gec = (val Ec_group.ecc_tiny ()) in
-        let module P2ec = Phase2.Make (Gec) in
+        let module RTec = Runtime.Make (Gec) in
         let betas = Array.init 5 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight 10)) in
-        let a = (P2.run rng ~l:10 ~betas).P2.ranks in
-        let b = (P2ec.run rng ~l:10 ~betas).P2ec.ranks in
+        let a = (RT.run rng ~l:10 ~betas).RT.ranks in
+        let b = (RTec.run rng ~l:10 ~betas).RTec.ranks in
         Alcotest.(check (array int)) "same" a b);
   ]
 
@@ -308,6 +280,58 @@ let framework_tests =
         Alcotest.check_raises "too few"
           (Invalid_argument "Ss_framework.run: need at least 3 parties") (fun () ->
             ignore (Ss_framework.run rng cfg ~criterion ~infos)));
+    Alcotest.test_case "survives faults at every transport setting" `Quick
+      (fun () ->
+        (* test_chaos's all-faults-moderate plan, at stop-and-wait, at
+           window=4 and supervised with one restart: every run returns
+           the clean run's ranks and accepted submissions, and the
+           transcript does not depend on the window. *)
+        let module G = (val Dl_group.dl_test_64 ()) in
+        let module F = Framework.Make (G) in
+        let criterion = Attrs.random_criterion rng spec in
+        let infos = Array.init 4 (fun _ -> Attrs.random_info rng spec) in
+        let faults =
+          Ppgr_mpcnet.Faultplan.spec_of_string
+            "drop=0.1,corrupt=0.1,dup=0.1,reorder=0.1,delay=0.1,maxdelay=8,\
+             seed=chaos-18"
+        in
+        let run ?faults ?window ?restarts () =
+          F.run ?faults ?window ?restarts (Rng.create ~seed:"framework-faults")
+            cfg ~criterion ~infos
+        in
+        let submitted (out : Framework.outcome) =
+          List.map (fun s -> (s.Framework.participant, s.Framework.claimed_rank))
+            out.Framework.accepted
+        in
+        let clean, _ = run () in
+        let digest what (out, rc) =
+          Alcotest.(check (array int)) (what ^ ": ranks") clean.Framework.ranks
+            out.Framework.ranks;
+          Alcotest.(check (list (pair int int)))
+            (what ^ ": accepted") (submitted clean) (submitted out);
+          let st = rc.F.RT.rec_stats in
+          Alcotest.(check bool) (what ^ ": the plan bit") true
+            (st.F.RT.retransmits > 0);
+          st.F.RT.transcript_sha
+        in
+        let stop_and_wait = digest "stop-and-wait" (run ~faults ()) in
+        let windowed =
+          digest "window=4"
+            (run ~faults ~window:(Transport.winspec_of_string "window=4") ())
+        in
+        ignore (digest "restarts=1" (run ~faults ~restarts:1 ()));
+        Alcotest.(check string) "one digest at both windows" stop_and_wait
+          windowed);
+    Alcotest.test_case "needs a ring of two" `Quick (fun () ->
+        let criterion = Attrs.random_criterion rng spec in
+        let infos = [| Attrs.random_info rng spec |] in
+        let cfg1 = Framework.config ~h:8 ~spec ~k:1 () in
+        Alcotest.check_raises "one participant"
+          (Invalid_argument "Framework.run: need at least 2 participants")
+          (fun () ->
+            ignore
+              (Framework.run_with_group (Dl_group.dl_test_64 ()) rng cfg1
+                 ~criterion ~infos)));
   ]
 
 

@@ -109,23 +109,23 @@ let fingerprints spans =
        (fun sp -> (span_name sp, parent_name spans sp, List.sort compare (dim_attrs sp)))
        spans)
 
-let phase2_spans jobs =
+let runtime_spans jobs =
   Pool.set_jobs jobs;
   let module G = (val Dl_group.dl_test_64 ()) in
-  let module P2 = Phase2.Make (G) in
+  let module R = Runtime.Make (G) in
   let rng = Rng.create ~seed:"obs-jobs" in
   let l = 8 in
   let betas = Array.init 5 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
-  let r, spans = Trace.capture (fun () -> P2.run rng ~l ~betas) in
+  let s, spans = Trace.capture (fun () -> R.run rng ~l ~betas) in
   Pool.set_jobs 1;
-  (r.P2.ranks, fingerprints spans)
+  (s.R.ranks, fingerprints spans)
 
 let jobs_suite =
   [
     Alcotest.test_case "jobs=1 and jobs=4 record the same span set" `Quick
       (fun () ->
-        let ranks1, f1 = phase2_spans 1 in
-        let ranks4, f4 = phase2_spans 4 in
+        let ranks1, f1 = runtime_spans 1 in
+        let ranks4, f4 = runtime_spans 4 in
         Alcotest.(check (array int)) "same ranks" ranks1 ranks4;
         Alcotest.(check int) "same span count" (List.length f1) (List.length f4);
         Alcotest.(check bool) "same fingerprints" true (f1 = f4));
@@ -135,10 +135,10 @@ let jobs_suite =
 
 let attribution_suite =
   [
-    Alcotest.test_case "phase2 span deltas sum to the global meters" `Quick
+    Alcotest.test_case "runtime span deltas sum to the global meters" `Quick
       (fun () ->
         let module G = (val Dl_group.dl_test_64 ()) in
-        let module P2 = Phase2.Make (G) in
+        let module R = Runtime.Make (G) in
         Metrics.register ~name:"exps" (fun () -> Opmeter.count ());
         Metrics.register ~name:"group_mults" (fun () -> G.op_count ());
         Fun.protect ~finally:(fun () ->
@@ -152,20 +152,25 @@ let attribution_suite =
         in
         let exps0 = Opmeter.count () in
         let mults0 = G.op_count () in
-        let r, spans = Trace.capture (fun () -> P2.run rng ~l ~betas) in
+        let s, spans = Trace.capture (fun () -> R.run rng ~l ~betas) in
         let rows = Summary.rows spans in
         Alcotest.(check int) "exps" (Opmeter.count () - exps0)
           (Summary.total rows "exps");
         Alcotest.(check int) "group mults" (G.op_count () - mults0)
           (Summary.total rows "group_mults");
-        Alcotest.(check int) "bytes"
-          (Cost.total_bytes r.P2.schedule)
+        Alcotest.(check int) "logical bytes" s.R.bytes_on_wire
           (Summary.total rows "bytes_out");
+        Alcotest.(check int) "physical bytes"
+          (Cost.total_bytes s.R.schedule)
+          (Summary.total rows "phys_out");
         (* The per-party deltas the table reports are the same ones the
            result record reports. *)
         Alcotest.(check int) "per-party exps agree"
-          (Array.fold_left ( + ) 0 r.P2.per_party_exps)
-          (Summary.total rows "exps"));
+          (Array.fold_left ( + ) 0 s.R.per_party_exps)
+          (Summary.total rows "exps");
+        Alcotest.(check int) "per-party ops agree"
+          (Array.fold_left ( + ) 0 s.R.per_party_ops)
+          (Summary.total rows "group_mults"));
     Alcotest.test_case "runtime per-party wire tallies sum to the total" `Quick
       (fun () ->
         let module G = (val Dl_group.dl_test_64 ()) in
@@ -554,26 +559,6 @@ let obsv2_suite =
 
 let golden_suite =
   [
-    Alcotest.test_case "phase2 transcript unchanged by label hoisting" `Quick
-      (fun () ->
-        let module G = (val Dl_group.dl_test_64 ()) in
-        let module P2 = Phase2.Make (G) in
-        let rng = Rng.create ~seed:"parallel-phase2" in
-        let l = 12 in
-        let betas =
-          Array.init 6 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
-        in
-        let r = P2.run rng ~l ~betas in
-        Alcotest.(check (array int)) "ranks" [| 4; 6; 2; 3; 1; 5 |] r.P2.ranks;
-        let buf = Buffer.create 256 in
-        Array.iter (fun rk -> Buffer.add_string buf (string_of_int rk ^ ";")) r.P2.ranks;
-        Array.iter
-          (fun flags ->
-            Array.iter (fun z -> Buffer.add_char buf (if z then '1' else '0')) flags)
-          r.P2.zero_flags;
-        Alcotest.(check string) "transcript sha256"
-          "af282f660bac014bbee7fe5f01615b33ab47e2a7211020e2e7b7645aacca02db"
-          (hash_string (Buffer.contents buf)));
     Alcotest.test_case "runtime transcript unchanged by label hoisting" `Quick
       (fun () ->
         let module G = (val Dl_group.dl_test_64 ()) in

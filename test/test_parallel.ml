@@ -131,6 +131,18 @@ let pool_suite =
         Alcotest.(check int) "since snapshot" 1 (Meter.since m s);
         Meter.reset m;
         Alcotest.(check int) "reset" 0 (Meter.read m));
+    Alcotest.test_case "hashes on several domains at once" `Quick (fun () ->
+        (* Rng.split and the transcript digest hash on whichever domain a
+           session runs on, so SHA-256 may share no scratch state. *)
+        let inputs =
+          Array.init 64 (fun i -> String.init (1000 + i) (fun k -> Char.chr ((k * (i + 1)) land 255)))
+        in
+        let digest s = Bytes.to_string (Ppgr_hash.Sha256.digest_string s) in
+        let expect = Array.map digest inputs in
+        Pool.set_jobs 4;
+        let got = Array.init 5 (fun _ -> Pool.parallel_map digest inputs) in
+        Pool.set_jobs 1;
+        Array.iter (Alcotest.(check (array string)) "digests" expect) got);
   ]
 
 (* ---- Protocol-level determinism: jobs=1 vs jobs=2 and jobs=4 ---- *)
@@ -141,23 +153,23 @@ let phase2_suite =
     (* Fresh module per run: its op meters and generator table start
        cold, so counts are self-contained and comparable. *)
     let module G = (val Dl_group.dl_test_64 ()) in
-    let module P2 = Phase2.Make (G) in
+    let module R = Runtime.Make (G) in
     let rng = Rng.create ~seed:"parallel-phase2" in
     let l = 12 in
     let betas =
       Array.init 6 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
     in
-    let r = P2.run rng ~l ~betas in
+    let r = R.run rng ~l ~betas in
     Pool.set_jobs 1;
-    ( r.P2.ranks,
-      r.P2.per_party_ops,
-      r.P2.per_party_exps,
-      r.P2.zero_flags,
+    ( r.R.ranks,
+      r.R.per_party_ops,
+      r.R.per_party_exps,
+      r.R.zero_flags,
       List.map
         (fun (rd : Cost.round) ->
           ( rd.Cost.critical_ops,
             (List.length rd.Cost.messages, Cost.total_bytes [ rd ]) ))
-        r.P2.schedule )
+        r.R.schedule )
   in
   [
     Alcotest.test_case "phase-2 results identical at jobs=1 and jobs in {2, 4}"

@@ -146,43 +146,46 @@ let engine_props =
    computes, and the instrumented counters must stay deterministic for a
    fixed RNG seed (fresh group module per run so the lazily built
    generator table is attributed identically). *)
-let phase2_regression =
+let runtime_regression =
   let run_once () =
     let module G = (val Dl_group.dl_test_64 ()) in
-    let module P2 = Phase2.Make (G) in
+    let module R = Runtime.Make (G) in
     let rng = Rng.create ~seed:"pow-phase2-regression" in
     let l = 12 in
     let betas =
       Array.init 6 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
     in
-    let r = P2.run rng ~l ~betas in
-    (r.P2.ranks, r.P2.per_party_ops, r.P2.per_party_exps)
+    let s = R.run rng ~l ~betas in
+    (s.R.ranks, s.R.per_party_ops, s.R.per_party_exps)
   in
   [
-    Alcotest.test_case "Phase2.run is deterministic under the engine" `Quick
+    Alcotest.test_case "Runtime.run is deterministic under the engine" `Quick
       (fun () ->
         let r1, o1, e1 = run_once () in
         let r2, o2, e2 = run_once () in
         Alcotest.(check (array int)) "ranks" r1 r2;
         Alcotest.(check (array int)) "per-party ops" o1 o2;
         Alcotest.(check (array int)) "per-party exps" e1 e2);
-    Alcotest.test_case "Phase2 ranks agree with the naive engine" `Quick
+    Alcotest.test_case "Runtime agrees with the naive engine" `Quick
       (fun () ->
         (* Same protocol, same RNG stream, engine on vs off: identical
-           ranks prove the fused/table paths change no group math. *)
+           ranks and an identical wire transcript prove the fused/table
+           paths change no group math. *)
         let module G = (val Dl_group.dl_test_64 ()) in
         let module NG = Group_intf.Naive (G) in
-        let module P2 = Phase2.Make (G) in
-        let module P2N = Phase2.Make (NG) in
+        let module R = Runtime.Make (G) in
+        let module RN = Runtime.Make (NG) in
         let l = 10 in
         let mk_betas rng =
           Array.init 5 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
         in
         let rng1 = Rng.create ~seed:"pow-phase2-vs-naive" in
-        let fast = P2.run rng1 ~l ~betas:(mk_betas rng1) in
+        let fast = R.run rng1 ~l ~betas:(mk_betas rng1) in
         let rng2 = Rng.create ~seed:"pow-phase2-vs-naive" in
-        let naive = P2N.run rng2 ~l ~betas:(mk_betas rng2) in
-        Alcotest.(check (array int)) "ranks" naive.P2N.ranks fast.P2.ranks);
+        let naive = RN.run rng2 ~l ~betas:(mk_betas rng2) in
+        Alcotest.(check (array int)) "ranks" naive.RN.ranks fast.R.ranks;
+        Alcotest.(check string) "transcript digest" naive.RN.transcript_sha
+          fast.R.transcript_sha);
   ]
 
 (* The ROADMAP batch-inversion closure: building a fixed-base table
@@ -248,5 +251,5 @@ let () =
       ("ecc-160", engine_suite "ECC-160" (Ec_group.ecc_160 ()));
       ("props", engine_props);
       ("batch-normalization", powtable_batch_normalization);
-      ("phase2-regression", phase2_regression);
+      ("runtime-regression", runtime_regression);
     ]

@@ -19,6 +19,20 @@ let ranks_of_betas betas =
 let suite (name, g) =
   let module G = (val g : Group_intf.GROUP) in
   let module RT = Runtime.Make (G) in
+  (* Both step-7 circuits on one random pair: (suffix, naive) results
+     with the group ops each cost. *)
+  let circuits ~l =
+    let bits () = Bigint.bits_of (Rng.bigint_below rng (Bigint.nth_bit_weight l)) ~width:l in
+    let tbl = RT.E.keytable (snd (RT.E.keygen rng)) in
+    let own_bits = bits () in
+    let enc_bits = Array.map (RT.E.encrypt_exp_int_with rng tbl) (bits ()) in
+    let run naive_omega =
+      let s = G.op_snapshot () in
+      let c = RT.compare_circuit ~naive_omega ~l ~own_bits enc_bits in
+      (c, G.ops_since s)
+    in
+    (run false, run true)
+  in
   [
     Alcotest.test_case (name ^ ": distributed ranks match beta order") `Quick
       (fun () ->
@@ -31,14 +45,26 @@ let suite (name, g) =
           let r = RT.run rng ~l ~betas in
           Alcotest.(check (array int)) "ranks" (ranks_of_betas betas) r.RT.ranks
         done);
-    Alcotest.test_case (name ^ ": agrees with the lockstep simulation") `Quick
+    Alcotest.test_case (name ^ ": naive omega circuit agrees") `Quick (fun () ->
+        (* The suffix sums and the from-scratch sums add the same gamma
+           ciphertexts in another order: equal group elements. *)
+        let (fast, _), (naive, _) = circuits ~l:12 in
+        Array.iter2
+          (fun (a : RT.E.cipher) (b : RT.E.cipher) ->
+            Alcotest.(check bool) "same ciphertext" true
+              (G.equal a.RT.E.c b.RT.E.c && G.equal a.RT.E.c' b.RT.E.c'))
+          fast naive);
+    Alcotest.test_case (name ^ ": naive omega circuit costs more") `Quick
       (fun () ->
-        let module P2 = Phase2.Make (G) in
-        let l = 8 in
-        let betas = Array.map Bigint.of_int [| 17; 200; 3; 17; 90 |] in
-        let sim = (P2.run rng ~l ~betas).P2.ranks in
-        let dist = (RT.run rng ~l ~betas).RT.ranks in
-        Alcotest.(check (array int)) "same ranking" sim dist);
+        let (_, fast_ops), (_, naive_ops) = circuits ~l:24 in
+        Alcotest.(check bool)
+          (Printf.sprintf "naive %d > suffix %d" naive_ops fast_ops)
+          true (naive_ops > fast_ops));
+    Alcotest.test_case (name ^ ": O(n) rounds") `Quick (fun () ->
+        let rounds n =
+          List.length (RT.run rng ~l:6 ~betas:(Array.init n Bigint.of_int)).RT.schedule
+        in
+        Alcotest.(check int) "one more round per ring hop" 2 (rounds 6 - rounds 4));
     Alcotest.test_case (name ^ ": traffic accounted") `Quick (fun () ->
         let l = 6 in
         let betas = Array.map Bigint.of_int [| 1; 2; 3; 4 |] in
@@ -76,9 +102,10 @@ let forged_proof_tests =
     Alcotest.test_case "announcement with forged proof is rejected" `Quick
       (fun () ->
         let n = 3 and l = 6 in
+        let labels = RT.make_labels ~n ~l in
         let parties =
           Array.init n (fun index ->
-              RT.create_party ~index ~n ~l ~beta:(Bigint.of_int index)
+              RT.create_party ~index ~n ~l ~labels ~beta:(Bigint.of_int index)
                 (Rng.split rng ~label:(Printf.sprintf "forge-%d" index)))
         in
         let pub_msgs = Array.map (fun p -> p.RT.pub_msg) parties in
