@@ -127,15 +127,13 @@ let faults_arg =
 
 let window_arg =
   let doc =
-    "Transport window spec for phase 2, e.g. \
-     $(b,window=8,rto=4,link-0-1=16): sliding-window size per directed \
-     link, retransmission timeout in ticks, per-link overrides.  The \
+    "Transport window spec for phase 2, e.g. $(b,window=8,rto=4): \
+     sliding-window size per directed link and retransmission timeout \
+     in ticks (default $(b,window=1,rto=4), stop-and-wait).  The \
      protocol posts at most one message per link per step, so no link \
-     ever has more than one frame in flight: the transcript and the \
-     recovery counters are the same at every window size, and only the \
-     simulated link clock changes (a windowed step is charged its \
-     slowest link; stop-and-wait, the default, charges every wire touch \
-     in turn).  Prints the recovery report."
+     ever has more than one frame in flight: the transcript, the \
+     recovery counters and the simulated link clock are the same at \
+     every window size.  Prints the recovery report."
   in
   let print ppf w = Format.pp_print_string ppf (Transport.winspec_to_string w) in
   Arg.(
@@ -376,9 +374,8 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     Printf.printf "  CRC rejects:       %d\n" st.F.RT.crc_rejects;
     Printf.printf "  dups suppressed:   %d\n" st.F.RT.dup_suppressed;
     Printf.printf "  backoff ticks:     %d\n" st.F.RT.backoff_ticks;
-    if st.F.RT.acks_sent > 0 then
-      Printf.printf "  acks:              %d (%d bytes, control plane)\n"
-        st.F.RT.acks_sent st.F.RT.ack_bytes;
+    Printf.printf "  acks:              %d (%d bytes, control plane)\n"
+      st.F.RT.acks_sent st.F.RT.ack_bytes;
     Printf.printf "  simulated ticks:   %d\n" st.F.RT.sim_ticks;
     Printf.printf "  bytes (logical):   %d in %d messages\n" st.F.RT.bytes_on_wire
       st.F.RT.messages;

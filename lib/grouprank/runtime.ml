@@ -15,11 +15,10 @@
     multi-verifier interaction, so that each protocol step is a single
     message flight (DESIGN.md §2).
 
-    The driver below runs each protocol step's sends through
-    {!Transport.post}/{!Transport.flush}: in stop-and-wait mode (every
-    window at 1) that delivers immediately and in order; with a sliding
-    window it becomes a pipelined event loop that overlaps delivery per
-    directed link.  The party logic itself is transport-agnostic, and
+    The driver below posts each protocol step's sends with
+    {!Transport.post} and delivers them with one {!Transport.flush},
+    whose per-link event loop handles loss, retransmission and the
+    link clock.  The party logic itself is transport-agnostic, and
     completed steps checkpoint so an aborted run can resume (see {!run}
     and {!run_with_restart}). *)
 
@@ -277,11 +276,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     crc_rejects : int;
     dup_suppressed : int;
     backoff_ticks : int;
-    acks_sent : int; (* windowed control-plane acks; 0 in stop-and-wait *)
+    acks_sent : int; (* control-plane acks: one per logical message *)
     ack_bytes : int;
     sim_ticks : int;
-        (* simulated link-clock elapsed: serialized in stop-and-wait,
-           per-step max over concurrent links when windowed *)
+        (* simulated link-clock elapsed: each flush charged its slowest
+           link *)
     faults_injected : (string * int) list; (* by kind, fixed order *)
     transcript_sha : string; (* chained digest of all physical bytes *)
     net_rounds : Ppgr_mpcnet.Netsim.schedule;
@@ -306,10 +305,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       faces that seeded schedule and either completes with correct ranks
       or aborts with the typed {!Transport.Party_dropped}.
 
-      [window] selects the transport discipline: absent (or all windows
-      at 1) every step is PR 5 stop-and-wait, byte-identical to before;
-      with a window above 1 each step's sends are posted up front and
-      the pipelined engine overlaps them per link.
+      [window] sizes each link's sliding window and sets the
+      retransmission timeout; absent, it is stop-and-wait
+      ([window=1,rto=4]).  Every step posts at most one message per
+      link, so the transcript and every counter are the same at any
+      window size.
 
       [checkpoint_cb] receives a serialized {!Wire.checkpoint_frame}
       after every completed wire step; [resume] accepts one and restarts
@@ -377,9 +377,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     (* [post] is the only channel between parties; it tallies every
        serialized payload globally and per endpoint (the logical view),
        then hands the bytes to the transport, which owns delivery,
-       recovery and the physical accounting.  In stop-and-wait mode the
-       post delivers immediately; under a window it enqueues and the
-       step's closing {!Transport.flush} runs the pipelined engine. *)
+       recovery and the physical accounting: the post enqueues and the
+       step's closing {!Transport.flush} delivers. *)
     let post ~src ~dst (b : Bytes.t) =
       let len = Bytes.length b in
       bytes_total := !bytes_total + len;
@@ -486,9 +485,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
                 (Rng.split rng ~label:session.s_party.(index))))
     in
     (* Announcements broadcast: count each as n-1 sends.  A broadcast
-       posts its whole fan-out and flushes once — under a window every
-       link makes progress concurrently; at window 1 each post delivers
-       immediately and the flush is a no-op collect. *)
+       posts its whole fan-out and flushes once, so every link makes
+       progress concurrently on the link clock. *)
     let broadcast (msgs : Bytes.t array) =
       Array.iteri
         (fun src (m : Bytes.t) ->
@@ -597,7 +595,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         (Array.fold_left (fun rank z -> if z then rank + 1 else rank) 1)
         zero_flags
     in
-    Transport.drain tr;
     let st = Transport.stats tr in
     let net_rounds = Transport.net_rounds tr in
     {

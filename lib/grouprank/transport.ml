@@ -2,19 +2,20 @@
     parties and {!Ppgr_mpcnet.Faultplan}'s fault schedule.
 
     The fault-free driver delivered every message immediately and in
-    order.  This transport keeps the same synchronous interface — a
-    {!send} returns the payload exactly as the receiver accepted it —
-    but earns it: every payload travels in a {!Wire.tag_envelope}
-    envelope carrying a per-directed-link sequence number and a CRC-32,
-    and each delivery attempt is submitted to the fault plan, which may
-    drop it, flip a byte, duplicate it, hold it for reordering, or
-    delay it.  Recovery is timeout/retransmit with capped exponential
-    backoff (accounted in simulated ticks — the driver never sleeps),
-    duplicate and stale arrivals are suppressed by sequence number, and
-    a sender that exhausts its retry budget raises the typed
-    {!Party_dropped} abort carrying forensics instead of hanging.
+    order.  This transport keeps a synchronous interface — {!post}
+    enqueues a payload and {!flush} returns every posted payload exactly
+    as its receiver accepted it — but earns it: every payload travels in
+    a {!Wire.tag_envelope} envelope carrying a per-directed-link
+    sequence number and a CRC-32, and each delivery attempt is submitted
+    to the fault plan, which may drop it, flip a byte, duplicate it,
+    hold it for reordering, or delay it.  Recovery is timeout/retransmit
+    with one fixed [rto]-tick timer per attempt (accounted in simulated
+    ticks — the driver never sleeps), duplicate and stale arrivals are
+    suppressed by sequence number, and a sender that exhausts its retry
+    budget raises the typed {!Party_dropped} abort carrying forensics
+    instead of hanging.
 
-    Accounting is two-level: {e logical} (one message per [send], the
+    Accounting is two-level: {e logical} (one message per [post], the
     payload's bytes — the protocol-analysis view the rest of the repo
     reports) stays with the caller; this module owns the {e physical}
     level — every attempt that touches the wire, envelope overhead and
@@ -23,9 +24,10 @@
     folded into a running transcript digest.
 
     Determinism: the fault schedule is keyed by (link, attempt), the
-    protocol bytes are identical at any job count, and this driver runs
-    message-at-a-time, so the physical transcript — and hence the
-    digest — is byte-identical at [jobs=1] and [jobs=k]. *)
+    protocol bytes are identical at any job count, and {!flush} walks
+    links in a fixed order with event ties broken on insertion order,
+    so the physical transcript — and hence the digest — is
+    byte-identical at [jobs=1] and [jobs=k]. *)
 
 open Ppgr_mpcnet
 module Trace = Ppgr_obs.Trace
@@ -66,43 +68,36 @@ type stats = {
   mutable dup_suppressed : int; (* duplicate/stale arrivals discarded *)
   mutable reorders : int; (* envelopes held in limbo at least once *)
   mutable delays : int; (* attempts that arrived late *)
-  mutable backoff_ticks : int; (* simulated retransmit-timer ticks *)
+  mutable backoff_ticks : int; (* retransmit-timer ticks: rto per retransmit *)
   mutable phys_messages : int; (* everything that touched the wire *)
   mutable phys_bytes : int;
-  mutable acks_sent : int; (* windowed control plane: ack frames emitted *)
+  mutable acks_sent : int; (* control plane: one ack frame per accept *)
   mutable ack_bytes : int;
   mutable sim_ticks : int;
-      (* simulated wall clock: stop-and-wait serializes every attempt,
-         wait and delay; the windowed engine overlaps them per link and
-         charges each step only its slowest link *)
+      (* simulated link clock: each flush is charged its slowest link,
+         timeouts and injected delays included *)
 }
 
 (** {1 Window configuration}
 
     A [Faultplan.spec]-style grammar for the per-link sliding window:
-    ["window=8,rto=4,link-1-2=16"] sets a default window of 8 in-flight
-    sequences per directed link, a retransmission timeout of 4 simulated
-    ticks, and an override of 16 on link 1->2.  [window=1] (the
-    default) keeps the PR 5 stop-and-wait engine byte-for-byte: the
-    pipelined engine only engages when some link's window exceeds 1. *)
+    ["window=8,rto=4"] sets a window of 8 in-flight sequences on every
+    directed link and a retransmission timeout of 4 simulated ticks.
+    The default, [window=1,rto=4], is stop-and-wait.  The protocol
+    posts at most one message per link per flush, so every window size
+    gives the same transcript and the same counters. *)
 
 type winspec = {
-  ws_window : int; (* default in-flight cap per directed link, >= 1 *)
+  ws_window : int; (* in-flight cap per directed link, >= 1 *)
   ws_rto : int; (* retransmission timeout, simulated ticks *)
-  ws_links : ((int * int) * int) list; (* per-link overrides, (src,dst) *)
 }
 
 (* The selective-ack bitmap is 32 bits, so a window never exceeds 32. *)
 let max_window = 32
 
-let winspec_default = { ws_window = 1; ws_rto = 4; ws_links = [] }
+let winspec_default = { ws_window = 1; ws_rto = 4 }
 
 let winspec_of_string s =
-  let check_window what w =
-    if w < 1 || w > max_window then
-      invalid_arg
-        (Printf.sprintf "Transport.winspec: %s=%d out of [1,%d]" what w max_window)
-  in
   let parse_field spec kv =
     match String.index_opt kv '=' with
     | None -> invalid_arg ("Transport.winspec: expected key=value, got " ^ kv)
@@ -116,24 +111,16 @@ let winspec_of_string s =
         in
         if key = "window" then begin
           let w = int () in
-          check_window "window" w;
+          if w < 1 || w > max_window then
+            invalid_arg
+              (Printf.sprintf "Transport.winspec: window=%d out of [1,%d]" w
+                 max_window);
           { spec with ws_window = w }
         end
         else if key = "rto" then begin
           let r = int () in
           if r < 1 then invalid_arg "Transport.winspec: rto must be >= 1";
           { spec with ws_rto = r }
-        end
-        else if String.length key > 5 && String.sub key 0 5 = "link-" then begin
-          match String.split_on_char '-' key with
-          | [ "link"; src; dst ] -> (
-              match (int_of_string_opt src, int_of_string_opt dst) with
-              | Some src, Some dst when src >= 0 && dst >= 0 ->
-                  let w = int () in
-                  check_window key w;
-                  { spec with ws_links = spec.ws_links @ [ ((src, dst), w) ] }
-              | _ -> invalid_arg ("Transport.winspec: bad link key " ^ key))
-          | _ -> invalid_arg ("Transport.winspec: bad link key " ^ key)
         end
         else invalid_arg ("Transport.winspec: unknown key " ^ key)
   in
@@ -142,18 +129,7 @@ let winspec_of_string s =
   in
   List.fold_left parse_field winspec_default fields
 
-let winspec_to_string ws =
-  String.concat ","
-    ([ Printf.sprintf "window=%d" ws.ws_window; Printf.sprintf "rto=%d" ws.ws_rto ]
-    @ List.map
-        (fun ((src, dst), w) -> Printf.sprintf "link-%d-%d=%d" src dst w)
-        ws.ws_links)
-
-(** Effective window of one directed link under a spec. *)
-let winspec_window ws ~src ~dst =
-  match List.assoc_opt (src, dst) ws.ws_links with
-  | Some w -> w
-  | None -> ws.ws_window
+let winspec_to_string ws = Printf.sprintf "window=%d,rto=%d" ws.ws_window ws.ws_rto
 
 (** {1 Sliding-window bookkeeping}
 
@@ -330,31 +306,31 @@ type link = {
   lk_retrans : int;
 }
 
-(* One message posted into the pipelined engine, awaiting flush. *)
+(* One posted message awaiting flush, with the causal-ledger send
+   endpoint captured at post (only while tracing). *)
 type pending = {
   pd_ticket : int;
   pd_src : int;
   pd_dst : int;
   pd_seq : int;
   pd_payload : Bytes.t;
+  pd_send_us : float;
+  pd_send_span : int;
+  pd_send_slot : int;
 }
 
 type t = {
   n : int;
   faults : Faultplan.t option;
   retry_budget : int; (* retransmissions allowed per message *)
-  backoff_base : int;
-  backoff_cap : int;
-  rto : int; (* windowed retransmission timeout, simulated ticks *)
-  wins : Window.w array array option; (* per-link windows; None = stop-and-wait *)
+  rto : int; (* retransmission timeout per attempt, simulated ticks *)
+  wins : Window.w array array; (* per-directed-link sliding windows *)
   mutable kill_after : int; (* abort injection: -1 disabled *)
   send_seq : int array array; (* next seq to assign, per (src, dst) *)
   recv_seq : int array array; (* next seq expected, per (src, dst) *)
   fault_draws : int array array; (* fault-plan draws consumed, per (src, dst) *)
-  limbo : (int, Bytes.t list) Hashtbl.t; (* held (reordered) envelopes *)
-  mutable posted : pending list; (* pipelined engine: newest first *)
+  mutable posted : pending list; (* awaiting flush, newest first *)
   mutable posted_n : int;
-  mutable batch_res : (int * Bytes.t) list; (* stop-and-wait post results *)
   st : stats;
   phys_sent : int array; (* physical bytes out, per party *)
   phys_received : int array;
@@ -375,35 +351,22 @@ type t = {
 
 let recent_cap = 32
 
-let create ?faults ?(retry_budget = 8) ?(backoff_base = 1)
-    ?(backoff_cap = 64) ?(flight_cap = Flightrec.default_capacity) ?window
-    ?(kill_after = -1) ~n () =
+let create ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity)
+    ?window ?(kill_after = -1) ~n () =
   let ws = Option.value ~default:winspec_default window in
-  let windowed =
-    ws.ws_window > 1 || List.exists (fun (_, w) -> w > 1) ws.ws_links
-  in
   {
     n;
     faults;
     retry_budget;
-    backoff_base;
-    backoff_cap;
     rto = ws.ws_rto;
     wins =
-      (if windowed then
-         Some
-           (Array.init n (fun src ->
-                Array.init n (fun dst ->
-                    Window.create (winspec_window ws ~src ~dst))))
-       else None);
+      Array.init n (fun _ -> Array.init n (fun _ -> Window.create ws.ws_window));
     kill_after;
     send_seq = Array.make_matrix n n 0;
     recv_seq = Array.make_matrix n n 0;
     fault_draws = Array.make_matrix n n 0;
-    limbo = Hashtbl.create 7;
     posted = [];
     posted_n = 0;
-    batch_res = [];
     st =
       {
         retransmits = 0;
@@ -437,12 +400,6 @@ let create ?faults ?(retry_budget = 8) ?(backoff_base = 1)
   }
 
 let stats t = t.st
-
-(** Whether the pipelined windowed engine is engaged (some link's
-    window exceeds 1).  When false, {!post}/{!flush} degrade to the
-    stop-and-wait {!send} — byte-identical to PR 5. *)
-let is_windowed t = t.wins <> None
-
 let phys_sent t = Array.copy t.phys_sent
 let phys_received t = Array.copy t.phys_received
 let retrans_by_src t = Array.copy t.retrans_by_src
@@ -450,7 +407,7 @@ let env_bytes_by_src t = Array.copy t.env_by_src
 let flight t = t.flight
 let transcript_sha t = Sha256.hex_of_digest t.digest
 
-(** The causal ledger in send order (empty unless tracing was enabled
+(** The causal ledger in accept order (empty unless tracing was enabled
     during the run). *)
 let flows t = List.rev t.flows_rev
 
@@ -535,9 +492,8 @@ let note t ev =
 (* Every wire touch: per-party and per-link physical tallies, the
    message-size histogram and the sender's flight-recorder entry, plus
    the chained transcript digest (corrupted copies hash as transmitted,
-   so the digest pins the exact fault schedule too).  [seq] is known at
-   every call site except limbo/drain flushes of held stale copies
-   (passed as -1 there); it feeds only the flight recorder. *)
+   so the digest pins the exact fault schedule too).  [seq] feeds only
+   the flight recorder; limbo flushes of held stale copies pass -1. *)
 let transmit t ~src ~dst ~seq (wire_bytes : Bytes.t) =
   let len = Bytes.length wire_bytes in
   t.st.phys_messages <- t.st.phys_messages + 1;
@@ -550,72 +506,10 @@ let transmit t ~src ~dst ~seq (wire_bytes : Bytes.t) =
   Hist.record Hist.msg_bytes len;
   Flightrec.record t.flight ~party:src Flightrec.Send ~src ~dst ~seq ~info:len;
   t.round_rev <- { Netsim.src; dst; bytes = len } :: t.round_rev;
-  (* Stop-and-wait charges every wire touch one serialized tick; the
-     windowed engine accounts elapsed time per link instead. *)
-  if t.wins = None then t.st.sim_ticks <- t.st.sim_ticks + 1;
   let ctx = Sha256.init () in
   Sha256.feed_bytes ctx t.digest;
   Sha256.feed_bytes ctx wire_bytes;
   t.digest <- Sha256.finalize ctx
-
-(* Receiver logic: validate the envelope, suppress stale sequence
-   numbers.  Returns the accepted payload, or None when the arrival was
-   discarded (corrupt or duplicate). *)
-let receive t ~src ~dst (wire_bytes : Bytes.t) =
-  match Wire.decode_envelope wire_bytes with
-  | exception Wire.Malformed _ ->
-      t.st.crc_rejects <- t.st.crc_rejects + 1;
-      Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst ~seq:(-1)
-        ~info:(Bytes.length wire_bytes);
-      None
-  | env ->
-      if env.Wire.env_src <> src || env.Wire.env_dst <> dst then begin
-        (* A CRC-valid envelope on the wrong link: misrouted; refuse. *)
-        t.st.crc_rejects <- t.st.crc_rejects + 1;
-        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
-          ~seq:env.Wire.env_seq ~info:(Bytes.length wire_bytes);
-        None
-      end
-      else if env.Wire.env_seq < t.recv_seq.(src).(dst) then begin
-        t.st.dup_suppressed <- t.st.dup_suppressed + 1;
-        None
-      end
-      else if env.Wire.env_seq > t.recv_seq.(src).(dst) then
-        (* Unreachable with a per-link-sequential sender; a real async
-           receiver would buffer.  Refuse loudly rather than mis-order. *)
-        raise
-          (Wire.Malformed
-             (Printf.sprintf "future sequence %d on link %d->%d (expected %d)"
-                env.Wire.env_seq src dst
-                t.recv_seq.(src).(dst)))
-      else begin
-        t.recv_seq.(src).(dst) <- env.Wire.env_seq + 1;
-        Flightrec.record t.flight ~party:dst Flightrec.Receive ~src ~dst
-          ~seq:env.Wire.env_seq
-          ~info:(Bytes.length env.Wire.env_payload);
-        Some env.Wire.env_payload
-      end
-
-let link_key ~src ~dst n = (src * n) + dst
-
-(* Stale copies held for reordering arrive once something else makes it
-   through the link; sequence numbers mark them as duplicates. *)
-let flush_limbo t ~src ~dst =
-  let k = link_key ~src ~dst t.n in
-  match Hashtbl.find_opt t.limbo k with
-  | None | Some [] -> ()
-  | Some held ->
-      Hashtbl.remove t.limbo k;
-      List.iter
-        (fun env ->
-          transmit t ~src ~dst ~seq:(-1) env;
-          match receive t ~src ~dst env with
-          | None -> ()
-          | Some _ ->
-              (* Cannot happen: the held seq was already accepted via a
-                 retransmission before anything newer went through. *)
-              assert false)
-        (List.rev held)
 
 (* Every fault-plan draw goes through here so the per-link draw counts
    are part of the persistable state: a resumed run fast-forwards a
@@ -624,27 +518,21 @@ let draw_fault t ~src ~dst =
   t.fault_draws.(src).(dst) <- t.fault_draws.(src).(dst) + 1;
   match t.faults with None -> Faultplan.Deliver | Some p -> Faultplan.next p ~src ~dst
 
-(* Deterministic abort injection for the restart battery: once the
-   physical transmission count reaches [kill_after], the next delivery
-   attempt raises {!Party_dropped} with a "killed" event instead of
-   touching the wire. *)
-let check_kill t ~src ~dst ~seq ~attempts ~events =
-  if t.kill_after >= 0 && t.st.phys_messages >= t.kill_after then begin
-    let f =
-      {
-        fr_step = t.step;
-        fr_src = src;
-        fr_dst = dst;
-        fr_seq = seq;
-        fr_attempts = attempts;
-        fr_events = List.rev ("killed" :: events);
-        fr_recent = List.rev t.recent_rev;
-        fr_flight = Flightrec.tail t.flight ~party:src;
-        fr_digest = transcript_sha t;
-      }
-    in
-    raise (Party_dropped f)
-  end
+(* The one abort: forensics for message [seq] on [src]->[dst] after
+   [attempts] attempts whose outcomes are [events], newest first. *)
+let party_dropped t ~src ~dst ~seq ~attempts events =
+  Party_dropped
+    {
+      fr_step = t.step;
+      fr_src = src;
+      fr_dst = dst;
+      fr_seq = seq;
+      fr_attempts = attempts;
+      fr_events = List.rev events;
+      fr_recent = List.rev t.recent_rev;
+      fr_flight = Flightrec.tail t.flight ~party:src;
+      fr_digest = transcript_sha t;
+    }
 
 let retry_span t ~kind ~src ~dst ~seq ~attempt =
   if Trace.enabled () then
@@ -661,193 +549,51 @@ let retry_span t ~kind ~src ~dst ~seq ~attempt =
       "runtime.retry";
   note t (Printf.sprintf "%s[%d->%d#%d@%d]" kind src dst seq attempt)
 
-(** Deliver [payload] from [src] to [dst], reliably.  Returns the bytes
-    the receiver accepted (a fresh copy).
-    @raise Party_dropped when the retry budget is exhausted. *)
-let send t ~src ~dst (payload : Bytes.t) =
-  let seq = t.send_seq.(src).(dst) in
-  t.send_seq.(src).(dst) <- seq + 1;
-  let env = Wire.encode_envelope ~src ~dst ~seq payload in
-  (* Causal ledger send endpoint, captured before any wire touch so the
-     flow arrow starts where the protocol decided to send.  Tracing
-     off → no ledger entry and no clock reads. *)
-  let tracing = Trace.enabled () in
-  let fl_send_us = if tracing then now_us () else 0. in
-  let fl_send_span = if tracing then Trace.current_span_id () else -1 in
-  let fl_send_slot = if tracing then Ppgr_exec.Meter.slot () else 0 in
-  let events = ref [] in
-  let result = ref None in
-  let attempt = ref 0 in
-  while !result = None do
-    if !attempt > t.retry_budget then begin
-      let f =
-        {
-          fr_step = t.step;
-          fr_src = src;
-          fr_dst = dst;
-          fr_seq = seq;
-          fr_attempts = !attempt;
-          fr_events = List.rev !events;
-          fr_recent = List.rev t.recent_rev;
-          fr_flight = Flightrec.tail t.flight ~party:src;
-          fr_digest = transcript_sha t;
-        }
-      in
-      if Trace.enabled () then
-        Trace.instant
-          ~attrs:
-            [
-              ("party", Trace.Int src);
-              ("src", Trace.Int src);
-              ("dst", Trace.Int dst);
-              ("seq", Trace.Int seq);
-              ("attempts", Trace.Int !attempt);
-              ("step", Trace.Str t.step);
-            ]
-          "runtime.party_dropped";
-      raise (Party_dropped f)
-    end;
-    check_kill t ~src ~dst ~seq ~attempts:!attempt ~events:!events;
-    if !attempt > 0 then begin
-      t.st.retransmits <- t.st.retransmits + 1;
-      t.retrans_by_src.(src) <- t.retrans_by_src.(src) + 1;
-      t.link_retrans.(src).(dst) <- t.link_retrans.(src).(dst) + 1;
-      (* Capped exponential backoff before a retransmission, accounted
-         in simulated timer ticks. *)
-      let wait =
-        Stdlib.min t.backoff_cap (t.backoff_base lsl Stdlib.min 20 (!attempt - 1))
-      in
-      t.st.backoff_ticks <- t.st.backoff_ticks + wait;
-      t.st.sim_ticks <- t.st.sim_ticks + wait;
-      Hist.record Hist.backoff_ticks wait;
-      Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst ~seq
-        ~info:!attempt
-    end;
-    let fault = draw_fault t ~src ~dst in
-    let record kind = retry_span t ~kind ~src ~dst ~seq ~attempt:!attempt in
-    let deliver wire =
-      transmit t ~src ~dst ~seq wire;
-      match receive t ~src ~dst wire with
-      | Some p ->
-          result := Some p;
-          (* Accept endpoint of the causal arrow: after every
-             retransmission the fault schedule demanded, so the arrow's
-             extent is the message's true delivery latency. *)
-          if tracing then
-            t.flows_rev <-
-              {
-                fl_src = src;
-                fl_dst = dst;
-                fl_seq = seq;
-                fl_step = t.step;
-                fl_bytes = Bytes.length p;
-                fl_send_us;
-                fl_recv_us = now_us ();
-                fl_send_span;
-                fl_recv_span = Trace.current_span_id ();
-                fl_send_slot;
-                fl_recv_slot = Ppgr_exec.Meter.slot ();
-              }
-              :: t.flows_rev;
-          flush_limbo t ~src ~dst
-      | None -> ()
-    in
-    (match fault with
-    | Faultplan.Deliver -> deliver env
-    | Faultplan.Drop ->
-        t.st.drops <- t.st.drops + 1;
-        record "drop";
-        events := "drop" :: !events
-    | Faultplan.Corrupt c ->
-        (* The damaged copy occupies the wire; the receiver's CRC check
-           turns it into a drop the sender times out on. *)
-        deliver (Faultplan.apply_corruption c env);
-        record "corrupt";
-        events := "corrupt" :: !events
-    | Faultplan.Duplicate ->
-        deliver env;
-        (* The second copy arrives stale and is suppressed. *)
-        transmit t ~src ~dst ~seq env;
-        (match receive t ~src ~dst env with Some _ -> assert false | None -> ());
-        record "duplicate";
-        events := "duplicate" :: !events
-    | Faultplan.Reorder ->
-        (* Held in link limbo: it will arrive after a later delivery on
-           this link and be suppressed as stale.  For the sender this
-           attempt is a timeout. *)
-        t.st.reorders <- t.st.reorders + 1;
-        let k = link_key ~src ~dst t.n in
-        let held = Option.value ~default:[] (Hashtbl.find_opt t.limbo k) in
-        Hashtbl.replace t.limbo k (env :: held);
-        record "reorder";
-        events := "reorder" :: !events
-    | Faultplan.Delay d ->
-        (* Arrives, late: the link clock advances but no retransmission
-           is provoked (the timer is generous against jitter). *)
-        t.st.delays <- t.st.delays + 1;
-        t.st.backoff_ticks <- t.st.backoff_ticks + d;
-        t.st.sim_ticks <- t.st.sim_ticks + d;
-        record "delay";
-        events := Printf.sprintf "delay:%d" d :: !events;
-        deliver env);
-    incr attempt
-  done;
-  match !result with Some p -> Bytes.copy p | None -> assert false
-
-(** Orphaned limbo entries at end of run (a reorder whose link never
-    carried traffic again): deliver and suppress them so the physical
-    log is complete. *)
-let drain t =
-  Hashtbl.iter
-    (fun k held ->
-      let src = k / t.n and dst = k mod t.n in
-      List.iter
-        (fun env ->
-          transmit t ~src ~dst ~seq:(-1) env;
-          ignore (receive t ~src ~dst env))
-        (List.rev held))
-    t.limbo;
-  Hashtbl.reset t.limbo
-
-(** {1 The pipelined windowed engine}
+(** {1 The delivery engine}
 
     {!post} enqueues a message; {!flush} delivers everything posted
     since the last flush and returns the accepted payloads indexed by
-    ticket.  With every window at 1 the pair degrades exactly to
-    {!send} (post sends immediately, flush collects) — the byte-level
-    PR 5 stop-and-wait path.  With a window above 1 the engine runs a
-    deterministic discrete-event simulation per directed link: up to
-    [window] sequences in flight, transmissions serialized on the link
-    at one tick each, arrivals after one tick (plus any injected
-    delay), a fixed [rto]-tick retransmission timeout per attempt, and
-    cumulative + selective acks from the receiver.  Links are
-    independent, so a step's simulated elapsed time is its {e slowest
-    link}, not the sum — the overlap that {!stats}' [sim_ticks]
-    measures against stop-and-wait's serialized total.
+    ticket.  Each directed link runs a deterministic discrete-event
+    simulation: up to [window] sequences in flight, transmissions
+    serialized on the link at one tick each, arrivals after one tick
+    (plus any injected delay), a fixed [rto]-tick retransmission
+    timeout per attempt, and cumulative + selective acks from the
+    receiver.  Stop-and-wait is the [window=1] case.  Links are
+    independent, so a flush's simulated elapsed time is its {e slowest
+    link}, which {!stats}' [sim_ticks] accumulates.
 
     Determinism: fault draws stay keyed per (link, attempt) in per-link
     sequential order, links are processed in a fixed order, and event
     ties break on insertion order — the transcript digest is a pure
-    function of seed, spec and window configuration at any job count.
+    function of seed and spec at any job count.  Each protocol step
+    posts at most one message per directed link, so no link ever holds
+    more than one frame in flight and the window size changes nothing.
 
     Acks are control-plane traffic on a clean reverse channel: counted
     in [acks_sent]/[ack_bytes], never faulted, and kept off the data
     transcript digest and the per-link physical tallies (so the
-    [retransmits = injected faults] and tiling invariants survive). *)
+    [retransmits = injected faults] and tiling invariants hold). *)
 
 let post t ~src ~dst (payload : Bytes.t) =
   let ticket = t.posted_n in
   t.posted_n <- t.posted_n + 1;
-  (match t.wins with
-  | None ->
-      let r = send t ~src ~dst payload in
-      t.batch_res <- (ticket, r) :: t.batch_res
-  | Some _ ->
-      let seq = t.send_seq.(src).(dst) in
-      t.send_seq.(src).(dst) <- seq + 1;
-      t.posted <-
-        { pd_ticket = ticket; pd_src = src; pd_dst = dst; pd_seq = seq; pd_payload = payload }
-        :: t.posted);
+  let seq = t.send_seq.(src).(dst) in
+  t.send_seq.(src).(dst) <- seq + 1;
+  (* Causal-ledger send endpoint, captured where the protocol decided
+     to send.  Tracing off → no clock reads. *)
+  let tracing = Trace.enabled () in
+  t.posted <-
+    {
+      pd_ticket = ticket;
+      pd_src = src;
+      pd_dst = dst;
+      pd_seq = seq;
+      pd_payload = payload;
+      pd_send_us = (if tracing then now_us () else 0.);
+      pd_send_span = (if tracing then Trace.current_span_id () else -1);
+      pd_send_slot = (if tracing then Ppgr_exec.Meter.slot () else 0);
+    }
+    :: t.posted;
   ticket
 
 (* Deterministic discrete-event delivery of one link's posted batch
@@ -855,9 +601,7 @@ let post t ~src ~dst (payload : Bytes.t) =
    accepted payloads land in [out] at the same indices.  Returns the
    link-local elapsed ticks. *)
 let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
-  let w =
-    match t.wins with Some ws -> ws.(src).(dst) | None -> assert false
-  in
+  let w = t.wins.(src).(dst) in
   let k = Array.length batch in
   let seq0 = batch.(0).pd_seq in
   let envs =
@@ -872,104 +616,85 @@ let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
   let time = ref 0 in
   let finish_time = ref 0 in
   let serial = ref 0 in
-  (* Pending arrivals (time, insertion serial, batch index, wire bytes),
-     kept sorted; ties break on insertion order. *)
+  (* Reordered envelopes held back on this link, newest first.  Each is
+     a copy of a message not yet accepted, so the accept that completes
+     the batch has flushed them all: limbo never outlives its flush. *)
+  let limbo = ref [] in
+  (* Pending arrivals (time, insertion serial, wire bytes), kept
+     sorted; ties break on insertion order. *)
   let arrivals = ref [] in
-  let add_arrival at idx bytes =
+  let add_arrival at bytes =
     incr serial;
     let s = !serial in
-    let e = (at, s, idx, bytes) in
+    let e = (at, s, bytes) in
     let rec ins = function
-      | ((t0, s0, _, _) as h) :: tl when t0 < at || (t0 = at && s0 < s) ->
-          h :: ins tl
+      | ((t0, s0, _) as h) :: tl when t0 < at || (t0 = at && s0 < s) -> h :: ins tl
       | rest -> e :: rest
     in
     arrivals := ins !arrivals
-  in
-  let dropped idx attempts =
-    let f =
-      {
-        fr_step = t.step;
-        fr_src = src;
-        fr_dst = dst;
-        fr_seq = batch.(idx).pd_seq;
-        fr_attempts = attempts;
-        fr_events = List.rev events_log.(idx);
-        fr_recent = List.rev t.recent_rev;
-        fr_flight = Flightrec.tail t.flight ~party:src;
-        fr_digest = transcript_sha t;
-      }
-    in
-    if Trace.enabled () then
-      Trace.instant
-        ~attrs:
-          [
-            ("party", Trace.Int src);
-            ("src", Trace.Int src);
-            ("dst", Trace.Int dst);
-            ("seq", Trace.Int batch.(idx).pd_seq);
-            ("attempts", Trace.Int attempts);
-            ("step", Trace.Str t.step);
-          ]
-        "runtime.party_dropped";
-    raise (Party_dropped f)
   in
   (* One delivery attempt of batch index [idx] (window slot [slot]) no
      earlier than [at]; transmissions serialize on the link wire at one
      tick each. *)
   let transmit_attempt slot idx ~at =
     let seq = batch.(idx).pd_seq in
-    check_kill t ~src ~dst ~seq
-      ~attempts:(w.Window.attempts.(slot) - 1)
-      ~events:events_log.(idx);
-    let tx = if at > !wire_free then at else !wire_free in
-    wire_free := tx + 1;
-    (* The retransmission timer arms from the attempt's expected
-       arrival; an injected delay extends it (generous against jitter,
-       like stop-and-wait: delays never provoke a retransmission). *)
-    let arm d = w.Window.timer.(slot) <- tx + 1 + d + t.rto in
     let attempt = w.Window.attempts.(slot) - 1 in
-    match draw_fault t ~src ~dst with
-    | Faultplan.Deliver ->
-        transmit t ~src ~dst ~seq envs.(idx);
-        add_arrival (tx + 1) idx envs.(idx);
-        arm 0
-    | Faultplan.Drop ->
-        t.st.drops <- t.st.drops + 1;
-        retry_span t ~kind:"drop" ~src ~dst ~seq ~attempt;
-        events_log.(idx) <- "drop" :: events_log.(idx);
-        arm 0
-    | Faultplan.Corrupt c ->
-        let bad = Faultplan.apply_corruption c envs.(idx) in
-        transmit t ~src ~dst ~seq bad;
-        add_arrival (tx + 1) idx bad;
-        retry_span t ~kind:"corrupt" ~src ~dst ~seq ~attempt;
-        events_log.(idx) <- "corrupt" :: events_log.(idx);
-        arm 0
-    | Faultplan.Duplicate ->
-        transmit t ~src ~dst ~seq envs.(idx);
-        add_arrival (tx + 1) idx envs.(idx);
-        wire_free := tx + 2;
-        transmit t ~src ~dst ~seq envs.(idx);
-        add_arrival (tx + 2) idx envs.(idx);
-        retry_span t ~kind:"duplicate" ~src ~dst ~seq ~attempt;
-        events_log.(idx) <- "duplicate" :: events_log.(idx);
-        arm 0
-    | Faultplan.Reorder ->
-        t.st.reorders <- t.st.reorders + 1;
-        let key = link_key ~src ~dst t.n in
-        let held = Option.value ~default:[] (Hashtbl.find_opt t.limbo key) in
-        Hashtbl.replace t.limbo key (envs.(idx) :: held);
-        retry_span t ~kind:"reorder" ~src ~dst ~seq ~attempt;
-        events_log.(idx) <- "reorder" :: events_log.(idx);
-        arm 0
-    | Faultplan.Delay d ->
-        t.st.delays <- t.st.delays + 1;
-        transmit t ~src ~dst ~seq envs.(idx);
-        add_arrival (tx + 1 + d) idx envs.(idx);
-        retry_span t ~kind:"delay" ~src ~dst ~seq ~attempt;
-        events_log.(idx) <- Printf.sprintf "delay:%d" d :: events_log.(idx);
-        arm d
+    (* Deterministic abort injection for the restart battery: once the
+       physical transmission count reaches [kill_after], the next
+       attempt raises {!Party_dropped} instead of touching the wire. *)
+    if t.kill_after >= 0 && t.st.phys_messages >= t.kill_after then
+      raise
+        (party_dropped t ~src ~dst ~seq ~attempts:attempt
+           ("killed" :: events_log.(idx)));
+    let tx = Stdlib.max at !wire_free in
+    wire_free := tx + 1;
+    let send_copy bytes ~arrive =
+      transmit t ~src ~dst ~seq bytes;
+      add_arrival arrive bytes
+    in
+    let fault kind event =
+      retry_span t ~kind ~src ~dst ~seq ~attempt;
+      events_log.(idx) <- event :: events_log.(idx)
+    in
+    let delay =
+      match draw_fault t ~src ~dst with
+      | Faultplan.Deliver ->
+          send_copy envs.(idx) ~arrive:(tx + 1);
+          0
+      | Faultplan.Drop ->
+          t.st.drops <- t.st.drops + 1;
+          fault "drop" "drop";
+          0
+      | Faultplan.Corrupt c ->
+          (* The damaged copy occupies the wire; the receiver's CRC
+             check turns it into a loss the sender times out on. *)
+          send_copy (Faultplan.apply_corruption c envs.(idx)) ~arrive:(tx + 1);
+          fault "corrupt" "corrupt";
+          0
+      | Faultplan.Duplicate ->
+          (* The second copy follows on the wire and arrives stale. *)
+          send_copy envs.(idx) ~arrive:(tx + 1);
+          wire_free := tx + 2;
+          send_copy envs.(idx) ~arrive:(tx + 2);
+          fault "duplicate" "duplicate";
+          0
+      | Faultplan.Reorder ->
+          (* Held in link limbo until the next accept on this link,
+             where it arrives stale; for the sender it is a timeout. *)
+          t.st.reorders <- t.st.reorders + 1;
+          limbo := envs.(idx) :: !limbo;
+          fault "reorder" "reorder";
+          0
+      | Faultplan.Delay d ->
+          t.st.delays <- t.st.delays + 1;
+          send_copy envs.(idx) ~arrive:(tx + 1 + d);
+          fault "delay" (Printf.sprintf "delay:%d" d);
+          d
+    in
+    (* The timer arms from the attempt's expected arrival; an injected
+       delay extends it, so delays cost link-clock ticks but never
+       provoke a retransmission. *)
+    w.Window.timer.(slot) <- tx + 1 + delay + t.rto
   in
   let send_ack () =
     let cum = t.recv_seq.(src).(dst) in
@@ -995,57 +720,86 @@ let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
     incr accepted;
     t.recv_seq.(src).(dst) <- seq + 1;
     Flightrec.record t.flight ~party:dst Flightrec.Receive ~src ~dst ~seq
-      ~info:(Bytes.length payload)
+      ~info:(Bytes.length payload);
+    (* Causal-ledger accept endpoint: after every retransmission the
+       fault schedule demanded, so the arrow's extent is the message's
+       true delivery latency. *)
+    if Trace.enabled () then begin
+      let p = batch.(seq - seq0) in
+      t.flows_rev <-
+        {
+          fl_src = src;
+          fl_dst = dst;
+          fl_seq = seq;
+          fl_step = t.step;
+          fl_bytes = Bytes.length payload;
+          fl_send_us = p.pd_send_us;
+          fl_recv_us = now_us ();
+          fl_send_span = p.pd_send_span;
+          fl_recv_span = Trace.current_span_id ();
+          fl_send_slot = p.pd_send_slot;
+          fl_recv_slot = Ppgr_exec.Meter.slot ();
+        }
+        :: t.flows_rev
+    end
   in
-  let process_arrival at bytes =
+  (* The receiver: validate the envelope, suppress stale sequence
+     numbers, accept in order, buffer within the window. *)
+  let rec process_arrival at bytes =
     match Wire.decode_envelope bytes with
     | exception Wire.Malformed _ ->
         t.st.crc_rejects <- t.st.crc_rejects + 1;
         Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
           ~seq:(-1) ~info:(Bytes.length bytes)
+    | env when env.Wire.env_src <> src || env.Wire.env_dst <> dst ->
+        (* A CRC-valid envelope on the wrong link: misrouted; refuse. *)
+        t.st.crc_rejects <- t.st.crc_rejects + 1;
+        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
+          ~seq:env.Wire.env_seq ~info:(Bytes.length bytes)
     | env ->
-        if env.Wire.env_src <> src || env.Wire.env_dst <> dst then begin
-          t.st.crc_rejects <- t.st.crc_rejects + 1;
-          Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
-            ~seq:env.Wire.env_seq ~info:(Bytes.length bytes)
+        let expected = t.recv_seq.(src).(dst) in
+        let seq = env.Wire.env_seq in
+        if seq < expected then t.st.dup_suppressed <- t.st.dup_suppressed + 1
+        else if seq = expected then begin
+          accept seq env.Wire.env_payload;
+          (* Drain any buffered successors the gap was holding back. *)
+          let rec drain_rbuf () =
+            let nxt = t.recv_seq.(src).(dst) in
+            match Window.rbuf_take w ~seq:nxt with
+            | Some p ->
+                accept nxt p;
+                drain_rbuf ()
+            | None -> ()
+          in
+          drain_rbuf ();
+          if at > !finish_time then finish_time := at;
+          send_ack ();
+          (* Held reordered copies arrive once something has made it
+             through the link. *)
+          let held = List.rev !limbo in
+          limbo := [];
+          List.iter
+            (fun env ->
+              transmit t ~src ~dst ~seq:(-1) env;
+              process_arrival at env)
+            held
         end
-        else begin
-          let expected = t.recv_seq.(src).(dst) in
-          let seq = env.Wire.env_seq in
-          if seq < expected then t.st.dup_suppressed <- t.st.dup_suppressed + 1
-          else if seq = expected then begin
-            accept seq env.Wire.env_payload;
-            (* Drain any buffered successors the gap was holding back. *)
-            let rec drain_rbuf () =
-              let nxt = t.recv_seq.(src).(dst) in
-              match Window.rbuf_take w ~seq:nxt with
-              | Some p ->
-                  accept nxt p;
-                  drain_rbuf ()
-              | None -> ()
-            in
-            drain_rbuf ();
-            if at > !finish_time then finish_time := at;
-            send_ack ();
-            flush_limbo t ~src ~dst
+        else if seq < expected + w.Window.cap then begin
+          (* Out of order but in window: buffer and selectively ack. *)
+          if Window.slot_of_rseq w seq >= 0 then
+            t.st.dup_suppressed <- t.st.dup_suppressed + 1
+          else begin
+            ignore (Window.rbuf_put w ~seq env.Wire.env_payload);
+            send_ack ()
           end
-          else if seq < expected + w.Window.cap then begin
-            (* Out of order but in window: buffer and selectively ack. *)
-            if Window.slot_of_rseq w seq >= 0 then
-              t.st.dup_suppressed <- t.st.dup_suppressed + 1
-            else begin
-              ignore (Window.rbuf_put w ~seq env.Wire.env_payload);
-              send_ack ()
-            end
-          end
-          else
-            raise
-              (Wire.Malformed
-                 (Printf.sprintf
-                    "sequence %d beyond the receive window on link %d->%d \
-                     (expected %d, window %d)"
-                    seq src dst expected w.Window.cap))
         end
+        else
+          raise
+            (Wire.Malformed
+               (Printf.sprintf
+                  "sequence %d beyond the receive window on link %d->%d \
+                   (expected %d, window %d)"
+                  seq src dst expected w.Window.cap))
   in
   while !accepted < k do
     (* Admit first transmissions while the window has room. *)
@@ -1061,16 +815,15 @@ let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
       end
     done;
     (* Earliest event: a pending arrival or an armed timer. *)
-    let ta = match !arrivals with [] -> max_int | (t0, _, _, _) :: _ -> t0 in
+    let ta = match !arrivals with [] -> max_int | (t0, _, _) :: _ -> t0 in
     let tslot = Window.next_timer w in
     let tt = if tslot < 0 then max_int else w.Window.timer.(tslot) in
-    if ta = max_int && tt = max_int then begin
-      if !accepted < k then failwith "Transport.flush: windowed engine stalled"
-    end
+    if ta = max_int && tt = max_int then
+      failwith "Transport.flush: delivery engine stalled"
     else if ta <= tt then begin
       match !arrivals with
       | [] -> assert false
-      | (at, _, _, bytes) :: tl ->
+      | (at, _, bytes) :: tl ->
           arrivals := tl;
           if at > !time then time := at;
           process_arrival at bytes
@@ -1079,49 +832,60 @@ let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
       (* Retransmission timeout: selective retransmit of that slot. *)
       time := tt;
       let idx = w.Window.seq.(tslot) - seq0 in
-      if w.Window.attempts.(tslot) > t.retry_budget then
-        dropped idx w.Window.attempts.(tslot);
+      let seq = batch.(idx).pd_seq in
+      let attempts = w.Window.attempts.(tslot) in
+      if attempts > t.retry_budget then begin
+        if Trace.enabled () then
+          Trace.instant
+            ~attrs:
+              [
+                ("party", Trace.Int src);
+                ("src", Trace.Int src);
+                ("dst", Trace.Int dst);
+                ("seq", Trace.Int seq);
+                ("attempts", Trace.Int attempts);
+                ("step", Trace.Str t.step);
+              ]
+            "runtime.party_dropped";
+        raise (party_dropped t ~src ~dst ~seq ~attempts events_log.(idx))
+      end;
       t.st.retransmits <- t.st.retransmits + 1;
       t.retrans_by_src.(src) <- t.retrans_by_src.(src) + 1;
       t.link_retrans.(src).(dst) <- t.link_retrans.(src).(dst) + 1;
       t.st.backoff_ticks <- t.st.backoff_ticks + t.rto;
       Hist.record Hist.backoff_ticks t.rto;
-      Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst
-        ~seq:batch.(idx).pd_seq ~info:w.Window.attempts.(tslot);
-      w.Window.attempts.(tslot) <- w.Window.attempts.(tslot) + 1;
+      Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst ~seq
+        ~info:attempts;
+      w.Window.attempts.(tslot) <- attempts + 1;
       transmit_attempt tslot idx ~at:!time
     end
   done;
-  if !wire_free > !finish_time then !wire_free else !finish_time
+  assert (!limbo = []);
+  Stdlib.max !wire_free !finish_time
 
 (** Deliver everything posted since the last flush; the result array is
-    indexed by ticket.  A step's simulated elapsed time is the maximum
+    indexed by ticket.  A flush's simulated elapsed time is the maximum
     over its links (they run concurrently), added to [sim_ticks]. *)
 let flush t =
   let out = Array.make t.posted_n Window.no_payload in
-  (match t.wins with
-  | None -> List.iter (fun (tk, r) -> out.(tk) <- r) t.batch_res
-  | Some _ ->
-      let posted = List.rev t.posted in
-      let step_elapsed = ref 0 in
-      for src = 0 to t.n - 1 do
-        for dst = 0 to t.n - 1 do
-          let batch =
-            Array.of_list
-              (List.filter (fun p -> p.pd_src = src && p.pd_dst = dst) posted)
-          in
-          if Array.length batch > 0 then begin
-            let lout = Array.make (Array.length batch) Window.no_payload in
-            let elapsed = run_link t ~src ~dst batch lout in
-            Array.iteri (fun i p -> out.(p.pd_ticket) <- Bytes.copy lout.(i)) batch;
-            if elapsed > !step_elapsed then step_elapsed := elapsed
-          end
-        done
-      done;
-      t.st.sim_ticks <- t.st.sim_ticks + !step_elapsed);
+  let posted = List.rev t.posted in
+  let step_elapsed = ref 0 in
+  for src = 0 to t.n - 1 do
+    for dst = 0 to t.n - 1 do
+      let batch =
+        Array.of_list (List.filter (fun p -> p.pd_src = src && p.pd_dst = dst) posted)
+      in
+      if Array.length batch > 0 then begin
+        let lout = Array.make (Array.length batch) Window.no_payload in
+        let elapsed = run_link t ~src ~dst batch lout in
+        Array.iteri (fun i p -> out.(p.pd_ticket) <- Bytes.copy lout.(i)) batch;
+        if elapsed > !step_elapsed then step_elapsed := elapsed
+      end
+    done
+  done;
+  t.st.sim_ticks <- t.st.sim_ticks + !step_elapsed;
   t.posted <- [];
   t.posted_n <- 0;
-  t.batch_res <- [];
   out
 
 (** {1 Checkpoint persistence}
@@ -1173,21 +937,12 @@ let persist t : Wire.transport_snap =
     ts_rounds = List.rev_map (fun (name, msgs) -> (name, to_triples msgs)) t.rounds_rev;
     ts_round =
       List.rev_map (fun m -> (m.Netsim.src, m.Netsim.dst, m.Netsim.bytes)) t.round_rev;
-    ts_limbo =
-      (let entries =
-         Hashtbl.fold (fun k held acc -> (k, List.rev held) :: acc) t.limbo []
-       in
-       List.sort (fun (a, _) (b, _) -> compare a b) entries);
   }
 
-let restore ?faults ?(retry_budget = 8) ?(backoff_base = 1) ?(backoff_cap = 64)
-    ?(flight_cap = Flightrec.default_capacity) ?window ?(kill_after = -1)
-    (snap : Wire.transport_snap) =
+let restore ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity)
+    ?window ?(kill_after = -1) (snap : Wire.transport_snap) =
   let n = snap.Wire.ts_n in
-  let t =
-    create ?faults ~retry_budget ~backoff_base ~backoff_cap ~flight_cap ?window
-      ~kill_after ~n ()
-  in
+  let t = create ?faults ~retry_budget ~flight_cap ?window ~kill_after ~n () in
   let copy_mat dst src = Array.iteri (fun i row -> Array.blit src.(i) 0 row 0 n) dst in
   copy_mat t.send_seq snap.Wire.ts_send_seq;
   copy_mat t.recv_seq snap.Wire.ts_recv_seq;
@@ -1223,9 +978,6 @@ let restore ?faults ?(retry_budget = 8) ?(backoff_base = 1) ?(backoff_cap = 64)
       snap.Wire.ts_rounds;
   t.round_rev <-
     List.rev_map (fun (src, dst, bytes) -> { Netsim.src; dst; bytes }) snap.Wire.ts_round;
-  List.iter
-    (fun (k, held) -> Hashtbl.replace t.limbo k (List.rev held))
-    snap.Wire.ts_limbo;
   (* Fast-forward the fault plan to the persisted schedule position:
      the per-link draw counts make the resumed schedule a pure function
      of the original seed. *)

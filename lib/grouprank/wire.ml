@@ -310,9 +310,10 @@ let ack_overhead = 1 + 2 + 2 + 4 + 4 + 4
     [transport_snap] is the transport's complete persisted state: the
     per-link sequence counters, every physical tally, the chained
     transcript digest, the closed per-step rounds plus the in-progress
-    round, per-link fault-draw counts (so a resumed run can fast-forward
-    a fresh {!Ppgr_mpcnet.Faultplan} to the exact schedule position),
-    and any reorder-limbo envelopes still held.
+    round, and per-link fault-draw counts (so a resumed run can
+    fast-forward a fresh {!Ppgr_mpcnet.Faultplan} to the exact schedule
+    position).  Nothing is ever in flight at a checkpoint: every
+    delivery completes within its flush.
 
     The whole frame rides the same CRC-32 trailer as envelopes and
     acks; decoding validates the CRC before trusting any length, and
@@ -340,7 +341,6 @@ type transport_snap = {
   ts_rounds : (string * (int * int * int) list) list;
       (* closed physical rounds, oldest first; messages as (src, dst, bytes) *)
   ts_round : (int * int * int) list; (* current step's messages, oldest first *)
-  ts_limbo : (int * Bytes.t list) list; (* held reorder envelopes, per link key *)
 }
 
 let n_counters = 12
@@ -412,13 +412,6 @@ let encode_checkpoint (c : checkpoint_frame) =
       msgs ms)
     s.ts_rounds;
   msgs s.ts_round;
-  W.u16 b (List.length s.ts_limbo);
-  List.iter
-    (fun (key, held) ->
-      W.u32 b key;
-      W.u16 b (List.length held);
-      List.iter (W.blob b) held)
-    s.ts_limbo;
   append_crc (W.contents b)
 
 let decode_checkpoint data =
@@ -506,17 +499,6 @@ let decode_checkpoint data =
         (name, ms))
   in
   let ts_round = msgs () in
-  let nlimbo = R.u16 r in
-  let ts_limbo =
-    List.init nlimbo (fun _ ->
-        let key = R.u32 r in
-        if key >= ts_n * ts_n then fail "checkpoint limbo key %d out of range" key;
-        let k = R.u16 r in
-        if 4 * k > remaining () then
-          fail "checkpoint limbo count %d exceeds remaining %d bytes" k (remaining ());
-        let held = List.init k (fun _ -> blob_checked ()) in
-        (key, held))
-  in
   R.expect_end r;
   {
     ck_step;
@@ -545,7 +527,6 @@ let decode_checkpoint data =
         ts_step;
         ts_rounds;
         ts_round;
-        ts_limbo;
       };
   }
 

@@ -120,38 +120,6 @@ let run topo ~placement (sched : schedule) : stats =
     party_bytes_in = party_in;
   }
 
-(** Coalesce consecutive rounds into groups of [window]: within a
-    group the per-round barriers disappear (messages of later rounds
-    may depart as soon as the group's summed critical-path computation
-    is done), while the barrier at the group boundary remains.  Models
-    the overlap a pipelined windowed transport extracts from a
-    schedule: on latency-dominated links a depth-[w] group pays the
-    propagation delay roughly once instead of [w] times.  [window <= 1]
-    returns the schedule unchanged. *)
-let pipeline ~window (sched : schedule) : schedule =
-  if window <= 1 then sched
-  else begin
-    let rec group acc cur k = function
-      | [] -> List.rev (if cur.messages = [] && cur.compute_s = 0. then acc else cur :: acc)
-      | r :: rest ->
-          let cur =
-            {
-              compute_s = cur.compute_s +. r.compute_s;
-              messages = cur.messages @ r.messages;
-            }
-          in
-          if k + 1 >= window then group (cur :: acc) { compute_s = 0.; messages = [] } 0 rest
-          else group acc cur (k + 1) rest
-    in
-    group [] { compute_s = 0.; messages = [] } 0 sched
-  end
-
-(** {!run} over the [window]-pipelined schedule — the elapsed time a
-    windowed transport would see on this topology. *)
-let run_windowed topo ~placement ~window (sched : schedule) : stats =
-  let st = run topo ~placement (pipeline ~window sched) in
-  { st with rounds = List.length sched }
-
 (** Rename party indices in a schedule — e.g. lift a shard-local
     schedule (parties 0..s-1) onto the global party space. *)
 let remap f (sched : schedule) : schedule =

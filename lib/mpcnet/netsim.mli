@@ -50,16 +50,6 @@ type stats = {
 
 val run : Topology.t -> placement:placement -> schedule -> stats
 
-val pipeline : window:int -> schedule -> schedule
-(** Coalesce consecutive rounds into groups of [window], removing the
-    per-round barriers inside a group (the group-boundary barrier
-    remains) — the overlap a pipelined windowed transport extracts.
-    [window <= 1] returns the schedule unchanged. *)
-
-val run_windowed : Topology.t -> placement:placement -> window:int -> schedule -> stats
-(** {!run} over the [window]-pipelined schedule; [rounds] still reports
-    the original round count. *)
-
 val remap : (int -> int) -> schedule -> schedule
 (** Rename party indices (e.g. shard-local to global). *)
 

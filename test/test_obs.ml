@@ -329,10 +329,12 @@ let faults_suite =
     let faults = Ppgr_mpcnet.Faultplan.spec_of_string spec_str in
     Trace.capture (fun () -> R.run ~faults rng ~l:6 ~betas)
   in
-  (* No reorder in the mix: reordered envelopes can outlive their
-     protocol step (link limbo), which is exactly what would make exact
-     per-step tiling impossible to assert. *)
-  let spec = "drop=0.1,corrupt=0.1,dup=0.1,delay=0.2,maxdelay=4,seed=obs" in
+  (* Every fault kind, reorder included: a held envelope arrives within
+     the flush that sent it, so every wire touch lands in its own
+     protocol step and the per-step tiling stays exact. *)
+  let spec =
+    "drop=0.1,corrupt=0.1,dup=0.1,reorder=0.1,delay=0.2,maxdelay=4,seed=obs"
+  in
   [
     Alcotest.test_case "summary tiles logical and physical bytes" `Quick
       (fun () ->
@@ -356,6 +358,8 @@ let faults_suite =
           (Summary.total rows "phys_in");
         Alcotest.(check bool) "schedule was actually hostile" true
           (s.R.retransmits > 0);
+        Alcotest.(check bool) "a reorder was injected" true
+          (List.assoc "reorder" s.R.faults_injected > 0);
         Alcotest.(check bool) "physical exceeds logical" true
           (s.R.phys_bytes > s.R.bytes_on_wire))
     ;

@@ -184,9 +184,9 @@ let group_message_tests (name, g) =
            with Wire.Malformed _ -> true));
   ]
 
-(* A rich checkpoint exemplar: 2-party snapshot with closed rounds, an
-   in-progress round and a held reorder-limbo envelope, so the fuzz and
-   regression batteries cover every section of the frame. *)
+(* A rich checkpoint exemplar: 2-party snapshot with closed rounds and
+   an in-progress round, so the fuzz and regression batteries cover
+   every section of the frame. *)
 let exemplar_snap () =
   {
     Wire.ts_n = 2;
@@ -205,7 +205,6 @@ let exemplar_snap () =
     ts_step = "encrypt";
     ts_rounds = [ ("announce", [ (0, 1, 120); (1, 0, 120) ]) ];
     ts_round = [ (0, 1, 64) ];
-    ts_limbo = [ (1, [ Bytes.of_string "held-envelope" ]) ];
   }
 
 let exemplar_checkpoint () =
@@ -469,8 +468,7 @@ let ack_checkpoint_tests =
           (s.Wire.ts_fault_draws = s'.Wire.ts_fault_draws);
         Alcotest.(check bool) "rounds" true (s.Wire.ts_rounds = s'.Wire.ts_rounds);
         Alcotest.(check bool) "in-progress round" true
-          (s.Wire.ts_round = s'.Wire.ts_round);
-        Alcotest.(check bool) "limbo" true (s.Wire.ts_limbo = s'.Wire.ts_limbo));
+          (s.Wire.ts_round = s'.Wire.ts_round));
     Alcotest.test_case "checkpoint: every single-bit flip CRC-rejected"
       `Quick (fun () ->
         let data = Wire.encode_checkpoint (exemplar_checkpoint ()) in
@@ -504,7 +502,6 @@ let ack_checkpoint_tests =
                 ts_link_bytes = [||];
                 ts_link_retrans = [||];
                 ts_fault_draws = [||];
-                ts_limbo = [];
               };
           }
         in
@@ -553,21 +550,16 @@ let ack_checkpoint_tests =
         Bytes.set data 14 '\xFF';
         rejects "count 65535" (fun () ->
             Wire.decode_checkpoint (reseal data)));
-    Alcotest.test_case "checkpoint limbo key out of range rejected" `Quick
-      (fun () ->
-        let c =
-          {
-            (exemplar_checkpoint ()) with
-            Wire.ck_snap =
-              {
-                (exemplar_snap ()) with
-                Wire.ts_limbo = [ (9, [ Bytes.of_string "stray" ]) ];
-              };
-          }
-        in
-        (* Link key 9 on a 2-party snapshot (keys live in [0, 4)). *)
-        rejects "limbo key 9" (fun () ->
-            Wire.decode_checkpoint (Wire.encode_checkpoint c)));
+    Alcotest.test_case "checkpoint with a trailing limbo section rejected"
+      `Quick (fun () ->
+        (* Older frames ended in a u16 count of held reorder envelopes,
+           a section the snapshot no longer has; resealed, that trailing
+           count must be refused, not ignored. *)
+        let data = Wire.encode_checkpoint (exemplar_checkpoint ()) in
+        let body = Bytes.sub data 0 (Bytes.length data - 4) in
+        let old = Bytes.cat body (Bytes.make 6 '\x00') in
+        rejects "empty limbo section" (fun () ->
+            Wire.decode_checkpoint (reseal old)));
   ]
 
 let () =
