@@ -9,7 +9,6 @@ type t = { sg : int; mg : int array }
    whether the work ran on 1 domain or many. *)
 let mul_counter = Ppgr_exec.Meter.create ()
 let mul_count () = Ppgr_exec.Meter.read mul_counter
-let reset_counters () = Ppgr_exec.Meter.reset mul_counter
 
 let make sg mg = if Mag.is_zero mg then { sg = 0; mg = Mag.zero } else { sg; mg }
 

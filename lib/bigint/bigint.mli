@@ -147,7 +147,6 @@ val jacobi : t -> t -> int
     harness to report analytic costs; see DESIGN.md §4. *)
 
 val mul_count : unit -> int
-val reset_counters : unit -> unit
 
 (** {1 Pretty printing} *)
 

@@ -131,7 +131,6 @@ let sub (a : int array) (b : int array) =
   normalize r
 
 let add_int a v = add a (of_int v)
-let sub_int a v = sub a (of_int v)
 
 (* O(n) scan multiplying by a single limb-sized constant.  The per-limb
    product is recombined from the half-split; the running carry stays

@@ -100,13 +100,6 @@ let is_probable_prime ?(rounds = 32) (rand : rand) n =
         end
   end
 
-let next_prime rand n =
-  let open Bigint in
-  let start = if compare n two < 0 then two else succ n in
-  let start = if is_even start && not (equal start two) then succ start else start in
-  let rec go c = if is_probable_prime rand c then c else go (add c two) in
-  if equal start two then two else go start
-
 let random_prime rand ~bits =
   if bits < 2 then invalid_arg "Prime.random_prime: bits < 2";
   let open Bigint in
@@ -128,58 +121,3 @@ let random_safe_prime rand ~bits =
     if numbits p = bits && is_probable_prime rand p then p else go ()
   in
   go ()
-
-let sqrt_mod rand a ~p =
-  let open Bigint in
-  let a = erem a p in
-  if is_zero a then Some zero
-  else if equal p two then Some a
-  else if jacobi a p <> 1 then None
-  else if to_int_exn (logand p (of_int 3)) = 3 then begin
-    (* p = 3 mod 4: sqrt = a^((p+1)/4). *)
-    let r = powmod a (shift_right (succ p) 2) p in
-    Some r
-  end
-  else begin
-    (* Tonelli–Shanks.  Write p - 1 = q * 2^s with q odd. *)
-    let rec split q s = if is_even q then split (shift_right q 1) (s + 1) else (q, s) in
-    let q, s = split (pred p) 0 in
-    (* Find a quadratic non-residue z. *)
-    let rec find_z () =
-      let z = add (rand (sub p two)) two in
-      if jacobi z p = -1 then z else find_z ()
-    in
-    let z = find_z () in
-    let m = ref s in
-    let c = ref (powmod z q p) in
-    let t = ref (powmod a q p) in
-    let r = ref (powmod a (shift_right (succ q) 1) p) in
-    let result = ref None in
-    let continue = ref true in
-    while !continue do
-      if equal !t one then begin
-        result := Some !r;
-        continue := false
-      end
-      else begin
-        (* Least i, 0 < i < m, with t^(2^i) = 1. *)
-        let rec least_i tt i =
-          if equal tt one then i else least_i (rem (mul tt tt) p) (i + 1)
-        in
-        let i = least_i !t 0 in
-        if i = !m then begin
-          (* Should not happen when jacobi said residue. *)
-          result := None;
-          continue := false
-        end
-        else begin
-          let b = powmod !c (nth_bit_weight (!m - i - 1)) p in
-          m := i;
-          c := rem (mul b b) p;
-          t := rem (mul !t !c) p;
-          r := rem (mul !r b) p
-        end
-      end
-    done;
-    !result
-  end

@@ -1,5 +1,5 @@
-(** Number-theoretic routines on {!Bigint.t}: probabilistic primality,
-    prime generation, and modular square roots.
+(** Number-theoretic routines on {!Bigint.t}: probabilistic primality
+    and prime generation.
 
     Randomness is supplied by the caller as [random_below : t -> t]
     returning a uniform value in [[0, bound)]; this keeps the bigint
@@ -12,19 +12,12 @@ val is_probable_prime : ?rounds:int -> rand -> Bigint.t -> bool
     trial division by small primes.  Deterministic for values < 3.3e24
     via fixed witness sets. *)
 
-val next_prime : rand -> Bigint.t -> Bigint.t
-(** Smallest probable prime strictly greater than the argument. *)
-
 val random_prime : rand -> bits:int -> Bigint.t
 (** Uniform [bits]-bit probable prime (top bit set). *)
 
 val random_safe_prime : rand -> bits:int -> Bigint.t
 (** [bits]-bit prime [p] with [(p-1)/2] also prime.  Slow for large
     [bits]; production groups use the vendored RFC 3526 constants. *)
-
-val sqrt_mod : rand -> Bigint.t -> p:Bigint.t -> Bigint.t option
-(** Tonelli–Shanks: a square root of [a] modulo the odd prime [p], or
-    [None] if [a] is a non-residue. *)
 
 val small_primes : int array
 (** Primes below 1000, used for trial division (exposed for tests). *)

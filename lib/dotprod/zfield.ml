@@ -72,10 +72,6 @@ let random_nonzero rng f =
 
 (** {1 Vectors} *)
 
-let vec_add f a b = Array.map2 (add f) a b
-let vec_sub f a b = Array.map2 (sub f) a b
-let vec_scale f k a = Array.map (mul f k) a
-
 let dot f a b =
   if Array.length a <> Array.length b then invalid_arg "Zfield.dot: dimension mismatch";
   let acc = ref Bigint.zero in

@@ -64,10 +64,6 @@ val random_nonzero : Ppgr_rng.Rng.t -> t -> Bigint.t
 
 (** {1 Vectors} *)
 
-val vec_add : t -> Bigint.t array -> Bigint.t array -> Bigint.t array
-val vec_sub : t -> Bigint.t array -> Bigint.t array -> Bigint.t array
-val vec_scale : t -> Bigint.t -> Bigint.t array -> Bigint.t array
-
 val dot : t -> Bigint.t array -> Bigint.t array -> Bigint.t
 (** @raise Invalid_argument on dimension mismatch. *)
 

@@ -166,8 +166,6 @@ let teardown () =
       Array.iter Domain.join p.workers;
       the_pool := None
 
-let shutdown = teardown
-
 let get_pool () =
   let needed = jobs () - 1 in
   (match !the_pool with

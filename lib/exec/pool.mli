@@ -30,7 +30,10 @@
     Exceptions raised by tasks are re-raised in the submitter after the
     batch completes; when several tasks of one batch fail, the exception
     of the lowest-indexed failing task wins, matching what the
-    sequential loop would have raised first. *)
+    sequential loop would have raised first.
+
+    The workers are joined [at_exit], so a process never hangs on live
+    domains. *)
 
 val max_jobs : int
 
@@ -55,7 +58,3 @@ val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 val parallel_for : int -> (int -> unit) -> unit
 (** [parallel_for n f] runs [f 0 .. f (n-1)]; the [f i] must touch
     disjoint state (distinct array cells, meters aside). *)
-
-val shutdown : unit -> unit
-(** Join all workers; the pool respawns lazily on the next use.
-    Registered [at_exit] so a process never hangs on live domains. *)

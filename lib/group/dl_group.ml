@@ -328,6 +328,4 @@ let dl_2048 () = of_safe_prime ~name:"DL-2048" ~security_bits:112 Modp_params.p_
 let dl_3072 () = of_safe_prime ~name:"DL-3072" ~security_bits:128 Modp_params.p_3072
 
 let dl_test_64 () = of_safe_prime ~name:"DL-test-64" ~security_bits:0 Modp_params.test_64
-let dl_test_96 () = of_safe_prime ~name:"DL-test-96" ~security_bits:0 Modp_params.test_96
 let dl_test_128 () = of_safe_prime ~name:"DL-test-128" ~security_bits:0 Modp_params.test_128
-let dl_test_256 () = of_safe_prime ~name:"DL-test-256" ~security_bits:0 Modp_params.test_256

@@ -193,21 +193,11 @@ let wnaf4_into (e : Bigint.t) (dst : int array) : int =
   done;
   !n
 
-(** Aligned wNAF-4 recodings of two non-negative exponents, most
-    significant first, for Shamir's simultaneous exponentiation: the
-    shorter recoding is left-padded with zero digits so one squaring
-    chain serves both. *)
-let wnaf4_pair e f =
-  let da = wnaf4 e and db = wnaf4 f in
-  let la = List.length da and lb = List.length db in
-  let pad k l = if k <= 0 then l else List.init k (fun _ -> 0) @ l in
-  List.combine (pad (lb - la) da) (pad (la - lb) db)
-
-(** Allocation-free {!wnaf4_pair}: recodes both exponents into the two
-    caller buffers (least significant first, as {!wnaf4_into}), zero-
-    fills the shorter one up to the longer, and returns the shared
-    length.  Zero-filling high slots is exactly the left-padding of the
-    list version read in reverse. *)
+(** Aligned wNAF-4 recodings of two non-negative exponents for Shamir's
+    simultaneous exponentiation: recodes both into the two caller
+    buffers (least significant first, as {!wnaf4_into}), zero-fills the
+    shorter one up to the longer so one squaring chain serves both, and
+    returns the shared length.  Allocation-free. *)
 let wnaf4_pair_into e f (da : int array) (db : int array) : int =
   let la = wnaf4_into e da and lb = wnaf4_into f db in
   let len = Stdlib.max la lb in

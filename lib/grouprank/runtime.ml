@@ -319,6 +319,10 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       is re-derived from [rng] splits that the aborted attempt never
       disturbed, and the fault schedule is a pure function of the seed
       fast-forwarded to the persisted position.
+      @raise Invalid_argument if [resume] is for another party count.
+      @raise Wire.Malformed if [resume] does not decode, or its step is
+      outside [1..n+3] or disagrees with its [ck_enc]/[ck_v] sections;
+      both are raised before any party work.
       @raise Transport.Party_dropped when a message exhausts
       [retry_budget] retransmissions (or [kill_after] physical
       transmissions are reached, for crash injection). *)
@@ -334,7 +338,20 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
           (Printf.sprintf
              "Runtime.run: checkpoint is for %d parties, this run has %d"
              c.Wire.ck_n n)
-    | _ -> ());
+    | Some c ->
+        (* A CRC-valid frame can still contradict itself: its step fixes
+           which sections it carries (see [checkpoint] below). *)
+        let step = c.Wire.ck_step in
+        if step < 1 || step > n + 3 then
+          Wire.fail "checkpoint ck_step %d outside 1..%d" step (n + 3);
+        let expect field got want =
+          if got <> want then
+            Wire.fail "checkpoint %s has %d entries, step %d needs %d" field got
+              step want
+        in
+        expect "ck_enc" (Array.length c.Wire.ck_enc) (if step = 2 then n else 0);
+        expect "ck_v" (Array.length c.Wire.ck_v) (if step >= 3 then n else 0)
+    | None -> ());
     let start = match ck with None -> 0 | Some c -> c.Wire.ck_step in
     let shard_attrs =
       match shard with None -> [] | Some s -> [ ("shard", Trace.Int s) ]

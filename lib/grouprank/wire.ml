@@ -1,12 +1,12 @@
-(** Binary wire format for every message the framework exchanges.
+(** Binary wire format for every frame the runtime sends.
 
-    The simulation layers pass OCaml values around directly; a deployment
-    sends bytes.  This module pins down a canonical, versioned encoding
-    for each protocol message — phase-1 dot-product rounds, phase-2 key
-    announcements, proofs, ciphertext batches, and phase-3 submissions —
-    so that (a) the byte counts the evaluation charges are the real
-    serialized sizes, and (b) decoding is validating: group elements are
-    checked for membership, lengths for consistency.
+    Phases 1 and 3 run in-process; phase 2 and its transport send
+    bytes.  This module pins down a canonical, versioned encoding for
+    each of those frames — key announcements, proofs, ciphertext
+    batches, hop frames, envelopes, acks and checkpoints — so that (a)
+    the byte counts the evaluation charges are the real serialized
+    sizes, and (b) decoding is validating: group elements are checked
+    for membership, lengths for consistency.
 
     Encoding conventions: big-endian fixed-width length prefixes
     (u16 for counts, u32 for blob lengths); non-negative bigints as
@@ -49,11 +49,6 @@ module W = struct
   let bigint b (v : Bigint.t) =
     if Bigint.sign v < 0 then invalid_arg "Wire.bigint: negative";
     blob b (Bigint.to_bytes_be v)
-
-  (* Signed bigint: sign byte then magnitude. *)
-  let sbigint b (v : Bigint.t) =
-    u8 b (if Bigint.sign v < 0 then 1 else 0);
-    blob b (Bigint.to_bytes_be (Bigint.abs v))
 end
 
 module R = struct
@@ -87,21 +82,12 @@ module R = struct
 
   let bigint r = Bigint.of_bytes_be (blob r)
 
-  let sbigint r =
-    let neg = u8 r = 1 in
-    let v = Bigint.of_bytes_be (blob r) in
-    if neg then Bigint.neg v else v
-
   let finished r = r.pos = Bytes.length r.data
 
   let expect_end r = if not (finished r) then fail "trailing bytes"
 end
 
-(** {1 Phase-1 (field) messages} *)
-
 (* Message tags. *)
-let tag_dot_round1 = 0x01
-let tag_dot_round2 = 0x02
 let tag_pubkey = 0x10
 let tag_zkp = 0x11
 let tag_cipher_batch = 0x12
@@ -109,7 +95,6 @@ let tag_hop_frame = 0x13
 let tag_envelope = 0x14
 let tag_ack = 0x15
 let tag_checkpoint = 0x16
-let tag_submission = 0x20
 
 (** {1 CRC-32}
 
@@ -192,8 +177,6 @@ let decode_envelope data =
 (** Serialized envelope size for a payload of the given size: fixed
     fields (tag, src, dst, seq, payload length prefix, CRC) + payload. *)
 let envelope_overhead = 1 + 2 + 2 + 4 + 4 + 4
-
-let envelope_bytes payload_size = envelope_overhead + payload_size
 
 (** {1 Hop frames}
 
@@ -529,74 +512,6 @@ let decode_checkpoint data =
         ts_round;
       };
   }
-
-let encode_vec b (v : Bigint.t array) =
-  W.u16 b (Array.length v);
-  Array.iter (W.bigint b) v
-
-let decode_vec r =
-  let n = R.u16 r in
-  Array.init n (fun _ -> R.bigint r)
-
-let encode_dot_round1 (m : Ppgr_dotprod.Dot_product.round1) =
-  let b = W.create () in
-  W.u8 b tag_dot_round1;
-  W.u16 b (Array.length m.Ppgr_dotprod.Dot_product.qx);
-  Array.iter (encode_vec b) m.Ppgr_dotprod.Dot_product.qx;
-  encode_vec b m.Ppgr_dotprod.Dot_product.c';
-  encode_vec b m.Ppgr_dotprod.Dot_product.g;
-  W.contents b
-
-let decode_dot_round1 data : Ppgr_dotprod.Dot_product.round1 =
-  let r = R.of_bytes data in
-  if R.u8 r <> tag_dot_round1 then fail "bad tag for dot round 1";
-  let rows = R.u16 r in
-  let qx = Array.init rows (fun _ -> decode_vec r) in
-  let c' = decode_vec r in
-  let g = decode_vec r in
-  R.expect_end r;
-  if Array.length c' <> Array.length g then fail "c'/g dimension mismatch";
-  Array.iter
-    (fun row ->
-      if Array.length row <> Array.length c' then fail "QX row dimension mismatch")
-    qx;
-  { Ppgr_dotprod.Dot_product.qx; c'; g }
-
-let encode_dot_round2 (m : Ppgr_dotprod.Dot_product.round2) =
-  let b = W.create () in
-  W.u8 b tag_dot_round2;
-  W.bigint b m.Ppgr_dotprod.Dot_product.a;
-  W.bigint b m.Ppgr_dotprod.Dot_product.h;
-  W.contents b
-
-let decode_dot_round2 data : Ppgr_dotprod.Dot_product.round2 =
-  let r = R.of_bytes data in
-  if R.u8 r <> tag_dot_round2 then fail "bad tag for dot round 2";
-  let a = R.bigint r in
-  let h = R.bigint r in
-  R.expect_end r;
-  { Ppgr_dotprod.Dot_product.a; h }
-
-(** {1 Phase-3 submission} *)
-
-type submission_msg = { sub_rank : int; sub_info : int array }
-
-let encode_submission (m : submission_msg) =
-  let b = W.create () in
-  W.u8 b tag_submission;
-  W.u16 b m.sub_rank;
-  W.u16 b (Array.length m.sub_info);
-  Array.iter (fun v -> W.u32 b v) m.sub_info;
-  W.contents b
-
-let decode_submission data =
-  let r = R.of_bytes data in
-  if R.u8 r <> tag_submission then fail "bad tag for submission";
-  let sub_rank = R.u16 r in
-  let m = R.u16 r in
-  let sub_info = Array.init m (fun _ -> R.u32 r) in
-  R.expect_end r;
-  { sub_rank; sub_info }
 
 (** {1 Phase-2 (group) messages} *)
 

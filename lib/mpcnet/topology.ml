@@ -22,8 +22,6 @@ let nodes t = t.nodes
 let edge_count t =
   Array.fold_left (fun acc l -> acc + List.length l) 0 t.adj / 2
 
-let neighbors t v = t.adj.(v)
-
 let default_link = { bandwidth_bps = 2_000_000.; latency_s = 0.050 }
 
 (* Connectivity check by BFS over an explicit edge set. *)

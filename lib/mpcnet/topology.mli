@@ -15,9 +15,6 @@ type t
 val nodes : t -> int
 val edge_count : t -> int
 
-val neighbors : t -> int -> (int * link) list
-(** Adjacent nodes of a vertex with the connecting links. *)
-
 val default_link : link
 (** The paper's 2 Mbps / 50 ms link. *)
 

@@ -1,5 +1,5 @@
-(** Probabilistic secret-shared top-k selection, after Burkhart and
-    Dimitropoulos [4] ("Fast privacy-preserving top-k queries using
+(** Secret-shared top-k selection by threshold search, after Burkhart
+    and Dimitropoulos [4] ("Fast privacy-preserving top-k queries using
     secret sharing", ICCCN 2010), the second baseline the paper's
     related-work section discusses.
 
@@ -15,8 +15,7 @@
     The trade-offs match the paper's characterization of [4]:
 
     - {e probabilistic termination}: if more than [k] inputs tie at the
-      cut value there is no threshold selecting exactly [k]; {!top_k}
-      exhausts the domain and reports [`Tie_at_cut] ("cannot be
+      cut value there is no threshold selecting exactly [k] ("cannot be
       guaranteed to terminate with a correct result every time").
       {!top_k_det} closes that gap with a deterministic input-index
       tie-break, which the sharded-ranking merge stage requires to
@@ -27,11 +26,6 @@
       replacement. *)
 
 open Ppgr_bigint
-
-type outcome =
-  | Top_k of int list (* input indices whose values clear the cut *)
-  | Tie_at_cut of int list * int
-      (* more than k values >= cut: the indices found and the cut count *)
 
 (* Shares of count(T) = Σ_i [x_i >= T] for a public threshold T. *)
 let count_ge e prm (values : Engine.shared array) threshold =
@@ -52,36 +46,23 @@ let members e prm (values : Engine.shared array) threshold =
     (List.mapi (fun i b -> if Bigint.equal b Bigint.one then [ i ] else []) opened)
 
 (* The shared binary search: returns the converged cut [lo] with
-   count(lo) >= k > count(lo + 1), plus the number of opened count
-   probes.  Invariant: count(lo) >= k and count(hi) < k; lo = 0
-   qualifies everything (count = n >= k), hi = 2^l exceeds every
-   input (count = 0 < k). *)
+   count(lo) >= k > count(lo + 1).  Invariant: count(lo) >= k and
+   count(hi) < k; lo = 0 qualifies everything (count = n >= k),
+   hi = 2^l exceeds every input (count = 0 < k). *)
 let search_cut e prm ~k (values : Engine.shared array) =
   let open_count t = Engine.open_ e (count_ge e prm values t) in
-  let probes = ref 0 in
   let rec search lo hi =
     (* lo < hi - 1 means the interval still contains candidate cuts. *)
-    if Bigint.compare (Bigint.sub hi lo) Bigint.one <= 0 then (lo, !probes)
+    if Bigint.compare (Bigint.sub hi lo) Bigint.one <= 0 then lo
     else begin
       let mid = Bigint.shift_right (Bigint.add lo hi) 1 in
-      incr probes;
       let c = Bigint.to_int_exn (open_count mid) in
       if c >= k then search mid hi else search lo mid
     end
   in
   search Bigint.zero (Bigint.nth_bit_weight prm.Compare.l)
 
-let check_k ~n ~k = if k < 1 || k > n then invalid_arg "Topk.top_k: k out of range"
-
-let top_k e prm ~k (values : Engine.shared array) : outcome =
-  check_k ~n:(Array.length values) ~k;
-  let lo, _probes = search_cut e prm ~k values in
-  (* The inputs >= lo are the answer if they number exactly k;
-     otherwise a tie straddles the cut. *)
-  let idx = members e prm values lo in
-  if List.length idx = k then Top_k idx else Tie_at_cut (idx, List.length idx)
-
-(** Deterministic variant: always returns exactly [k] indices.  When
+(** The indices of the [k] largest inputs, always exactly [k].  When
     more than [k] inputs reach the cut value, the winners are the
     inputs strictly above the cut plus the lowest-indexed inputs {e at}
     the cut — a public, deterministic tie-break, which is what lets the
@@ -89,13 +70,13 @@ let top_k e prm ~k (values : Engine.shared array) : outcome =
 
     Leakage note (documented, accepted): resolving the tie opens the
     membership bits for both [cut] and [cut + 1], so every party learns
-    {e which} inputs tie at the cut value (in addition to the probe
-    counts {!top_k} already opens).  The caller should index inputs by
-    a canonical public order — e.g. (shard, local index) — so the
-    tie-break reveals nothing beyond that public ordering. *)
+    {e which} inputs tie at the cut value (in addition to the opened
+    probe counts).  The caller should index inputs by a canonical
+    public order — e.g. (shard, local index) — so the tie-break reveals
+    nothing beyond that public ordering. *)
 let top_k_det e prm ~k (values : Engine.shared array) : int list =
-  check_k ~n:(Array.length values) ~k;
-  let lo, _probes = search_cut e prm ~k values in
+  if k < 1 || k > Array.length values then invalid_arg "Topk.top_k: k out of range";
+  let lo = search_cut e prm ~k values in
   let at_or_above = members e prm values lo in
   if List.length at_or_above = k then at_or_above
   else begin
@@ -112,8 +93,3 @@ let top_k_det e prm ~k (values : Engine.shared array) : int list =
     in
     List.sort compare (above @ take need at_cut)
   end
-
-(** Comparison-protocol invocations used (for the bench): [n] per probe,
-    [l + 1] probes worst-case, plus the final membership opening — and
-    one more opening when {!top_k_det} resolves a tie. *)
-let comparisons_bound ~n ~l = n * (l + 2)

@@ -67,7 +67,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       ~response:t.response
 
   (** One-call honest run against explicit verifier randomness, returning
-      the full transcript (used by the protocol driver and tests). *)
+      the full transcript.  Only tests call it: the runtime's key
+      announcements use the Fiat–Shamir variant. *)
   let prove_interactive rng ~secret ~statement ~n_verifiers =
     let st, commitment = commit rng in
     let challenges = List.init n_verifiers (fun _ -> fresh_challenge rng) in

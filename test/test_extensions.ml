@@ -1,5 +1,5 @@
-(* Tests for the extension substrates: the probabilistic top-k baseline
-   (Burkhart-Dimitropoulos style) and the re-encryption mix-net. *)
+(* Tests for the secret-shared top-k selection (Burkhart-Dimitropoulos
+   style) that the sharded-ranking merge stage runs. *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -18,47 +18,6 @@ let engine ?(n = 5) () =
 let topk_tests =
   let prm = Compare.default_params ~l:10 () in
   [
-    Alcotest.test_case "selects the k largest (distinct values)" `Quick
-      (fun () ->
-        for _ = 1 to 5 do
-          let n = 6 in
-          (* Distinct values guarantee exact termination. *)
-          let perm = Rng.permutation rng 50 in
-          let vals = Array.init n (fun i -> 10 + (perm.(i) * 3)) in
-          let e = engine () in
-          let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-          let k = 1 + Rng.int_below rng (n - 1) in
-          match Topk.top_k e prm ~k shared with
-          | Topk.Top_k idx ->
-              Alcotest.(check int) "k results" k (List.length idx);
-              (* Every selected value beats every unselected one. *)
-              List.iter
-                (fun i ->
-                  Array.iteri
-                    (fun j v ->
-                      if not (List.mem j idx) then
-                        Alcotest.(check bool) "dominates" true (vals.(i) > v))
-                    vals)
-                idx
-          | Topk.Tie_at_cut _ -> Alcotest.fail "unexpected tie with distinct values"
-        done);
-    Alcotest.test_case "reports ties at the cut" `Quick (fun () ->
-        let vals = [| 100; 100; 100; 5; 5 |] in
-        let e = engine () in
-        let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-        (* k = 2 cannot be met exactly: three values tie above any cut. *)
-        match Topk.top_k e prm ~k:2 shared with
-        | Topk.Tie_at_cut (idx, count) ->
-            Alcotest.(check int) "count" 3 count;
-            Alcotest.(check (list int)) "tied indices" [ 0; 1; 2 ] (List.sort compare idx)
-        | Topk.Top_k _ -> Alcotest.fail "tie not detected");
-    Alcotest.test_case "k = n returns everyone" `Quick (fun () ->
-        let vals = [| 3; 1; 4; 1 |] in
-        let e = engine () in
-        let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-        match Topk.top_k e prm ~k:4 shared with
-        | Topk.Top_k idx -> Alcotest.(check int) "all" 4 (List.length idx)
-        | Topk.Tie_at_cut _ -> Alcotest.fail "k = n always succeeds");
     Alcotest.test_case "scales linearly in n (vs superlinear sort)" `Quick
       (fun () ->
         (* Multiplication counts as the input count quadruples: top-k
@@ -67,7 +26,7 @@ let topk_tests =
           let vals = Array.init n (fun i -> 7 * (i + 1)) in
           let e = engine ~n:5 () in
           let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-          ignore (Topk.top_k e prm ~k:2 shared);
+          ignore (Topk.top_k_det e prm ~k:2 shared);
           (Engine.costs e).Engine.c_mults
         in
         let run_sort n =
@@ -83,16 +42,11 @@ let topk_tests =
           (Printf.sprintf "topk x%.1f vs sort x%.1f" topk_ratio sort_ratio)
           true
           (topk_ratio < 6. && sort_ratio > 8.));
-    Alcotest.test_case "k out of range rejected" `Quick (fun () ->
-        let e = engine () in
-        let shared = [| Engine.input e (bi 1) |] in
-        Alcotest.check_raises "bad k" (Invalid_argument "Topk.top_k: k out of range")
-          (fun () -> ignore (Topk.top_k e prm ~k:2 shared)));
   ]
 
-(* The deterministic tie-break variant used by the sharded-ranking
-   merge stage: always exactly k winners, ties at the cut resolved by
-   ascending input index. *)
+(* The tie rule the sharded-ranking merge stage relies on: always
+   exactly k winners, ties at the cut resolved by ascending input
+   index. *)
 let topk_det_tests =
   let prm = Compare.default_params ~l:10 () in
   let prop ?(count = 30) name gen f =
@@ -143,16 +97,6 @@ let topk_det_tests =
         let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
         Alcotest.(check (list int)) "winners" [ 0; 1 ]
           (Topk.top_k_det e prm ~k:2 shared));
-    Alcotest.test_case "agrees with top_k when there is no tie" `Quick
-      (fun () ->
-        let vals = [| 12; 44; 3; 27; 8 |] in
-        let e1 = engine () and e2 = engine () in
-        let sh v e = Array.map (fun x -> Engine.input e (bi x)) v in
-        match Topk.top_k e1 prm ~k:3 (sh vals e1) with
-        | Topk.Top_k idx ->
-            Alcotest.(check (list int)) "same winners" (List.sort compare idx)
-              (Topk.top_k_det e2 prm ~k:3 (sh vals e2))
-        | Topk.Tie_at_cut _ -> Alcotest.fail "distinct values cannot tie");
     Alcotest.test_case "k out of range rejected" `Quick (fun () ->
         let e = engine () in
         let shared = [| Engine.input e (bi 1) |] in
@@ -160,61 +104,9 @@ let topk_det_tests =
           (fun () -> ignore (Topk.top_k_det e prm ~k:0 shared)));
   ]
 
-let mixnet_tests =
-  let module G = (val Ppgr_group.Dl_group.dl_test_64 ()) in
-  let module M = Ppgr_elgamal.Mixnet.Make (G) in
-  [
-    Alcotest.test_case "output is the input multiset" `Quick (fun () ->
-        for trial = 1 to 5 do
-          let n = 2 + Rng.int_below rng 5 in
-          let messages = Array.init n (fun _ -> G.pow_gen (G.random_scalar rng)) in
-          let r =
-            M.collect (Rng.split rng ~label:(string_of_int trial)) messages
-          in
-          Alcotest.(check bool) "multiset" true
-            (M.same_multiset messages r.M.plaintexts)
-        done);
-    Alcotest.test_case "duplicate messages survive" `Quick (fun () ->
-        let m = G.pow_gen (Bigint.of_int 5) in
-        let messages = [| m; m; G.pow_gen (Bigint.of_int 9) |] in
-        let r = M.collect rng messages in
-        Alcotest.(check bool) "multiset with dupes" true
-          (M.same_multiset messages r.M.plaintexts));
-    Alcotest.test_case "positions are unlinkable (distribution)" `Quick
-      (fun () ->
-        (* Track where sender 0's distinguished message lands over many
-           runs: it must not stick to any position. *)
-        let n = 4 in
-        let special = G.pow_gen (Bigint.of_int 424242) in
-        let counts = Array.make n 0 in
-        let trials = 80 in
-        for trial = 1 to trials do
-          let messages =
-            Array.init n (fun i ->
-                if i = 0 then special else G.pow_gen (Bigint.of_int (1000 + i)))
-          in
-          let r =
-            M.collect (Rng.split rng ~label:(Printf.sprintf "pos-%d" trial)) messages
-          in
-          Array.iteri
-            (fun pos p -> if G.equal p special then counts.(pos) <- counts.(pos) + 1)
-            r.M.plaintexts
-        done;
-        Alcotest.(check int) "found every time" trials (Array.fold_left ( + ) 0 counts);
-        Array.iter
-          (fun c ->
-            Alcotest.(check bool) "no sticky position" true (c > 5 && c < 40))
-          counts);
-    Alcotest.test_case "needs two members" `Quick (fun () ->
-        Alcotest.check_raises "n=1"
-          (Invalid_argument "Mixnet.collect: need at least 2 members") (fun () ->
-            ignore (M.collect rng [| G.generator |])));
-  ]
-
 let () =
   Alcotest.run "extensions"
     [
       ("topk", topk_tests);
       ("topk-det", topk_det_tests);
-      ("mixnet", mixnet_tests);
     ]

@@ -217,35 +217,6 @@ let runtime_suite =
           [ 2; 4 ]);
   ]
 
-let mixnet_suite =
-  let run_once jobs =
-    Pool.set_jobs jobs;
-    let module G = (val Dl_group.dl_test_64 ()) in
-    let module M = Ppgr_elgamal.Mixnet.Make (G) in
-    let rng = Rng.create ~seed:"parallel-mixnet" in
-    let messages = Array.init 6 (fun _ -> G.pow_gen (G.random_scalar rng)) in
-    let r = M.collect rng messages in
-    Pool.set_jobs 1;
-    ( Array.map (fun x -> Bytes.to_string (G.to_bytes x)) r.M.plaintexts,
-      Array.map (fun x -> Bytes.to_string (G.to_bytes x)) messages )
-  in
-  [
-    Alcotest.test_case "mixnet output identical at jobs=1 and jobs in {2, 4}"
-      `Quick (fun () ->
-        let pa, ma = run_once 1 in
-        List.iter
-          (fun jobs ->
-            let pb, _ = run_once jobs in
-            Alcotest.(check (array string))
-              (Printf.sprintf "plaintext batch (order included, jobs=%d)" jobs)
-              pa pb)
-          [ 2; 4 ];
-        Alcotest.(check (list string))
-          "multiset of messages survives"
-          (List.sort compare (Array.to_list ma))
-          (List.sort compare (Array.to_list pa)));
-  ]
-
 let shamir_suite =
   let run_once jobs =
     Pool.set_jobs jobs;
@@ -283,6 +254,5 @@ let () =
       ("pool", pool_suite);
       ("phase2", phase2_suite);
       ("runtime", runtime_suite);
-      ("mixnet", mixnet_suite);
       ("shamir", shamir_suite);
     ]

@@ -1,5 +1,5 @@
-(* Tests for primality testing, prime generation and modular square
-   roots, including validation of every vendored group constant. *)
+(* Tests for primality testing and prime generation, including
+   validation of every vendored group constant. *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -35,11 +35,6 @@ let unit_tests =
     Alcotest.test_case "strong pseudoprime to few bases caught" `Quick (fun () ->
         (* 3215031751 is a strong pseudoprime to bases 2,3,5,7... but not all. *)
         Alcotest.(check bool) "3215031751" false (is_prime (bs "3215031751")));
-    Alcotest.test_case "next_prime" `Quick (fun () ->
-        Alcotest.(check string) "after 1" "2" (Bigint.to_string (Prime.next_prime rand Bigint.one));
-        Alcotest.(check string) "after 2" "3" (Bigint.to_string (Prime.next_prime rand (bi 2)));
-        Alcotest.(check string) "after 10^6" "1000003"
-          (Bigint.to_string (Prime.next_prime rand (bi 1000000))));
     Alcotest.test_case "random_prime has requested size" `Quick (fun () ->
         List.iter
           (fun bits ->
@@ -52,23 +47,6 @@ let unit_tests =
         let q = Bigint.shift_right (Bigint.pred p) 1 in
         Alcotest.(check bool) "p prime" true (is_prime p);
         Alcotest.(check bool) "q prime" true (is_prime q));
-    Alcotest.test_case "sqrt_mod basic" `Quick (fun () ->
-        (* p = 23 (3 mod 4) and p = 13 (1 mod 4, exercises Tonelli). *)
-        List.iter
-          (fun p ->
-            let pb = bi p in
-            for a = 0 to p - 1 do
-              let a2 = a * a mod p in
-              match Prime.sqrt_mod rand (bi a2) ~p:pb with
-              | None -> Alcotest.fail (Printf.sprintf "no sqrt of %d mod %d" a2 p)
-              | Some r ->
-                  let rr = Bigint.to_int_exn (Bigint.erem (Bigint.mul r r) pb) in
-                  Alcotest.(check int) "square" a2 rr
-            done)
-          [ 23; 13; 17 ]);
-    Alcotest.test_case "sqrt_mod rejects non-residues" `Quick (fun () ->
-        (* 5 is not a QR mod 7. *)
-        Alcotest.(check bool) "none" true (Prime.sqrt_mod rand (bi 5) ~p:(bi 7) = None));
     Alcotest.test_case "small_primes table" `Quick (fun () ->
         Alcotest.(check int) "first" 2 Prime.small_primes.(0);
         Alcotest.(check bool) "all prime" true

@@ -174,6 +174,49 @@ module Battery (G : Group_intf.GROUP) = struct
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ())
 
+  (* A checkpoint's step fixes which sections it carries: ck_enc only
+     at step 2, ck_v from step 3 on.  A CRC-valid frame re-encoded with
+     one field out of line is refused before any keygen, and every
+     golden checkpoint, the last (step n+3) included, still resumes. *)
+  let resume_inconsistent_case =
+    Alcotest.test_case "resume rejects a checkpoint inconsistent with its step"
+      `Quick (fun () ->
+        let gst, cks = Lazy.force golden in
+        let mutate i f =
+          Wire.encode_checkpoint (f (Wire.decode_checkpoint cks.(i)))
+        in
+        List.iter
+          (fun (what, field, frame) ->
+            let ops0 = G.op_snapshot () in
+            match RT.run ~resume:frame (Rng.create ~seed) ~l ~betas with
+            | _ -> Alcotest.fail (what ^ ": expected Wire.Malformed")
+            | exception Wire.Malformed msg ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %S names %s" what msg field)
+                  true
+                  (String.starts_with ~prefix:("checkpoint " ^ field ^ " ") msg);
+                Alcotest.(check int) (what ^ ": no group op before refusal") 0
+                  (G.ops_since ops0))
+          [
+            ( "step-3 frame, ck_step = n+4", "ck_step",
+              mutate 2 (fun c -> { c with Wire.ck_step = n + 4 }) );
+            ( "step-3 frame, ck_step = 99", "ck_step",
+              mutate 2 (fun c -> { c with Wire.ck_step = 99 }) );
+            ( "step-1 frame, ck_step = 0", "ck_step",
+              mutate 0 (fun c -> { c with Wire.ck_step = 0 }) );
+            ( "step-2 frame, empty ck_enc", "ck_enc",
+              mutate 1 (fun c -> { c with Wire.ck_enc = [||] }) );
+            ( "step-3 frame, empty ck_v", "ck_v",
+              mutate 2 (fun c -> { c with Wire.ck_v = [||] }) );
+          ];
+        Array.iteri
+          (fun i ck ->
+            check_stats
+              (Printf.sprintf "resume from step %d" (i + 1))
+              gst
+              (RT.run ~resume:ck (Rng.create ~seed) ~l ~betas))
+          cks)
+
   (* Restart under an active fault plan: the restored transport must
      fast-forward the fault schedule to the persisted position, so the
      resumed run still matches its own (faulty) golden. *)
@@ -292,6 +335,7 @@ module Battery (G : Group_intf.GROUP) = struct
         mid_step_case;
         manual_resume_case;
         resume_wrong_n_case;
+        resume_inconsistent_case;
         faulty_restart_case;
         windowed_restart_case;
         reelection_case;

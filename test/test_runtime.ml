@@ -60,6 +60,39 @@ let suite (name, g) =
         Alcotest.(check bool)
           (Printf.sprintf "naive %d > suffix %d" naive_ops fast_ops)
           true (naive_ops > fast_ops));
+    Alcotest.test_case (name ^ ": both circuits on every input, l <= 6") `Quick
+      (fun () ->
+        (* Every ordered pair of l-bit values: the circuit's output has
+           exactly one zero plaintext iff own < other, none otherwise. *)
+        let rng = Rng.create ~seed:"test-runtime-circuit" in
+        let sk, pk = RT.E.keygen rng in
+        let tbl = RT.E.keytable pk in
+        for l = 1 to 6 do
+          let bits x = Bigint.bits_of (Bigint.of_int x) ~width:l in
+          let enc =
+            Array.init (1 lsl l) (fun x ->
+                Array.map (RT.E.encrypt_exp_int_with rng tbl) (bits x))
+          in
+          for own = 0 to (1 lsl l) - 1 do
+            for other = 0 to (1 lsl l) - 1 do
+              List.iter
+                (fun naive_omega ->
+                  let c =
+                    RT.compare_circuit ~naive_omega ~l ~own_bits:(bits own)
+                      enc.(other)
+                  in
+                  let zeros =
+                    Array.fold_left
+                      (fun k x -> if RT.E.decrypt_exp_is_zero sk x then k + 1 else k)
+                      0 c
+                  in
+                  if zeros <> Bool.to_int (own < other) then
+                    Alcotest.failf "l=%d own=%d other=%d naive=%b: %d zeros" l own
+                      other naive_omega zeros)
+                [ false; true ]
+            done
+          done
+        done);
     Alcotest.test_case (name ^ ": O(n) rounds") `Quick (fun () ->
         let rounds n =
           List.length (RT.run rng ~l:6 ~betas:(Array.init n Bigint.of_int)).RT.schedule

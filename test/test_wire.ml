@@ -1,65 +1,10 @@
 (* Wire-format tests: round trips for every message type, validating
    decode behaviour on malformed and adversarial inputs. *)
 
-open Ppgr_bigint
 open Ppgr_rng
-open Ppgr_dotprod
 open Ppgr_grouprank
 
 let rng = Rng.create ~seed:"test-wire"
-let f = Zfield.default ()
-
-let field_message_tests =
-  [
-    Alcotest.test_case "dot round 1 round trip" `Quick (fun () ->
-        for _ = 1 to 10 do
-          let d = 1 + Rng.int_below rng 8 and s = 2 + Rng.int_below rng 5 in
-          let w = Array.init d (fun _ -> Zfield.random rng f) in
-          let _, m = Dot_product.bob_round1 rng f ~w ~s in
-          let m' = Wire.decode_dot_round1 (Wire.encode_dot_round1 m) in
-          Alcotest.(check bool) "qx" true (m.Dot_product.qx = m'.Dot_product.qx);
-          Alcotest.(check bool) "c'" true (m.Dot_product.c' = m'.Dot_product.c');
-          Alcotest.(check bool) "g" true (m.Dot_product.g = m'.Dot_product.g)
-        done);
-    Alcotest.test_case "dot round 2 round trip" `Quick (fun () ->
-        let m = { Dot_product.a = Zfield.random rng f; h = Zfield.random rng f } in
-        let m' = Wire.decode_dot_round2 (Wire.encode_dot_round2 m) in
-        Alcotest.(check bool) "a" true (Bigint.equal m.Dot_product.a m'.Dot_product.a);
-        Alcotest.(check bool) "h" true (Bigint.equal m.Dot_product.h m'.Dot_product.h));
-    Alcotest.test_case "submission round trip" `Quick (fun () ->
-        let m = { Wire.sub_rank = 3; sub_info = [| 10; 255; 0; 70000 |] } in
-        let m' = Wire.decode_submission (Wire.encode_submission m) in
-        Alcotest.(check int) "rank" m.Wire.sub_rank m'.Wire.sub_rank;
-        Alcotest.(check (array int)) "info" m.Wire.sub_info m'.Wire.sub_info);
-    Alcotest.test_case "wrong tag rejected" `Quick (fun () ->
-        let m = { Dot_product.a = Bigint.one; h = Bigint.two } in
-        let data = Wire.encode_dot_round2 m in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Wire.decode_dot_round1 data);
-             false
-           with Wire.Malformed _ -> true));
-    Alcotest.test_case "truncation rejected" `Quick (fun () ->
-        let m = { Dot_product.a = Zfield.random rng f; h = Zfield.random rng f } in
-        let data = Wire.encode_dot_round2 m in
-        for cut = 0 to Bytes.length data - 1 do
-          let truncated = Bytes.sub data 0 cut in
-          Alcotest.(check bool) (Printf.sprintf "cut at %d" cut) true
-            (try
-               ignore (Wire.decode_dot_round2 truncated);
-               false
-             with Wire.Malformed _ -> true)
-        done);
-    Alcotest.test_case "trailing bytes rejected" `Quick (fun () ->
-        let m = { Dot_product.a = Bigint.one; h = Bigint.two } in
-        let data = Wire.encode_dot_round2 m in
-        let extended = Bytes.cat data (Bytes.of_string "x") in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Wire.decode_dot_round2 extended);
-             false
-           with Wire.Malformed _ -> true));
-  ]
 
 (* The framed ring-hop message: payload-agnostic blob packing, so it is
    tested over arbitrary byte strings independent of any group. *)
@@ -233,12 +178,6 @@ let fuzz_tests =
      bytes must reproduce those damaged bytes' meaning, not the
      original's. *)
   let surfaces : (string * Bytes.t * (Bytes.t -> Bytes.t)) list =
-    let dot1 =
-      let w = Array.init 4 (fun _ -> Zfield.random rng f) in
-      snd (Dot_product.bob_round1 rng f ~w ~s:3)
-    in
-    let dot2 = { Dot_product.a = Zfield.random rng f; h = Zfield.random rng f } in
-    let submission = { Wire.sub_rank = 2; sub_info = [| 9; 0; 70000 |] } in
     let x = G.random_scalar rng in
     let y = G.pow_gen x in
     let zkp = W.Z.prove_interactive rng ~secret:x ~statement:y ~n_verifiers:3 in
@@ -249,12 +188,6 @@ let fuzz_tests =
     let envelope_payload = W.encode_pubkey y in
     let ack = { Wire.ack_src = 2; ack_dst = 0; ack_cum = 41; ack_sack = 0b101 } in
     [
-      ( "dot-round1 (0x01)",
-        Wire.encode_dot_round1 dot1,
-        fun b -> Wire.encode_dot_round1 (Wire.decode_dot_round1 b) );
-      ( "dot-round2 (0x02)",
-        Wire.encode_dot_round2 dot2,
-        fun b -> Wire.encode_dot_round2 (Wire.decode_dot_round2 b) );
       ( "pubkey (0x10)",
         W.encode_pubkey y,
         fun b -> W.encode_pubkey (W.decode_pubkey b) );
@@ -279,9 +212,6 @@ let fuzz_tests =
       ( "checkpoint (0x16)",
         Wire.encode_checkpoint (exemplar_checkpoint ()),
         fun b -> Wire.encode_checkpoint (Wire.decode_checkpoint b) );
-      ( "submission (0x20)",
-        Wire.encode_submission submission,
-        fun b -> Wire.encode_submission (Wire.decode_submission b) );
     ]
   in
   let flip_bit data i =
@@ -565,7 +495,6 @@ let ack_checkpoint_tests =
 let () =
   Alcotest.run "wire"
     [
-      ("field-messages", field_message_tests);
       ("hop-frame", hop_frame_tests);
       ("fuzz", fuzz_tests);
       ("ack-checkpoint", ack_checkpoint_tests);
