@@ -54,7 +54,7 @@ let ss_model ~l =
   match Hashtbl.find_opt ss_models l with
   | Some m -> m
   | None ->
-      let m = Cost_model.Ss_model.measure rng ~l ~n0:5 () in
+      let m = Cost_model.Ss_model.measure rng ~l () in
       Hashtbl.add ss_models l m;
       m
 
@@ -71,7 +71,7 @@ let ss_net_model ~l =
   | Some m -> m
   | None ->
       let m =
-        Cost_model.Ss_model.measure rng ~l ~kappa:30 ~n0:5
+        Cost_model.Ss_model.measure rng ~l ~kappa:30
           ~field:(Lazy.force ss_net_field) ()
       in
       Hashtbl.add ss_net_models l m;
@@ -157,10 +157,11 @@ let fig3a ~(levels : (Calibrate.group_cal * Calibrate.group_cal) list) ~field_ca
 
 (* Fig. 3(b): execution time on the paper's random 80-node / 320-edge
    topology (2 Mbps links, 50 ms latency), communication and computation
-   both simulated.  The HE frameworks pipeline the decryption ring
-   (process-and-forward per set); the SS baseline exchanges over a
-   12-byte field with kappa=30.  "SS-paper" costs the comparison at the
-   Nishide-Ohta constants of the paper's analysis. *)
+   both simulated.  The HE frameworks replay the n+4 rounds Runtime
+   posts: each ring hop processes all n-1 foreign sets before it
+   forwards one frame.  The SS baseline exchanges over a 12-byte field
+   with kappa=30.  "SS-paper" costs the comparison at the Nishide-Ohta
+   constants of the paper's analysis. *)
 let fig3b ~dl ~ecc ~field_cal () =
   let topo = Topology.random_connected rng ~nodes:80 ~edges:320 () in
   header "Fig 3(b): elapsed time with network (80 nodes, 320 edges)"
@@ -172,9 +173,8 @@ let fig3b ~dl ~ecc ~field_cal () =
       let hm = he_model ~l in
       let run_he (cal : Calibrate.group_cal) =
         let sched =
-          Cost_model.He_model.schedule hm ~n ~cipher_bytes:(2 * cal.Calibrate.elem_bytes)
-            ~elem_bytes:cal.Calibrate.elem_bytes ~scalar_bytes:cal.Calibrate.scalar_bytes
-            ~mpe_target:cal.Calibrate.mpe
+          Cost_model.He_model.schedule hm ~n ~elem_bytes:cal.Calibrate.elem_bytes
+            ~scalar_bytes:cal.Calibrate.scalar_bytes ~mpe_target:cal.Calibrate.mpe
         in
         let placement = Netsim.place_parties topo ~parties:n in
         (Netsim.run topo ~placement
@@ -207,8 +207,8 @@ let analysis () =
       let hm = he_model ~l in
       let exps = Cost_model.He_model.predict_exps hm ~n in
       let sched =
-        Cost_model.He_model.schedule hm ~n ~cipher_bytes:256 ~elem_bytes:128
-          ~scalar_bytes:128 ~mpe_target:1500.
+        Cost_model.He_model.schedule hm ~n ~elem_bytes:128 ~scalar_bytes:128
+          ~mpe_target:1500.
       in
       let rounds = float_of_int (List.length sched) in
       let mbytes = float_of_int (Cost.total_bytes sched) /. 1e6 /. float_of_int n in

@@ -66,7 +66,7 @@ let figure_tests () =
   let labels = RT.make_labels ~n:5 ~l in
   let field = Ppgr_dotprod.Zfield.default () in
   let engine () = Ppgr_shamir.Engine.create rng field ~n:5 in
-  let prm = { Ppgr_shamir.Compare.l = 16; kappa = 40; log_prefix = true } in
+  let prm = { Ppgr_shamir.Compare.l = 16; kappa = 40 } in
   let topo_rng = Rng.split rng ~label:"topo" in
   [
     (* Fig 2(a-d) unit: one secure gain computation + one phase-2 session. *)

@@ -206,7 +206,13 @@ let print_abort (f : Transport.forensics) =
 
 let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     window restart stats_out =
-  usage_checked (count_checks ~min_n:2 ~n ~k) @@ fun () ->
+  usage_checked
+    (count_checks ~min_n:2 ~n ~k
+    @ [
+        (h >= 1, "-h must be at least 1");
+        (restart >= 0, "--restart must be at least 0");
+      ])
+  @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let criterion = Attrs.random_criterion rng spec in
@@ -528,7 +534,19 @@ let rank_cmd group_name n k seed spec jobs shards shard_size committee
   Printf.printf "\nwall clock: %.3f s\n" dt
 
 let simulate_cmd group_name n k seed nodes edges jobs metrics =
-  usage_checked (count_checks ~min_n:2 ~n ~k) @@ fun () ->
+  (* The participants and the initiator each take a node of a connected
+     simple graph. *)
+  let max_edges = nodes * (nodes - 1) / 2 in
+  usage_checked
+    (count_checks ~min_n:2 ~n ~k
+    @ [
+        ( nodes >= n + 1,
+          Printf.sprintf "--nodes must be at least n + 1 = %d" (n + 1) );
+        ( edges >= nodes - 1 && edges <= max_edges,
+          Printf.sprintf "--edges must be between %d and %d for %d nodes"
+            (nodes - 1) max_edges nodes );
+      ])
+  @@ fun () ->
   apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let spec = default_spec in

@@ -6,21 +6,18 @@
     per-participant cost.  The harness therefore predicts per-party cost
     from first principles, anchored in measurement:
 
-    - {b structure}: per-party group operations of phase 2 are an exact
-      quadratic in [(n-1)] for fixed [l] (pairwise circuits are linear,
-      the decryption ring quadratic).  {!He_model.fit} runs the real,
-      instrumented protocol on the cheap test group at n = 3, 4, 5 and
-      recovers the three coefficients by Lagrange interpolation — no
-      asymptotic hand-waving, the protocol itself supplies the counts.
-      The fit extrapolates exactly (up to wNAF digit-count noise, <2%);
-      the test suite validates predictions against direct runs at larger
-      n.
-    - {b group transfer}: operation counts split into full
-      exponentiations (whose expansion into group multiplications scales
-      with the exponent size λ) and λ-independent multiplications.  With
-      [mpe(g)] = measured multiplications per exponentiation on group
-      [g], per-party multiplications on a target group are
-      [exps * mpe(target) + (ops_test - exps * mpe(test))].
+    - {b structure}: {!He_model} is a view of {!Runtime}'s five wire
+      steps — announce, encrypt, compare, ring hop and count.  Each
+      step's critical-path group operations are an exact quadratic in
+      [(n-1)] for fixed [l]; {!He_model.fit} runs the real, instrumented
+      protocol on the cheap test group at n = 3, 4, 5 and interpolates.
+      The test suite checks it against direct runs at larger n, round
+      by round.
+    - {b group transfer}: each step's exponentiations have a closed
+      form ({!He_model.step_exps}).  With [mpe(g)] the measured
+      multiplications per exponentiation on group [g], a step costs
+      [ops_test + exps * (mpe(target) - mpe(test))] multiplications on
+      a target group.  A party's cost is the sum of the steps.
     - {b SS baseline}: invocation counts of the multiplication protocol
       per comparator are n-independent; per-party field-multiplication
       unit costs of each primitive follow the engine implementation
@@ -53,25 +50,27 @@ let eval_quadratic (a0, a1, a2) x =
   a0 +. (a1 *. x) +. (a2 *. x *. x)
 
 module He_model = struct
+  (** Phase 2 as {!Runtime} runs it: five wire steps — announce, encrypt,
+      compare, ring hop (one per party, in turn) and count. *)
   type t = {
     l : int;
-    ops_q : float * float * float; (* test-group ops vs (n-1) *)
-    exps_q : float * float * float; (* full exponentiations vs (n-1) *)
+    step_ops : (float * float * float) array;
+        (* per step: the critical test-group ops, a quadratic in (n-1) *)
     mpe_test : float; (* mults per exponentiation on the fit group *)
   }
 
-  (* One instrumented session on the test group: its per-party group
-     operations and exponentiations. *)
-  let measure_parties rng ~l ~n =
+  (* One instrumented session on a fresh test group: its per-party group
+     operations and exponentiations, and its priced schedule. *)
+  let measure_session rng ~l ~n =
     let module G = (val Ppgr_group.Dl_group.dl_test_64 ()) in
     let module RT = Runtime.Make (G) in
     let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
     let st = RT.run rng ~l ~betas in
-    (st.RT.per_party_ops, st.RT.per_party_exps)
+    (st.RT.per_party_ops, st.RT.per_party_exps, st.RT.schedule)
 
   (* The maximum per-party (ops, exps) of one session. *)
   let measure_once rng ~l ~n =
-    let ops, exps = measure_parties rng ~l ~n in
+    let ops, exps, _ = measure_session rng ~l ~n in
     let maxi a = Array.fold_left Stdlib.max 0 a in
     (maxi ops, maxi exps)
 
@@ -85,115 +84,87 @@ module He_model = struct
     done;
     float_of_int (G.ops_since s) /. float_of_int samples
 
-  let fit ?(ns = [ 3; 4; 5 ]) rng ~l =
-    let pts =
-      List.map
-        (fun n ->
-          let ops, exps = measure_once rng ~l ~n in
-          (n - 1, float_of_int ops, float_of_int exps))
-        ns
+  (* Each session's critical ops per step, read off its n+4 rounds: 0
+     announce, 1 encrypt, 2 compare, 3..n+2 the hops (averaged), n+3
+     the count. *)
+  let fit rng ~l =
+    let point n =
+      let _, _, s = measure_session rng ~l ~n in
+      let r = Array.of_list (List.map (fun r -> float_of_int r.Cost.critical_ops) s) in
+      let hop = Array.fold_left ( +. ) 0. (Array.sub r 3 n) /. float_of_int n in
+      (n - 1, [| r.(0); r.(1); r.(2); hop; r.(n + 3) |])
     in
-    match pts with
-    | [ (x1, o1, e1); (x2, o2, e2); (x3, o3, e3) ] ->
-        {
-          l;
-          ops_q = quadratic_through (x1, o1) (x2, o2) (x3, o3);
-          exps_q = quadratic_through (x1, e1) (x2, e2) (x3, e3);
-          mpe_test = measure_mpe (Ppgr_group.Dl_group.dl_test_64 ()) ~samples:50 rng;
-        }
-    | _ -> invalid_arg "He_model.fit: need exactly three fit sizes"
+    let x1, s1 = point 3 in
+    let x2, s2 = point 4 in
+    let x3, s3 = point 5 in
+    let step_ops =
+      Array.init 5 (fun k -> quadratic_through (x1, s1.(k)) (x2, s2.(k)) (x3, s3.(k)))
+    in
+    { l; step_ops; mpe_test = measure_mpe (Ppgr_group.Dl_group.dl_test_64 ()) ~samples:50 rng }
 
-  let predict_test_ops m ~n = eval_quadratic m.ops_q (n - 1)
-  let predict_exps m ~n = eval_quadratic m.exps_q (n - 1)
+  (** The busiest party's exponentiations in each step: keygen and the
+      proof commitment; n-1 proof verifications (one fused simultaneous
+      exponentiation each) and two per encrypted bit; none in the
+      circuit; a fused strip-and-blind, two per ciphertext, over n-1
+      sets of (n-1)l; one decryption per slot of its own set.  See the
+      exponentiation-engine section of DESIGN.md. *)
+  let step_exps ~n ~l =
+    let n1 = n - 1 in
+    [| 2; n1 + (2 * l); 0; 2 * n1 * n1 * l; n1 * l |]
 
-  (** Per-party group multiplications on a target group with measured
-      [mpe_target]. *)
+  (** The §VI-B per-party exponentiation count: the sum of the steps. *)
+  let analytic_exps ~n ~l = Array.fold_left ( + ) 0 (step_exps ~n ~l)
+
+  (* Each step's critical multiplications on a target group with
+     measured [mpe_target]: the fitted test-group ops, every
+     exponentiation re-priced at the target's width. *)
+  let step_mults m ~n ~mpe_target =
+    Array.mapi
+      (fun k e ->
+        eval_quadratic m.step_ops.(k) (n - 1)
+        +. (float_of_int e *. (mpe_target -. m.mpe_test)))
+      (step_exps ~n ~l:m.l)
+
+  (** Per-party group multiplications on a target group. *)
   let predict_target_mults m ~n ~mpe_target =
-    let exps = predict_exps m ~n in
-    let base = predict_test_ops m ~n -. (exps *. m.mpe_test) in
-    (exps *. mpe_target) +. base
+    Array.fold_left ( +. ) 0. (step_mults m ~n ~mpe_target)
+
+  let predict_test_ops m ~n = predict_target_mults m ~n ~mpe_target:m.mpe_test
+  let predict_exps m ~n = float_of_int (analytic_exps ~n ~l:m.l)
 
   (** Per-party seconds given measured per-multiplication cost. *)
   let predict_seconds m ~n ~mpe_target ~sec_per_mult =
     predict_target_mults m ~n ~mpe_target *. sec_per_mult
 
-  (** Analytic exponentiation count (cross-check for the fit; from the
-      protocol structure: keygen + proof + verification + bitwise
-      encryption + ring + final decryption).  Verification is one fused
-      simultaneous exponentiation per proof, and each ring step is a
-      fused strip-and-blind (two exponentiations per ciphertext instead
-      of three) — see the exponentiation-engine section of DESIGN.md. *)
-  let analytic_exps ~n ~l =
-    let n1 = n - 1 in
-    2 + n1 + (2 * l) + (2 * n1 * n1 * l) + (n1 * l)
-
-  (** The phase-2 message schedule, built analytically (byte counts are
-      exact; per-round critical ops distributed from the model).  Party
-      [n] is the initiator (phases 1/3 use it).  The ring is modelled
-      store-and-forward: a party forwards each owner's ciphertext set as
-      soon as it has processed it, so a hop's critical path is one set's
-      work, not all [n-1]. *)
-  let schedule m ~n ~cipher_bytes ~elem_bytes
-      ~scalar_bytes ~mpe_target : Cost.schedule =
+  (** The n+4 rounds {!Runtime} posts, priced on a target group: every
+      message at its physical size (payload + {!Wire.envelope_overhead}),
+      every round at its step's {!step_mults}.  A proof's response is
+      taken [scalar_bytes] wide; one with a leading zero byte is shorter. *)
+  let schedule m ~n ~elem_bytes ~scalar_bytes ~mpe_target : Cost.schedule =
     let open Ppgr_mpcnet in
-    let l = m.l in
-    let n1 = n - 1 in
-    let mpe = mpe_target in
-    let f2i = int_of_float in
-    let per_set = n1 * l in
-    (* Base (non-exponentiation) ops split: attribute the quadratic term
-       of the base ops to the ring hops and the linear term to the
-       circuit round. *)
-    let exps = predict_exps m ~n in
-    let base_total = predict_test_ops m ~n -. (exps *. m.mpe_test) in
-    let circuit_share = base_total *. 0.5 in
-    let ring_share = base_total *. 0.5 in
-    let keyrounds =
-      [
-        { Cost.critical_ops = f2i mpe; messages = Netsim.all_broadcast ~parties:n ~bytes:elem_bytes };
-        { Cost.critical_ops = f2i mpe; messages = Netsim.all_broadcast ~parties:n ~bytes:elem_bytes };
-        { Cost.critical_ops = 0; messages = Netsim.all_broadcast ~parties:n ~bytes:scalar_bytes };
-        { Cost.critical_ops = 0; messages = Netsim.all_broadcast ~parties:n ~bytes:scalar_bytes };
-      ]
+    let ops = Array.map int_of_float (step_mults m ~n ~mpe_target) in
+    let phys payload = payload + Wire.envelope_overhead in
+    let set = Wire.cipher_batch_bytes ~elem_bytes ((n - 1) * m.l) in
+    let round k messages = { Cost.critical_ops = ops.(k); messages } in
+    let to_all bytes = Netsim.all_broadcast ~parties:n ~bytes:(phys bytes) in
+    let msg src dst bytes = { Netsim.src; dst; bytes = phys bytes } in
+    (* Hops 0..n-2 forward all n sets in one frame; the last hop returns
+       each set to its owner. *)
+    let hop h =
+      if h < n - 1 then
+        [ msg h (h + 1) (Wire.hop_frame_bytes (List.init n (fun _ -> set))) ]
+      else List.init (n - 1) (fun o -> msg h o set)
     in
-    let encrypt_round =
-      {
-        Cost.critical_ops = f2i ((float_of_int (n1 + (2 * l)) *. mpe));
-        messages = Netsim.all_broadcast ~parties:n ~bytes:(l * cipher_bytes);
-      }
-    in
-    let to_p1 =
-      {
-        Cost.critical_ops = f2i circuit_share;
-        messages =
-          List.concat_map
-            (fun j -> if j = 0 then [] else Netsim.unicast ~src:j ~dst:0 ~bytes:(per_set * cipher_bytes))
-            (List.init n (fun j -> j));
-      }
-    in
-    let hop_ops =
-      let full =
-        (float_of_int (2 * n1 * per_set) *. mpe) +. (ring_share /. float_of_int n)
-      in
-      f2i (full /. float_of_int (Stdlib.max 1 n1))
-    in
-    let ring =
-      List.init n (fun hop ->
-          if hop < n - 1 then
-            { Cost.critical_ops = hop_ops; messages = Netsim.unicast ~src:hop ~dst:(hop + 1) ~bytes:(n * per_set * cipher_bytes) }
-          else
-            {
-              Cost.critical_ops = hop_ops;
-              messages =
-                List.concat_map
-                  (fun o -> if o = n - 1 then [] else Netsim.unicast ~src:(n - 1) ~dst:o ~bytes:(per_set * cipher_bytes))
-                  (List.init n (fun o -> o));
-            })
-    in
-    let final =
-      { Cost.critical_ops = f2i (float_of_int per_set *. (mpe +. 2.)); messages = [] }
-    in
-    keyrounds @ [ encrypt_round; to_p1 ] @ ring @ [ final ]
+    [
+      (* Key: tag, element.  Proof: tag, commitment, no challenges (u16),
+         length-prefixed response. *)
+      round 0 (to_all (1 + elem_bytes) @ to_all (7 + elem_bytes + scalar_bytes));
+      round 1 (to_all (Wire.cipher_batch_bytes ~elem_bytes m.l));
+      (* P_1 posts its own set to itself too. *)
+      round 2 (List.init n (fun j -> msg j 0 set));
+    ]
+    @ List.init n (fun h -> round 3 (hop h))
+    @ [ round 4 [] ]
 end
 
 module Shard_model = struct
@@ -217,36 +188,30 @@ module Shard_model = struct
         (* committee field multiplications per merge candidate; the
            binary search probes all candidates each round, so the cost
            is linear in candidates and k-independent *)
-    committee : int;
   }
 
   (* The total group-op count of one session (its party spans tile
      the run), the quantity Shard.run accounts per shard. *)
   let measure_total_ops rng ~l ~n =
-    Array.fold_left ( + ) 0 (fst (He_model.measure_parties rng ~l ~n))
+    let ops, _, _ = He_model.measure_session rng ~l ~n in
+    Array.fold_left ( + ) 0 ops
 
-  let fit ?(ns = [ 3; 4; 5 ]) ?(committee = 3) ?(r0 = 8) rng ~l =
-    let pts =
-      List.map (fun n -> (n - 1, float_of_int (measure_total_ops rng ~l ~n))) ns
-    in
-    let total_q =
-      match pts with
-      | [ p1; p2; p3 ] -> quadratic_through p1 p2 p3
-      | _ -> invalid_arg "Shard_model.fit: need exactly three fit sizes"
-    in
+  let fit rng ~l =
+    let point n = (n - 1, float_of_int (measure_total_ops rng ~l ~n)) in
+    let p1 = point 3 in
+    let p2 = point 4 in
+    let p3 = point 5 in
+    let r0 = 8 in
     let candidates =
       Array.init r0 (fun i ->
           (i, Rng.bigint_below rng (Bigint.nth_bit_weight l)))
     in
-    let st =
-      Shard.merge_top_k rng ~l ~committee ~k:(Stdlib.max 1 (r0 / 2)) ~candidates
-    in
+    let st = Shard.merge_top_k rng ~l ~committee:3 ~k:(r0 / 2) ~candidates in
     {
       l;
-      total_q;
+      total_q = quadratic_through p1 p2 p3;
       merge_mults_per_cand =
         float_of_int st.Shard.merge_costs.Engine.c_field_mults /. float_of_int r0;
-      committee;
     }
 
   (* Balanced shard sizes, mirroring Shard.make_plan. *)
@@ -290,16 +255,16 @@ module Shard_model = struct
 
   (** The predicted quadratic→near-linear crossover: the smallest [n]
       above [shard_size] from which the sharded mode stays cheaper.
-      Returns [None] if no crossover below [n_max] (e.g. when the merge
+      Returns [None] if no crossover up to n = 4096 (e.g. when the merge
       is priced absurdly high). *)
-  let crossover ?(n_max = 4096) m ~shard_size ~k ~sec_per_op
+  let crossover m ~shard_size ~k ~sec_per_op
       ~sec_per_field_mult =
     let cheaper n =
       predict_seconds_sharded m ~n ~shard_size ~k ~sec_per_op ~sec_per_field_mult
       < predict_seconds_mono m ~n ~sec_per_op
     in
     let rec search n =
-      if n > n_max then None
+      if n > 4096 then None
       else if cheaper n && cheaper (n + 1) && cheaper (n + 2) then Some n
       else search (n + 1)
     in
@@ -317,11 +282,12 @@ module Ss_model = struct
     rounds_per_layer : float;
   }
 
-  let measure rng ~l ?(kappa = 40) ?(n0 = 5) ?(log_prefix = true) ?field () =
+  let measure rng ~l ?(kappa = 40) ?field () =
     let f = match field with Some f -> f | None -> Ppgr_dotprod.Zfield.default () in
+    let n0 = 5 in
     let e = Engine.create rng f ~n:n0 in
     Engine.reset_costs e;
-    let prm = { Compare.l; kappa; log_prefix } in
+    let prm = { Compare.l; kappa } in
     let betas = Array.init n0 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
     ignore (Ss_sort.rank_via_sort e prm betas);
     let c = Engine.costs e in

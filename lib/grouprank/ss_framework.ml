@@ -42,7 +42,7 @@ let run ?(kappa = 40) rng (cfg : Framework.config) ~criterion ~infos : outcome =
   (* The comparison field must fit l + kappa masking bits. *)
   let e = Engine.create rng field ~n in
   Engine.reset_costs e;
-  let prm = { Compare.l; kappa; log_prefix = true } in
+  let prm = { Compare.l; kappa } in
   let ranks = Ss_sort.rank_via_sort e prm betas in
   let c = Engine.costs e in
   let field_bytes = (Bigint.numbits (Zfield.modulus field) + 7) / 8 in

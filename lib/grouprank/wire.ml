@@ -223,6 +223,11 @@ let decode_hop_frame data =
 let hop_frame_bytes payload_sizes =
   1 + 2 + List.fold_left (fun acc s -> acc + 4 + s) 0 payload_sizes
 
+(** Exact serialized size of a batch of [k] ciphertexts over
+    [elem_bytes]-wide elements ({!Make.encode_cipher_batch}): tag + u32
+    count + two elements per ciphertext. *)
+let cipher_batch_bytes ~elem_bytes k = 1 + 4 + (k * 2 * elem_bytes)
+
 (* Shared CRC-32 trailer discipline for the control-plane frames below:
    the CRC covers every byte before it and is checked before any length
    field is trusted, exactly like {!decode_envelope}. *)
@@ -602,7 +607,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     R.expect_end r;
     cs
 
-  (** Exact serialized size of a [k]-ciphertext batch; the evaluation's
-      [S_c]-based accounting plus framing. *)
-  let cipher_batch_bytes k = 1 + 4 + (k * 2 * G.element_bytes)
+  (** Exact serialized size of a [k]-ciphertext batch of this group. *)
+  let cipher_batch_bytes k = cipher_batch_bytes ~elem_bytes:G.element_bytes k
 end

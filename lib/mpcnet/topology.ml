@@ -65,6 +65,9 @@ let of_edges ~nodes ?(link = default_link) edges =
     and delete random edges that do not disconnect it until [edges]
     remain. *)
 let random_connected rng ~nodes ~edges ?(link = default_link) () =
+  if edges < nodes - 1 then invalid_arg "Topology.random_connected: too few edges";
+  if edges > nodes * (nodes - 1) / 2 then
+    invalid_arg "Topology.random_connected: too many edges";
   let all = ref [] in
   for u = 0 to nodes - 1 do
     for v = u + 1 to nodes - 1 do
@@ -73,7 +76,6 @@ let random_connected rng ~nodes ~edges ?(link = default_link) () =
   done;
   let current = ref !all in
   let count = ref (List.length !all) in
-  if edges < nodes - 1 then invalid_arg "Topology.random_connected: too few edges";
   (* Repeatedly try deleting a random edge; skip ones whose removal
      disconnects the graph. *)
   let attempts = ref 0 in

@@ -25,7 +25,9 @@ val of_edges : nodes:int -> ?link:link -> (int * int) list -> t
 val random_connected :
   Ppgr_rng.Rng.t -> nodes:int -> edges:int -> ?link:link -> unit -> t
 (** Delete random non-disconnecting edges from the complete graph until
-    [edges] remain.  @raise Invalid_argument if [edges < nodes - 1]. *)
+    [edges] remain.
+    @raise Invalid_argument if [edges < nodes - 1] or
+    [edges > nodes (nodes - 1) / 2]. *)
 
 val two_level_layout : shard_sizes:int array -> int * int array * int array array
 (** Node layout of the sharded fan-in tree: [(root, aggregators, leaves)]

@@ -26,12 +26,9 @@ open Ppgr_dotprod
 type params = {
   l : int; (* inputs are l-bit *)
   kappa : int; (* statistical masking bits *)
-  log_prefix : bool;
-      (* prefix-OR in ceil(log2 l) rounds of parallel doubling (more
-         multiplications, far fewer rounds) instead of an l-round ripple *)
 }
 
-let default_params ?(log_prefix = true) ~l () = { l; kappa = 40; log_prefix }
+let default_params ~l () = { l; kappa = 40 }
 
 (** Number of multiplication-protocol invocations Nishide–Ohta [5] needs
     per comparison; used for the paper-faithful analytic cost curves. *)
@@ -69,24 +66,11 @@ let suffix_or_log e (d : Engine.shared array) =
   done;
   !cur
 
-(* Suffix ORs by an l-round ripple (fewer multiplications). *)
-let suffix_or_ripple e (d : Engine.shared array) =
-  let l = Array.length d in
-  let out = Array.make l (Engine.of_public e Bigint.zero) in
-  out.(l - 1) <- d.(l - 1);
-  for i = l - 2 downto 0 do
-    match or_batch e [ (out.(i + 1), d.(i)) ] with
-    | [ v ] -> out.(i) <- v
-    | _ -> assert false
-  done;
-  out
-
 (** [bit_lt_public e ~a_bits ~b_bits] computes shares of [a < b] where
     [a] is public and [b] is given as shared bits, both little-endian of
     equal length, via a most-significant-first prefix-OR over the XOR
     difference. *)
-let bit_lt_public ?(log_prefix = true) e ~(a_bits : int array)
-    ~(b_bits : Engine.shared array) =
+let bit_lt_public e ~(a_bits : int array) ~(b_bits : Engine.shared array) =
   let l = Array.length a_bits in
   if Array.length b_bits <> l then invalid_arg "Compare.bit_lt_public: length mismatch";
   if l = 0 then Engine.of_public e Bigint.zero
@@ -97,7 +81,7 @@ let bit_lt_public ?(log_prefix = true) e ~(a_bits : int array)
           if a_bits.(i) = 0 then b_bits.(i)
           else Engine.add_public e (Engine.neg e b_bits.(i)) Bigint.one)
     in
-    let suffix = if log_prefix then suffix_or_log e d else suffix_or_ripple e d in
+    let suffix = suffix_or_log e d in
     let prefix = Array.make (l + 1) (Engine.of_public e Bigint.zero) in
     Array.blit suffix 0 prefix 0 l;
     (* e_i = prefix_i - prefix_{i+1} marks the highest differing bit;
@@ -131,8 +115,7 @@ let ge e prm (x : Engine.shared) (y : Engine.shared) : Engine.shared =
   in
   let m_low_bits = Bigint.bits_of (Bigint.erem m (Bigint.nth_bit_weight l)) ~width:l in
   let u =
-    bit_lt_public ~log_prefix:prm.log_prefix e ~a_bits:m_low_bits
-      ~b_bits:(Array.sub r_bits 0 l)
+    bit_lt_public e ~a_bits:m_low_bits ~b_bits:(Array.sub r_bits 0 l)
   in
   (* bit_l(z) = m_div - r_high - u  (an exact 0/1 integer identity). *)
   Engine.sub e (Engine.sub e (Engine.of_public e m_div) r_high) u

@@ -12,19 +12,15 @@
 type params = {
   l : int; (* inputs are l-bit *)
   kappa : int; (* statistical masking bits *)
-  log_prefix : bool;
-      (* prefix-OR in ceil(log2 l) rounds of parallel doubling (more
-         multiplications, far fewer rounds) instead of an l-round ripple *)
 }
 
-val default_params : ?log_prefix:bool -> l:int -> unit -> params
-(** kappa = 40; [log_prefix] defaults to true. *)
+val default_params : l:int -> unit -> params
+(** kappa = 40. *)
 
 val nishide_ohta_mults : l:int -> int
 (** [279 l + 5], the multiplication count of the paper's primitive. *)
 
 val bit_lt_public :
-  ?log_prefix:bool ->
   Engine.t ->
   a_bits:int array ->
   b_bits:Engine.shared array ->

@@ -336,7 +336,38 @@ let framework_tests =
 
 
 (* Validate the cost model: the quadratic fit from n = 3,4,5 must
-   predict direct instrumented runs at larger n. *)
+   predict direct instrumented runs at larger n, and its schedule must
+   be the one Runtime posts, round by round. *)
+
+let test_groups = [ Dl_group.dl_test_64 (); Ec_group.ecc_tiny () ]
+let he_fit_16 = lazy (Cost_model.He_model.fit (Rng.create ~seed:"he-fit-16") ~l:16)
+
+let random_betas rng ~n ~l =
+  Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
+
+(* A round's messages as a sorted multiset of (src, dst, bytes). *)
+let triples (r : Cost.round) =
+  List.sort compare
+    (List.map
+       (fun (m : Ppgr_mpcnet.Netsim.message) ->
+         (m.Ppgr_mpcnet.Netsim.src, m.dst, m.bytes))
+       r.Cost.messages)
+
+(* The busiest party's exponentiations in each step, read off the
+   runtime's party spans: announce, encrypt, compare, ring hop, count. *)
+let step_exps_of_spans spans =
+  Array.map
+    (fun step ->
+      List.fold_left
+        (fun acc (s : Ppgr_obs.Trace.span) ->
+          match List.assoc_opt "exps" s.Ppgr_obs.Trace.attrs with
+          | Some (Ppgr_obs.Trace.Int e) when s.Ppgr_obs.Trace.name = step ->
+              Stdlib.max acc e
+          | _ -> acc)
+        0 spans)
+    [| "runtime.keygen"; "runtime.encrypt"; "runtime.compare"; "runtime.ring";
+       "runtime.count" |]
+
 let cost_model_tests =
   [
     Alcotest.test_case "HE model predicts direct runs" `Slow (fun () ->
@@ -357,30 +388,15 @@ let cost_model_tests =
               true
               (rel pred_exps exps < 0.05))
           [ 7; 9 ]);
-    Alcotest.test_case "HE model matches analytic exponentiation count" `Quick
-      (fun () ->
-        let l = 16 in
-        let m = Cost_model.He_model.fit rng ~l in
-        List.iter
-          (fun n ->
-            let analytic = Cost_model.He_model.analytic_exps ~n ~l in
-            let fitted = Cost_model.He_model.predict_exps m ~n in
-            Alcotest.(check bool)
-              (Printf.sprintf "n=%d analytic %d fitted %.0f" n analytic fitted)
-              true
-              (abs_float (fitted -. float_of_int analytic)
-               /. float_of_int analytic
-              < 0.02))
-          [ 5; 10; 20 ]);
     Alcotest.test_case "SS model predicts direct field mults" `Slow (fun () ->
         let l = 16 in
-        let m = Cost_model.Ss_model.measure rng ~l ~n0:5 () in
+        let m = Cost_model.Ss_model.measure rng ~l () in
         (* Direct run at n = 7: total field mults / n vs prediction. *)
         let f = Ppgr_dotprod.Zfield.default () in
         let n = 7 in
         let e = Ppgr_shamir.Engine.create rng f ~n in
         Ppgr_shamir.Engine.reset_costs e;
-        let prm = { Ppgr_shamir.Compare.l; kappa = 40; log_prefix = true } in
+        let prm = { Ppgr_shamir.Compare.l; kappa = 40 } in
         let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
         ignore (Ppgr_shamir.Ss_sort.rank_via_sort e prm betas);
         let c = Ppgr_shamir.Engine.costs e in
@@ -395,19 +411,114 @@ let cost_model_tests =
         let l = 16 in
         let hm = Cost_model.He_model.fit rng ~l in
         let sched =
-          Cost_model.He_model.schedule hm ~n:10 ~cipher_bytes:64 ~elem_bytes:32
+          Cost_model.He_model.schedule hm ~n:10 ~elem_bytes:32
             ~scalar_bytes:32 ~mpe_target:100.
         in
         Alcotest.(check bool) "rounds" true (List.length sched > 10);
         Alcotest.(check bool) "bytes" true (Cost.total_bytes sched > 0);
         Alcotest.(check bool) "ops" true (Cost.total_critical_ops sched > 0);
-        let sm = Cost_model.Ss_model.measure rng ~l ~n0:5 () in
+        let sm = Cost_model.Ss_model.measure rng ~l () in
         let ss_sched =
           Cost_model.Ss_model.schedule sm ~n:10 ~field_bytes:24
             ~sec_per_field_mult:1e-6 ~sec_per_op:1e-6
         in
         Alcotest.(check bool) "ss rounds" true (List.length ss_sched > 10);
         Alcotest.(check bool) "ss bytes" true (Cost.total_bytes ss_sched > 0));
+    Alcotest.test_case "HE schedule is the one Runtime posts" `Slow (fun () ->
+        (* Same rounds, and per round the same (src, dst, bytes)
+           multiset.  The one slack: a Schnorr response is a
+           minimal-length bigint, so a proof can travel up to
+           scalar_bytes - 1 shorter than the model's full width. *)
+        let l = 16 in
+        let m = Lazy.force he_fit_16 in
+        let rng = Rng.create ~seed:"he-schedule-bytes" in
+        List.iter
+          (fun g ->
+            let module G = (val g : Group_intf.GROUP) in
+            let module RT = Runtime.Make (G) in
+            let scalar_bytes = (Bigint.numbits G.order + 7) / 8 in
+            let proof = 7 + G.element_bytes + scalar_bytes + Wire.envelope_overhead in
+            for n = 3 to 9 do
+              let st = RT.run rng ~l ~betas:(random_betas rng ~n ~l) in
+              let model =
+                Cost_model.He_model.schedule m ~n ~elem_bytes:G.element_bytes
+                  ~scalar_bytes ~mpe_target:1.
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s n=%d rounds" G.name n)
+                (List.length st.RT.schedule) (List.length model);
+              List.iteri
+                (fun k (mr, rr) ->
+                  let want = triples mr and got = triples rr in
+                  if List.length want <> List.length got then
+                    Alcotest.failf "%s n=%d round %d: %d messages, model %d" G.name
+                      n k (List.length got) (List.length want);
+                  List.iter2
+                    (fun (s, d, b) (s', d', b') ->
+                      let short_proof =
+                        k = 0 && b = proof && b' < b && b - b' < scalar_bytes
+                      in
+                      if s <> s' || d <> d' || (b <> b' && not short_proof) then
+                        Alcotest.failf
+                          "%s n=%d round %d: runtime (%d,%d,%d), model (%d,%d,%d)"
+                          G.name n k s' d' b' s d b)
+                    want got)
+                (List.combine model st.RT.schedule)
+            done)
+          test_groups);
+    Alcotest.test_case "HE step exponentiations match the closed form" `Quick
+      (fun () ->
+        let rng = Rng.create ~seed:"he-step-exps" in
+        let l = 16 in
+        Ppgr_obs.Metrics.register ~name:"exps" Opmeter.count;
+        Fun.protect ~finally:(fun () -> Ppgr_obs.Metrics.unregister ~name:"exps")
+        @@ fun () ->
+        List.iter
+          (fun g ->
+            let module G = (val g : Group_intf.GROUP) in
+            let module RT = Runtime.Make (G) in
+            for n = 3 to 6 do
+              let betas = random_betas rng ~n ~l in
+              let _, spans = Ppgr_obs.Trace.capture (fun () -> RT.run rng ~l ~betas) in
+              Alcotest.(check (array int))
+                (Printf.sprintf "%s n=%d" G.name n)
+                (Cost_model.He_model.step_exps ~n ~l)
+                (step_exps_of_spans spans)
+            done)
+          test_groups);
+    Alcotest.test_case "HE per-round ops predict direct runs" `Slow (fun () ->
+        (* Outside the fit (n = 3, 4, 5): every ring hop within 5% of the
+           run's, the whole critical path within 2%. *)
+        let l = 16 in
+        let m = Lazy.force he_fit_16 in
+        let rng = Rng.create ~seed:"he-round-ops" in
+        let module G = (val Dl_group.dl_test_64 ()) in
+        let module RT = Runtime.Make (G) in
+        List.iter
+          (fun n ->
+            let st = RT.run rng ~l ~betas:(random_betas rng ~n ~l) in
+            let model =
+              Cost_model.He_model.schedule m ~n ~elem_bytes:G.element_bytes
+                ~scalar_bytes:((Bigint.numbits G.order + 7) / 8)
+                ~mpe_target:m.Cost_model.He_model.mpe_test
+            in
+            let rel a b = abs_float (float_of_int a -. float_of_int b) /. float_of_int b in
+            List.iteri
+              (fun k ((mr : Cost.round), (rr : Cost.round)) ->
+                if k >= 3 && k < n + 3 then
+                  Alcotest.(check bool)
+                    (Printf.sprintf "n=%d hop %d: model %d, run %d" n (k - 3)
+                       mr.Cost.critical_ops rr.Cost.critical_ops)
+                    true
+                    (rel mr.Cost.critical_ops rr.Cost.critical_ops < 0.05))
+              (List.combine model st.RT.schedule);
+            let pred = Cost.total_critical_ops model
+            and run = Cost.total_critical_ops st.RT.schedule in
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d total: model %d, run %d" n pred run)
+              true
+              (rel pred run < 0.02))
+          [ 7; 9 ]);
   ]
 
 let () =

@@ -50,6 +50,13 @@ let topology_tests =
         Alcotest.check_raises "tree minimum"
           (Invalid_argument "Topology.random_connected: too few edges") (fun () ->
             ignore (Topology.random_connected rng ~nodes:10 ~edges:5 ())));
+    Alcotest.test_case "too many edges rejected" `Quick (fun () ->
+        (* 4 nodes have at most 6 edges; 7 must not quietly keep the
+           complete graph. *)
+        ignore (Topology.random_connected rng ~nodes:4 ~edges:6 ());
+        Alcotest.check_raises "complete-graph maximum"
+          (Invalid_argument "Topology.random_connected: too many edges") (fun () ->
+            ignore (Topology.random_connected rng ~nodes:4 ~edges:7 ())));
   ]
 
 (* A 3-node line topology with known link parameters for hand-computed

@@ -93,6 +93,34 @@ let suite (name, g) =
             done
           done
         done);
+    Alcotest.test_case (name ^ ": every input at l = 3, n <= 3, two windows")
+      `Slow (fun () ->
+        (* Every vector of 3-bit betas for n = 2 (64) and n = 3 (512):
+           clear-text ranks, equal betas sharing one, and the
+           stop-and-wait transcript again at window=4. *)
+        let l = 3 in
+        let window = Transport.winspec_of_string "window=4" in
+        List.iter
+          (fun n ->
+            for code = 0 to (1 lsl (l * n)) - 1 do
+              let betas =
+                Array.init n (fun j ->
+                    Bigint.of_int ((code lsr (l * j)) land ((1 lsl l) - 1)))
+              in
+              let run ?window () =
+                RT.run ?window
+                  (Rng.create ~seed:(Printf.sprintf "every-input-%d-%d" n code))
+                  ~l ~betas
+              in
+              let a = run () and b = run ~window () in
+              let want = ranks_of_betas betas in
+              if a.RT.ranks <> want || b.RT.ranks <> want then
+                Alcotest.failf "n=%d code=%d: wrong ranks" n code;
+              if a.RT.transcript_sha <> b.RT.transcript_sha then
+                Alcotest.failf "n=%d code=%d: window=4 changed the transcript" n
+                  code
+            done)
+          [ 2; 3 ]);
     Alcotest.test_case (name ^ ": O(n) rounds") `Quick (fun () ->
         let rounds n =
           List.length (RT.run rng ~l:6 ~betas:(Array.init n Bigint.of_int)).RT.schedule

@@ -302,7 +302,7 @@ let cost_model_tests =
         (* Fixed s: doubling n should roughly double the sharded group
            work (quadratic would quadruple it). *)
         let rng = fresh_rng "shard-linear" in
-        let m = Cost_model.Shard_model.fit ~committee:3 rng ~l:4 in
+        let m = Cost_model.Shard_model.fit rng ~l:4 in
         let at n = Cost_model.Shard_model.predict_sharded_ops m ~n ~shard_size:4 in
         let ratio = at 64 /. at 32 in
         Alcotest.(check bool)
@@ -318,7 +318,7 @@ let cost_model_tests =
            s+1); pricing the merge currency up moves the crossover into
            the interior where the model's two terms genuinely compete. *)
         let sec_per_op = 1.0 and sec_per_field_mult = 2.0 in
-        let m = Cost_model.Shard_model.fit ~committee:3 (fresh_rng "crossfit") ~l in
+        let m = Cost_model.Shard_model.fit (fresh_rng "crossfit") ~l in
         let predicted =
           match
             Cost_model.Shard_model.crossover m ~shard_size ~k ~sec_per_op
