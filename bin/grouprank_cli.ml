@@ -127,13 +127,12 @@ let faults_arg =
 
 let window_arg =
   let doc =
-    "Transport window spec for phase 2, e.g. $(b,window=8,rto=4): \
-     sliding-window size per directed link and retransmission timeout \
-     in ticks (default $(b,window=1,rto=4), stop-and-wait).  The \
-     protocol posts at most one message per link per step, so no link \
-     ever has more than one frame in flight: the transcript, the \
-     recovery counters and the simulated link clock are the same at \
-     every window size.  Prints the recovery report."
+    "Transport link spec for phase 2, e.g. $(b,rto=4): $(b,rto=) sets \
+     the retransmission timeout in simulated ticks (default 4).  \
+     $(b,window=) (1 to 32) is accepted and has no effect: the protocol \
+     posts at most one message per link per step, and each link \
+     delivers its one message attempt by attempt.  Prints the recovery \
+     report."
   in
   let print ppf w = Format.pp_print_string ppf (Transport.winspec_to_string w) in
   Arg.(

@@ -17,8 +17,8 @@
 
     The driver below posts each protocol step's sends with
     {!Transport.post} and delivers them with one {!Transport.flush},
-    whose per-link event loop handles loss, retransmission and the
-    link clock.  The party logic itself is transport-agnostic, and
+    which carries each link's one message through loss, retransmission
+    and the link clock.  The party logic itself is transport-agnostic, and
     completed steps checkpoint so an aborted run can resume (see {!run}
     and {!run_with_restart}). *)
 
@@ -305,11 +305,10 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       faces that seeded schedule and either completes with correct ranks
       or aborts with the typed {!Transport.Party_dropped}.
 
-      [window] sizes each link's sliding window and sets the
-      retransmission timeout; absent, it is stop-and-wait
-      ([window=1,rto=4]).  Every step posts at most one message per
-      link, so the transcript and every counter are the same at any
-      window size.
+      [window] sets the retransmission timeout from its [rto] (default
+      4 ticks).  Its [window] size is accepted and changes nothing:
+      every step posts at most one message per link, and the transport
+      delivers each link's one message on its own (DESIGN.md §5k).
 
       [checkpoint_cb] receives a serialized {!Wire.checkpoint_frame}
       after every completed wire step; [resume] accepts one and restarts
@@ -368,14 +367,15 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       "runtime"
     @@ fun () ->
     let plan = Option.map Ppgr_mpcnet.Faultplan.create faults in
+    let rto = Option.map (fun w -> w.Transport.ws_rto) window in
     let tr =
       match ck with
       | None ->
-          Transport.create ?faults:plan ~retry_budget ?flight_cap ?window
-            ~kill_after ~n ()
+          Transport.create ?faults:plan ~retry_budget ?flight_cap ?rto ~kill_after
+            ~n ()
       | Some c ->
-          Transport.restore ?faults:plan ~retry_budget ?flight_cap ?window
-            ~kill_after c.Wire.ck_snap
+          Transport.restore ?faults:plan ~retry_budget ?flight_cap ?rto ~kill_after
+            c.Wire.ck_snap
     in
     let bytes_total =
       ref (match ck with None -> 0 | Some c -> c.Wire.ck_bytes_total)

@@ -275,18 +275,9 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       (["shard-<i>"]), so transcripts are byte-identical at any job
       count and the global digest chains the per-shard digests in a
       fixed order.  Per-shard sessions are cached by shard size, so the
-      label preformatting runs once per distinct size.
-
-      [faults]/[window] thread straight into every shard's transport
-      (each shard draws its own seeded schedule from its own stream).
-      [restarts] above 0 supervises each shard with
-      {!Runtime.run_with_restart}: a shard aborted by
-      {!Transport.Party_dropped} resumes from its last checkpoint up to
-      [restarts] times, then re-elects its ring without the dead member
-      — who learns no rank and never represents the shard in the
-      merge. *)
-  let run ?(shard_size = 16) ?(committee = 5) ?(k = 10) ?faults ?window
-      ?(restarts = 0) rng ~l ~(betas : Bigint.t array) : result =
+      label preformatting runs once per distinct size. *)
+  let run ?(shard_size = 16) ?(committee = 5) ?(k = 10) rng ~l
+      ~(betas : Bigint.t array) : result =
     let n = Array.length betas in
     let k = Stdlib.min k n in
     let plan = make_plan rng ~n ~shard_size in
@@ -332,31 +323,8 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
             else begin
               let sub = Array.map (fun p -> betas.(p)) ms in
               let session = session_for size in
-              let st, dead =
-                if restarts = 0 then
-                  ( R.run ?faults ?window ~session ~shard:i shard_rng ~l
-                      ~betas:sub,
-                    None )
-                else begin
-                  let rc =
-                    R.run_with_restart ?faults ?window ~max_restarts:restarts
-                      ~session ~shard:i shard_rng ~l ~betas:sub
-                  in
-                  (rc.R.rec_stats, rc.R.rec_reelected)
-                end
-              in
-              (match dead with
-              | None ->
-                  Array.iteri (fun j p -> local_ranks.(p) <- st.R.ranks.(j)) ms
-              | Some d ->
-                  (* The dead member learns no rank and never
-                     represents a re-elected shard in the merge. *)
-                  local_ranks.(ms.(d)) <- size + 1;
-                  Array.iteri
-                    (fun j' rank ->
-                      let j = if j' < d then j' else j' + 1 in
-                      local_ranks.(ms.(j)) <- rank)
-                    st.R.ranks);
+              let st = R.run ~session ~shard:i shard_rng ~l ~betas:sub in
+              Array.iteri (fun j p -> local_ranks.(p) <- st.R.ranks.(j)) ms;
               shard_scheds.(i) <- st.R.net_rounds;
               (st.R.transcript_sha, st.R.bytes_on_wire)
             end

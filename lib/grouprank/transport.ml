@@ -23,11 +23,14 @@
     a {!Ppgr_mpcnet.Netsim.schedule} round per protocol step), and
     folded into a running transcript digest.
 
+    Each protocol step posts at most one message per directed link, so
+    {!flush} delivers each link's one message with {!deliver}, a loop
+    over its attempts.
+
     Determinism: the fault schedule is keyed by (link, attempt), the
     protocol bytes are identical at any job count, and {!flush} walks
-    links in a fixed order with event ties broken on insertion order,
-    so the physical transcript — and hence the digest — is
-    byte-identical at [jobs=1] and [jobs=k]. *)
+    links in (src, dst) order, so the physical transcript — and hence
+    the digest — is byte-identical at [jobs=1] and [jobs=k]. *)
 
 open Ppgr_mpcnet
 module Trace = Ppgr_obs.Trace
@@ -78,21 +81,21 @@ type stats = {
          timeouts and injected delays included *)
 }
 
-(** {1 Window configuration}
+(** {1 Link configuration}
 
-    A [Faultplan.spec]-style grammar for the per-link sliding window:
-    ["window=8,rto=4"] sets a window of 8 in-flight sequences on every
-    directed link and a retransmission timeout of 4 simulated ticks.
-    The default, [window=1,rto=4], is stop-and-wait.  The protocol
-    posts at most one message per link per flush, so every window size
-    gives the same transcript and the same counters. *)
+    A [Faultplan.spec]-style grammar: ["rto=4"] sets the retransmission
+    timeout, in simulated ticks, of every directed link (default 4).
+    The [window] key is parsed and range-checked to [1..max_window]
+    but changes nothing: each protocol step posts at most one message
+    per link, so a link never has a second frame to put in flight
+    (DESIGN.md §5k). *)
 
 type winspec = {
-  ws_window : int; (* in-flight cap per directed link, >= 1 *)
+  ws_window : int; (* accepted for compatibility; no engine code reads it *)
   ws_rto : int; (* retransmission timeout, simulated ticks *)
 }
 
-(* The selective-ack bitmap is 32 bits, so a window never exceeds 32. *)
+(* The accepted range of the [window] key is 1..[max_window]. *)
 let max_window = 32
 
 let winspec_default = { ws_window = 1; ws_rto = 4 }
@@ -130,151 +133,6 @@ let winspec_of_string s =
   List.fold_left parse_field winspec_default fields
 
 let winspec_to_string ws = Printf.sprintf "window=%d,rto=%d" ws.ws_window ws.ws_rto
-
-(** {1 Sliding-window bookkeeping}
-
-    Fixed-capacity per-directed-link state, preallocated at transport
-    creation as parallel [int] arrays: sender-side in-flight slots
-    (sequence, retransmission timer, attempt count, selective-ack mark)
-    and receiver-side out-of-order buffer slots.  Every operation below
-    is straight array arithmetic — zero allocation per call, pinned in
-    [test_allocs] — because the event loop runs them once per
-    transmission and once per ack. *)
-module Window = struct
-  type w = {
-    cap : int;
-    seq : int array; (* in-flight sequence per slot; -1 = free *)
-    timer : int array; (* absolute retransmission-timeout tick *)
-    attempts : int array; (* transmissions so far *)
-    sacked : int array; (* 1 = selectively acked: buffered at receiver *)
-    rseq : int array; (* receiver buffer: out-of-order seq held; -1 = free *)
-    rpay : Bytes.t array; (* receiver buffer: the held payload *)
-  }
-
-  let no_payload = Bytes.create 0
-
-  let create cap =
-    if cap < 1 || cap > max_window then invalid_arg "Window.create: bad capacity";
-    {
-      cap;
-      seq = Array.make cap (-1);
-      timer = Array.make cap max_int;
-      attempts = Array.make cap 0;
-      sacked = Array.make cap 0;
-      rseq = Array.make cap (-1);
-      rpay = Array.make cap no_payload;
-    }
-
-  (** Sender-side in-flight count. *)
-  let occupancy w =
-    let c = ref 0 in
-    for i = 0 to w.cap - 1 do
-      if w.seq.(i) >= 0 then incr c
-    done;
-    !c
-
-  (** Admit a new in-flight sequence.  Returns its slot, or -1 when the
-      window is full (the caller must wait for an ack). *)
-  let push w ~seq =
-    let slot = ref (-1) in
-    for i = w.cap - 1 downto 0 do
-      if w.seq.(i) < 0 then slot := i
-    done;
-    if !slot >= 0 then begin
-      let s = !slot in
-      w.seq.(s) <- seq;
-      w.timer.(s) <- max_int;
-      w.attempts.(s) <- 1;
-      w.sacked.(s) <- 0
-    end;
-    !slot
-
-  let slot_of_seq w seq =
-    let slot = ref (-1) in
-    for i = 0 to w.cap - 1 do
-      if w.seq.(i) = seq then slot := i
-    done;
-    !slot
-
-  (** Cumulative ack: release every slot below [cum]. *)
-  let ack_cum w ~cum =
-    for i = 0 to w.cap - 1 do
-      if w.seq.(i) >= 0 && w.seq.(i) < cum then begin
-        w.seq.(i) <- -1;
-        w.timer.(i) <- max_int;
-        w.sacked.(i) <- 0
-      end
-    done
-
-  (** Selective ack: the receiver buffered [seq] out of order — disarm
-      its retransmission timer but keep the slot occupied until the
-      cumulative ack passes it. *)
-  let sack w ~seq =
-    let s = slot_of_seq w seq in
-    if s >= 0 then begin
-      w.sacked.(s) <- 1;
-      w.timer.(s) <- max_int
-    end
-
-  (** Slot of the earliest armed retransmission timer, or -1. *)
-  let next_timer w =
-    let best = ref (-1) in
-    let bt = ref max_int in
-    for i = 0 to w.cap - 1 do
-      if w.seq.(i) >= 0 && w.sacked.(i) = 0 && w.timer.(i) < !bt then begin
-        bt := w.timer.(i);
-        best := i
-      end
-    done;
-    !best
-
-  let slot_of_rseq w seq =
-    let slot = ref (-1) in
-    for i = 0 to w.cap - 1 do
-      if w.rseq.(i) = seq then slot := i
-    done;
-    !slot
-
-  (** Receiver side: buffer an out-of-order payload.  Idempotent per
-      sequence. Returns false when the buffer has no free slot (cannot
-      happen while the sender respects the same window). *)
-  let rbuf_put w ~seq payload =
-    if slot_of_rseq w seq >= 0 then true
-    else begin
-      let slot = ref (-1) in
-      for i = w.cap - 1 downto 0 do
-        if w.rseq.(i) < 0 then slot := i
-      done;
-      if !slot < 0 then false
-      else begin
-        w.rseq.(!slot) <- seq;
-        w.rpay.(!slot) <- payload;
-        true
-      end
-    end
-
-  (** Receiver side: take the buffered payload for [seq], freeing its
-      slot. *)
-  let rbuf_take w ~seq =
-    let s = slot_of_rseq w seq in
-    if s < 0 then None
-    else begin
-      let p = w.rpay.(s) in
-      w.rseq.(s) <- -1;
-      w.rpay.(s) <- no_payload;
-      Some p
-    end
-
-  (** Selective-ack bitmap for everything buffered above [cum]: bit [j]
-      set means sequence [cum + 1 + j] is held. *)
-  let sack_bits w ~cum =
-    let bits = ref 0 in
-    for i = 0 to w.cap - 1 do
-      let s = w.rseq.(i) in
-      if s > cum && s - cum - 1 < 32 then bits := !bits lor (1 lsl (s - cum - 1))
-    done;
-    !bits
-end
 
 (** One entry of the causal ledger: a delivered message's identity
     [(src, dst, seq)] with the wall-clock times, open span ids and
@@ -324,7 +182,6 @@ type t = {
   faults : Faultplan.t option;
   retry_budget : int; (* retransmissions allowed per message *)
   rto : int; (* retransmission timeout per attempt, simulated ticks *)
-  wins : Window.w array array; (* per-directed-link sliding windows *)
   mutable kill_after : int; (* abort injection: -1 disabled *)
   send_seq : int array array; (* next seq to assign, per (src, dst) *)
   recv_seq : int array array; (* next seq expected, per (src, dst) *)
@@ -352,15 +209,12 @@ type t = {
 let recent_cap = 32
 
 let create ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity)
-    ?window ?(kill_after = -1) ~n () =
-  let ws = Option.value ~default:winspec_default window in
+    ?(rto = winspec_default.ws_rto) ?(kill_after = -1) ~n () =
   {
     n;
     faults;
     retry_budget;
-    rto = ws.ws_rto;
-    wins =
-      Array.init n (fun _ -> Array.init n (fun _ -> Window.create ws.ws_window));
+    rto;
     kill_after;
     send_seq = Array.make_matrix n n 0;
     recv_seq = Array.make_matrix n n 0;
@@ -553,21 +407,16 @@ let retry_span t ~kind ~src ~dst ~seq ~attempt =
 
     {!post} enqueues a message; {!flush} delivers everything posted
     since the last flush and returns the accepted payloads indexed by
-    ticket.  Each directed link runs a deterministic discrete-event
-    simulation: up to [window] sequences in flight, transmissions
-    serialized on the link at one tick each, arrivals after one tick
-    (plus any injected delay), a fixed [rto]-tick retransmission
-    timeout per attempt, and cumulative + selective acks from the
-    receiver.  Stop-and-wait is the [window=1] case.  Links are
-    independent, so a flush's simulated elapsed time is its {e slowest
-    link}, which {!stats}' [sim_ticks] accumulates.
-
-    Determinism: fault draws stay keyed per (link, attempt) in per-link
-    sequential order, links are processed in a fixed order, and event
-    ties break on insertion order — the transcript digest is a pure
-    function of seed and spec at any job count.  Each protocol step
-    posts at most one message per directed link, so no link ever holds
-    more than one frame in flight and the window size changes nothing.
+    ticket.  Each protocol step posts at most one message per directed
+    link, so a flush is one {!deliver} per link: a loop over the
+    attempts of that link's one message.  Attempt [k] leaves at tick
+    [k·(1+rto)] and spends one tick on the wire.  A Deliver is accepted
+    one tick later, a Delay [d] after [1+d]; a Duplicate is accepted
+    after one tick and its second copy keeps the link busy one tick
+    more.  A Drop, Corrupt or Reorder costs one [rto] timer, then the
+    next attempt.  Links are independent, so a flush's simulated
+    elapsed time is its {e slowest link}, which {!stats}' [sim_ticks]
+    accumulates.
 
     Acks are control-plane traffic on a clean reverse channel: counted
     in [acks_sent]/[ack_bytes], never faulted, and kept off the data
@@ -596,136 +445,54 @@ let post t ~src ~dst (payload : Bytes.t) =
     :: t.posted;
   ticket
 
-(* Deterministic discrete-event delivery of one link's posted batch
-   under its sliding window.  [batch] is in post (= sequence) order;
-   accepted payloads land in [out] at the same indices.  Returns the
-   link-local elapsed ticks. *)
-let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
-  let w = t.wins.(src).(dst) in
-  let k = Array.length batch in
-  let seq0 = batch.(0).pd_seq in
-  let envs =
-    Array.map
-      (fun p -> Wire.encode_envelope ~src ~dst ~seq:p.pd_seq p.pd_payload)
-      batch
+(* Deliver one posted message: attempt after attempt until the receiver
+   accepts a copy or the retry budget is spent.  Returns the accepted
+   payload and the link's elapsed ticks. *)
+let deliver t (p : pending) =
+  let src = p.pd_src and dst = p.pd_dst and seq = p.pd_seq in
+  let env = Wire.encode_envelope ~src ~dst ~seq p.pd_payload in
+  let send bytes = transmit t ~src ~dst ~seq bytes in
+  (* The receiver: the payload of a copy that carries the expected
+     sequence number, [None] for any other copy.  A copy that fails its
+     CRC, or names another link, is refused as a CRC reject; a copy
+     below the expected sequence is a suppressed duplicate.  A copy
+     ahead of it cannot come from this link's sender. *)
+  let receive (bytes : Bytes.t) =
+    match Wire.decode_envelope bytes with
+    | exception Wire.Malformed _ ->
+        t.st.crc_rejects <- t.st.crc_rejects + 1;
+        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
+          ~seq:(-1) ~info:(Bytes.length bytes);
+        None
+    | env when env.Wire.env_src <> src || env.Wire.env_dst <> dst ->
+        t.st.crc_rejects <- t.st.crc_rejects + 1;
+        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
+          ~seq:env.Wire.env_seq ~info:(Bytes.length bytes);
+        None
+    | env ->
+        let expected = t.recv_seq.(src).(dst) in
+        let got = env.Wire.env_seq in
+        if got < expected then begin
+          t.st.dup_suppressed <- t.st.dup_suppressed + 1;
+          None
+        end
+        else if got = expected then Some env.Wire.env_payload
+        else
+          Wire.fail "sequence %d ahead of the expected %d on link %d->%d" got
+            expected src dst
   in
-  let events_log = Array.make k [] in
-  let accepted = ref 0 in
-  let next_tx = ref 0 in
-  let wire_free = ref 0 in
-  let time = ref 0 in
-  let finish_time = ref 0 in
-  let serial = ref 0 in
-  (* Reordered envelopes held back on this link, newest first.  Each is
-     a copy of a message not yet accepted, so the accept that completes
-     the batch has flushed them all: limbo never outlives its flush. *)
-  let limbo = ref [] in
-  (* Pending arrivals (time, insertion serial, wire bytes), kept
-     sorted; ties break on insertion order. *)
-  let arrivals = ref [] in
-  let add_arrival at bytes =
-    incr serial;
-    let s = !serial in
-    let e = (at, s, bytes) in
-    let rec ins = function
-      | ((t0, s0, _) as h) :: tl when t0 < at || (t0 = at && s0 < s) -> h :: ins tl
-      | rest -> e :: rest
-    in
-    arrivals := ins !arrivals
-  in
-  (* One delivery attempt of batch index [idx] (window slot [slot]) no
-     earlier than [at]; transmissions serialize on the link wire at one
-     tick each. *)
-  let transmit_attempt slot idx ~at =
-    let seq = batch.(idx).pd_seq in
-    let attempt = w.Window.attempts.(slot) - 1 in
-    (* Deterministic abort injection for the restart battery: once the
-       physical transmission count reaches [kill_after], the next
-       attempt raises {!Party_dropped} instead of touching the wire. *)
-    if t.kill_after >= 0 && t.st.phys_messages >= t.kill_after then
-      raise
-        (party_dropped t ~src ~dst ~seq ~attempts:attempt
-           ("killed" :: events_log.(idx)));
-    let tx = Stdlib.max at !wire_free in
-    wire_free := tx + 1;
-    let send_copy bytes ~arrive =
-      transmit t ~src ~dst ~seq bytes;
-      add_arrival arrive bytes
-    in
-    let fault kind event =
-      retry_span t ~kind ~src ~dst ~seq ~attempt;
-      events_log.(idx) <- event :: events_log.(idx)
-    in
-    let delay =
-      match draw_fault t ~src ~dst with
-      | Faultplan.Deliver ->
-          send_copy envs.(idx) ~arrive:(tx + 1);
-          0
-      | Faultplan.Drop ->
-          t.st.drops <- t.st.drops + 1;
-          fault "drop" "drop";
-          0
-      | Faultplan.Corrupt c ->
-          (* The damaged copy occupies the wire; the receiver's CRC
-             check turns it into a loss the sender times out on. *)
-          send_copy (Faultplan.apply_corruption c envs.(idx)) ~arrive:(tx + 1);
-          fault "corrupt" "corrupt";
-          0
-      | Faultplan.Duplicate ->
-          (* The second copy follows on the wire and arrives stale. *)
-          send_copy envs.(idx) ~arrive:(tx + 1);
-          wire_free := tx + 2;
-          send_copy envs.(idx) ~arrive:(tx + 2);
-          fault "duplicate" "duplicate";
-          0
-      | Faultplan.Reorder ->
-          (* Held in link limbo until the next accept on this link,
-             where it arrives stale; for the sender it is a timeout. *)
-          t.st.reorders <- t.st.reorders + 1;
-          limbo := envs.(idx) :: !limbo;
-          fault "reorder" "reorder";
-          0
-      | Faultplan.Delay d ->
-          t.st.delays <- t.st.delays + 1;
-          send_copy envs.(idx) ~arrive:(tx + 1 + d);
-          fault "delay" (Printf.sprintf "delay:%d" d);
-          d
-    in
-    (* The timer arms from the attempt's expected arrival; an injected
-       delay extends it, so delays cost link-clock ticks but never
-       provoke a retransmission. *)
-    w.Window.timer.(slot) <- tx + 1 + delay + t.rto
-  in
-  let send_ack () =
-    let cum = t.recv_seq.(src).(dst) in
-    let bits = Window.sack_bits w ~cum in
-    let frame =
-      Wire.encode_ack
-        { Wire.ack_src = dst; ack_dst = src; ack_cum = cum; ack_sack = bits }
-    in
-    t.st.acks_sent <- t.st.acks_sent + 1;
-    t.st.ack_bytes <- t.st.ack_bytes + Bytes.length frame;
-    (* Control-plane delivery is immediate and fault-free (a clean
-       reverse channel keeps retransmits = injected faults); the codec
-       round-trips on every ack all the same. *)
-    let a = Wire.decode_ack frame in
-    Window.ack_cum w ~cum:a.Wire.ack_cum;
-    for j = 0 to 31 do
-      if a.Wire.ack_sack land (1 lsl j) <> 0 then
-        Window.sack w ~seq:(a.Wire.ack_cum + 1 + j)
-    done
-  in
-  let accept seq payload =
-    out.(seq - seq0) <- payload;
-    incr accepted;
+  let events = ref [] in (* per-attempt fault outcomes, newest first *)
+  (* Reordered copies held back on the link, newest first.  They arrive,
+     stale, right after the accept, or vanish with a Party_dropped. *)
+  let held = ref [] in
+  let accept payload =
     t.recv_seq.(src).(dst) <- seq + 1;
     Flightrec.record t.flight ~party:dst Flightrec.Receive ~src ~dst ~seq
       ~info:(Bytes.length payload);
     (* Causal-ledger accept endpoint: after every retransmission the
        fault schedule demanded, so the arrow's extent is the message's
        true delivery latency. *)
-    if Trace.enabled () then begin
-      let p = batch.(seq - seq0) in
+    if Trace.enabled () then
       t.flows_rev <-
         {
           fl_src = src;
@@ -740,149 +507,137 @@ let run_link t ~src ~dst (batch : pending array) (out : Bytes.t array) =
           fl_send_slot = p.pd_send_slot;
           fl_recv_slot = Ppgr_exec.Meter.slot ();
         }
-        :: t.flows_rev
-    end
+        :: t.flows_rev;
+    let ack =
+      Wire.encode_ack { Wire.ack_src = dst; ack_dst = src; ack_cum = seq + 1 }
+    in
+    t.st.acks_sent <- t.st.acks_sent + 1;
+    t.st.ack_bytes <- t.st.ack_bytes + Bytes.length ack;
+    List.iter
+      (fun copy ->
+        transmit t ~src ~dst ~seq:(-1) copy;
+        ignore (receive copy))
+      (List.rev !held)
   in
-  (* The receiver: validate the envelope, suppress stale sequence
-     numbers, accept in order, buffer within the window. *)
-  let rec process_arrival at bytes =
-    match Wire.decode_envelope bytes with
-    | exception Wire.Malformed _ ->
-        t.st.crc_rejects <- t.st.crc_rejects + 1;
-        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
-          ~seq:(-1) ~info:(Bytes.length bytes)
-    | env when env.Wire.env_src <> src || env.Wire.env_dst <> dst ->
-        (* A CRC-valid envelope on the wrong link: misrouted; refuse. *)
-        t.st.crc_rejects <- t.st.crc_rejects + 1;
-        Flightrec.record t.flight ~party:dst Flightrec.Crc_reject ~src ~dst
-          ~seq:env.Wire.env_seq ~info:(Bytes.length bytes)
-    | env ->
-        let expected = t.recv_seq.(src).(dst) in
-        let seq = env.Wire.env_seq in
-        if seq < expected then t.st.dup_suppressed <- t.st.dup_suppressed + 1
-        else if seq = expected then begin
-          accept seq env.Wire.env_payload;
-          (* Drain any buffered successors the gap was holding back. *)
-          let rec drain_rbuf () =
-            let nxt = t.recv_seq.(src).(dst) in
-            match Window.rbuf_take w ~seq:nxt with
-            | Some p ->
-                accept nxt p;
-                drain_rbuf ()
-            | None -> ()
-          in
-          drain_rbuf ();
-          if at > !finish_time then finish_time := at;
-          send_ack ();
-          (* Held reordered copies arrive once something has made it
-             through the link. *)
-          let held = List.rev !limbo in
-          limbo := [];
-          List.iter
-            (fun env ->
-              transmit t ~src ~dst ~seq:(-1) env;
-              process_arrival at env)
-            held
-        end
-        else if seq < expected + w.Window.cap then begin
-          (* Out of order but in window: buffer and selectively ack. *)
-          if Window.slot_of_rseq w seq >= 0 then
-            t.st.dup_suppressed <- t.st.dup_suppressed + 1
-          else begin
-            ignore (Window.rbuf_put w ~seq env.Wire.env_payload);
-            send_ack ()
-          end
-        end
-        else
-          raise
-            (Wire.Malformed
-               (Printf.sprintf
-                  "sequence %d beyond the receive window on link %d->%d \
-                   (expected %d, window %d)"
-                  seq src dst expected w.Window.cap))
+  let rec attempt k =
+    (* Deterministic abort injection for the restart battery: once the
+       physical transmission count reaches [kill_after], the next
+       attempt raises {!Party_dropped} instead of touching the wire. *)
+    if t.kill_after >= 0 && t.st.phys_messages >= t.kill_after then
+      raise (party_dropped t ~src ~dst ~seq ~attempts:k ("killed" :: !events));
+    let fault kind event =
+      retry_span t ~kind ~src ~dst ~seq ~attempt:k;
+      events := event :: !events
+    in
+    (* The copies that reach the receiver, in arrival order, and the
+       ticks after departure at which the link goes idle if one of
+       them is accepted. *)
+    let copies, busy =
+      match draw_fault t ~src ~dst with
+      | Faultplan.Deliver ->
+          send env;
+          ([ env ], 1)
+      | Faultplan.Duplicate ->
+          (* The second copy follows on the wire and arrives stale. *)
+          send env;
+          send env;
+          fault "duplicate" "duplicate";
+          ([ env; env ], 2)
+      | Faultplan.Delay d ->
+          t.st.delays <- t.st.delays + 1;
+          send env;
+          fault "delay" (Printf.sprintf "delay:%d" d);
+          ([ env ], 1 + d)
+      | Faultplan.Corrupt c ->
+          (* The damaged copy occupies the wire; the receiver's CRC
+             check turns it into a loss the sender times out on. *)
+          let bad = Faultplan.apply_corruption c env in
+          send bad;
+          fault "corrupt" "corrupt";
+          ([ bad ], 1)
+      | Faultplan.Drop ->
+          t.st.drops <- t.st.drops + 1;
+          fault "drop" "drop";
+          ([], 1)
+      | Faultplan.Reorder ->
+          (* Held in link limbo until the accept; for the sender it is
+             a timeout. *)
+          t.st.reorders <- t.st.reorders + 1;
+          held := env :: !held;
+          fault "reorder" "reorder";
+          ([], 1)
+    in
+    let accepted =
+      List.fold_left
+        (fun got copy ->
+          match receive copy with
+          | Some payload ->
+              accept payload;
+              Some payload
+          | None -> got)
+        None copies
+    in
+    match accepted with
+    | Some payload -> (payload, (k * (1 + t.rto)) + busy)
+    | None -> timeout k
+  and timeout k =
+    let attempts = k + 1 in
+    if attempts > t.retry_budget then begin
+      if Trace.enabled () then
+        Trace.instant
+          ~attrs:
+            [
+              ("party", Trace.Int src);
+              ("src", Trace.Int src);
+              ("dst", Trace.Int dst);
+              ("seq", Trace.Int seq);
+              ("attempts", Trace.Int attempts);
+              ("step", Trace.Str t.step);
+            ]
+          "runtime.party_dropped";
+      raise (party_dropped t ~src ~dst ~seq ~attempts !events)
+    end;
+    t.st.retransmits <- t.st.retransmits + 1;
+    t.retrans_by_src.(src) <- t.retrans_by_src.(src) + 1;
+    t.link_retrans.(src).(dst) <- t.link_retrans.(src).(dst) + 1;
+    t.st.backoff_ticks <- t.st.backoff_ticks + t.rto;
+    Hist.record Hist.backoff_ticks t.rto;
+    Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst ~seq
+      ~info:attempts;
+    attempt (k + 1)
   in
-  while !accepted < k do
-    (* Admit first transmissions while the window has room. *)
-    let admitting = ref true in
-    while !admitting && !next_tx < k do
-      let idx = !next_tx in
-      let slot = Window.push w ~seq:batch.(idx).pd_seq in
-      if slot < 0 then admitting := false
-      else begin
-        incr next_tx;
-        Hist.record Hist.window_occupancy (Window.occupancy w);
-        transmit_attempt slot idx ~at:!time
-      end
-    done;
-    (* Earliest event: a pending arrival or an armed timer. *)
-    let ta = match !arrivals with [] -> max_int | (t0, _, _) :: _ -> t0 in
-    let tslot = Window.next_timer w in
-    let tt = if tslot < 0 then max_int else w.Window.timer.(tslot) in
-    if ta = max_int && tt = max_int then
-      failwith "Transport.flush: delivery engine stalled"
-    else if ta <= tt then begin
-      match !arrivals with
-      | [] -> assert false
-      | (at, _, bytes) :: tl ->
-          arrivals := tl;
-          if at > !time then time := at;
-          process_arrival at bytes
-    end
-    else begin
-      (* Retransmission timeout: selective retransmit of that slot. *)
-      time := tt;
-      let idx = w.Window.seq.(tslot) - seq0 in
-      let seq = batch.(idx).pd_seq in
-      let attempts = w.Window.attempts.(tslot) in
-      if attempts > t.retry_budget then begin
-        if Trace.enabled () then
-          Trace.instant
-            ~attrs:
-              [
-                ("party", Trace.Int src);
-                ("src", Trace.Int src);
-                ("dst", Trace.Int dst);
-                ("seq", Trace.Int seq);
-                ("attempts", Trace.Int attempts);
-                ("step", Trace.Str t.step);
-              ]
-            "runtime.party_dropped";
-        raise (party_dropped t ~src ~dst ~seq ~attempts events_log.(idx))
-      end;
-      t.st.retransmits <- t.st.retransmits + 1;
-      t.retrans_by_src.(src) <- t.retrans_by_src.(src) + 1;
-      t.link_retrans.(src).(dst) <- t.link_retrans.(src).(dst) + 1;
-      t.st.backoff_ticks <- t.st.backoff_ticks + t.rto;
-      Hist.record Hist.backoff_ticks t.rto;
-      Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst ~seq
-        ~info:attempts;
-      w.Window.attempts.(tslot) <- attempts + 1;
-      transmit_attempt tslot idx ~at:!time
-    end
-  done;
-  assert (!limbo = []);
-  Stdlib.max !wire_free !finish_time
+  attempt 0
 
 (** Deliver everything posted since the last flush; the result array is
     indexed by ticket.  A flush's simulated elapsed time is the maximum
-    over its links (they run concurrently), added to [sim_ticks]. *)
+    over its links (they run concurrently), added to [sim_ticks].
+    @raise Invalid_argument if two messages were posted on one directed
+    link, before delivering any. *)
 let flush t =
-  let out = Array.make t.posted_n Window.no_payload in
-  let posted = List.rev t.posted in
+  let by_link a b =
+    match Int.compare a.pd_src b.pd_src with
+    | 0 -> Int.compare a.pd_dst b.pd_dst
+    | c -> c
+  in
+  let posted = List.sort by_link t.posted in
+  let rec one_per_link = function
+    | a :: (b :: _ as tl) ->
+        if by_link a b = 0 then
+          invalid_arg
+            (Printf.sprintf "Transport.flush: two messages posted on link %d->%d"
+               a.pd_src a.pd_dst);
+        one_per_link tl
+    | _ -> ()
+  in
+  one_per_link posted;
+  let out = Array.make t.posted_n Bytes.empty in
   let step_elapsed = ref 0 in
-  for src = 0 to t.n - 1 do
-    for dst = 0 to t.n - 1 do
-      let batch =
-        Array.of_list (List.filter (fun p -> p.pd_src = src && p.pd_dst = dst) posted)
-      in
-      if Array.length batch > 0 then begin
-        let lout = Array.make (Array.length batch) Window.no_payload in
-        let elapsed = run_link t ~src ~dst batch lout in
-        Array.iteri (fun i p -> out.(p.pd_ticket) <- Bytes.copy lout.(i)) batch;
-        if elapsed > !step_elapsed then step_elapsed := elapsed
-      end
-    done
-  done;
+  List.iter
+    (fun p ->
+      let payload, elapsed = deliver t p in
+      out.(p.pd_ticket) <- payload;
+      if elapsed > !step_elapsed then step_elapsed := elapsed)
+    posted;
   t.st.sim_ticks <- t.st.sim_ticks + !step_elapsed;
   t.posted <- [];
   t.posted_n <- 0;
@@ -940,9 +695,9 @@ let persist t : Wire.transport_snap =
   }
 
 let restore ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity)
-    ?window ?(kill_after = -1) (snap : Wire.transport_snap) =
+    ?rto ?(kill_after = -1) (snap : Wire.transport_snap) =
   let n = snap.Wire.ts_n in
-  let t = create ?faults ~retry_budget ~flight_cap ?window ~kill_after ~n () in
+  let t = create ?faults ~retry_budget ~flight_cap ?rto ~kill_after ~n () in
   let copy_mat dst src = Array.iteri (fun i row -> Array.blit src.(i) 0 row 0 n) dst in
   copy_mat t.send_seq snap.Wire.ts_send_seq;
   copy_mat t.recv_seq snap.Wire.ts_recv_seq;

@@ -120,6 +120,31 @@ let crc32 ?(pos = 0) ?len (data : Bytes.t) =
   done;
   !c lxor 0xFFFFFFFF
 
+(* The CRC-32 trailer every envelope, ack and checkpoint carries: the
+   CRC covers every byte before it and is checked before any length
+   field is trusted, so a corrupted length prefix cannot steer a
+   parse. *)
+let append_crc body =
+  let blen = Bytes.length body in
+  let out = Bytes.create (blen + 4) in
+  Bytes.blit body 0 out 0 blen;
+  let crc = crc32 body in
+  Bytes.set out blen (Char.chr ((crc lsr 24) land 0xFF));
+  Bytes.set out (blen + 1) (Char.chr ((crc lsr 16) land 0xFF));
+  Bytes.set out (blen + 2) (Char.chr ((crc lsr 8) land 0xFF));
+  Bytes.set out (blen + 3) (Char.chr (crc land 0xFF));
+  out
+
+let check_crc ~what ~min_len data =
+  let total = Bytes.length data in
+  if total < min_len then fail "%s shorter than its fixed fields" what;
+  let stored =
+    let g i = Char.code (Bytes.get data (total - 4 + i)) in
+    (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
+  in
+  if crc32 ~pos:0 ~len:(total - 4) data <> stored then fail "%s CRC mismatch" what;
+  R.of_bytes (Bytes.sub data 0 (total - 4))
+
 (** {1 Transport envelope}
 
     Every runtime message travels inside an envelope: a sequence number
@@ -144,28 +169,10 @@ let encode_envelope ~src ~dst ~seq (payload : Bytes.t) =
   W.u16 b dst;
   W.u32 b seq;
   W.blob b payload;
-  let body = W.contents b in
-  let out = Bytes.create (Bytes.length body + 4) in
-  Bytes.blit body 0 out 0 (Bytes.length body);
-  let crc = crc32 body in
-  Bytes.set out (Bytes.length body) (Char.chr ((crc lsr 24) land 0xFF));
-  Bytes.set out (Bytes.length body + 1) (Char.chr ((crc lsr 16) land 0xFF));
-  Bytes.set out (Bytes.length body + 2) (Char.chr ((crc lsr 8) land 0xFF));
-  Bytes.set out (Bytes.length body + 3) (Char.chr (crc land 0xFF));
-  out
+  append_crc (W.contents b)
 
 let decode_envelope data =
-  let total = Bytes.length data in
-  if total < 18 then fail "envelope shorter than its fixed fields";
-  (* Check the CRC before trusting any length field: a corrupted length
-     prefix must not steer the parse. *)
-  let stored =
-    let g i = Char.code (Bytes.get data (total - 4 + i)) in
-    (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-  in
-  if crc32 ~pos:0 ~len:(total - 4) data <> stored then
-    fail "envelope CRC mismatch";
-  let r = R.of_bytes (Bytes.sub data 0 (total - 4)) in
+  let r = check_crc ~what:"envelope" ~min_len:18 data in
   if R.u8 r <> tag_envelope then fail "bad tag for envelope";
   let env_src = R.u16 r in
   let env_dst = R.u16 r in
@@ -228,42 +235,15 @@ let hop_frame_bytes payload_sizes =
     count + two elements per ciphertext. *)
 let cipher_batch_bytes ~elem_bytes k = 1 + 4 + (k * 2 * elem_bytes)
 
-(* Shared CRC-32 trailer discipline for the control-plane frames below:
-   the CRC covers every byte before it and is checked before any length
-   field is trusted, exactly like {!decode_envelope}. *)
-let append_crc body =
-  let blen = Bytes.length body in
-  let out = Bytes.create (blen + 4) in
-  Bytes.blit body 0 out 0 blen;
-  let crc = crc32 body in
-  Bytes.set out blen (Char.chr ((crc lsr 24) land 0xFF));
-  Bytes.set out (blen + 1) (Char.chr ((crc lsr 16) land 0xFF));
-  Bytes.set out (blen + 2) (Char.chr ((crc lsr 8) land 0xFF));
-  Bytes.set out (blen + 3) (Char.chr (crc land 0xFF));
-  out
-
-let check_crc ~what ~min_len data =
-  let total = Bytes.length data in
-  if total < min_len then fail "%s shorter than its fixed fields" what;
-  let stored =
-    let g i = Char.code (Bytes.get data (total - 4 + i)) in
-    (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-  in
-  if crc32 ~pos:0 ~len:(total - 4) data <> stored then fail "%s CRC mismatch" what;
-  R.of_bytes (Bytes.sub data 0 (total - 4))
-
 (** {1 Ack frames}
 
-    The windowed transport's cumulative acknowledgements.  [ack_cum] is
-    the receiver's next expected sequence number on the directed link
-    [(ack_src, ack_dst)] — everything below it has been accepted —
-    and [ack_sack] is a 32-bit selective-ack bitmap: bit [j] set means
-    sequence [ack_cum + 1 + j] was received out of order and is
-    buffered (so the sender must not retransmit it).  Acks travel the
-    reverse link under the same CRC-32 envelope discipline as data:
-    [tag(1) | src u16 | dst u16 | cum u32 | sack u32 | crc u32]. *)
+    The transport's cumulative acknowledgements.  [ack_cum] is the
+    receiver's next expected sequence number on the directed link
+    [(ack_src, ack_dst)]: everything below it has been accepted.  Acks
+    travel the reverse link under the same CRC-32 trailer as data:
+    [tag(1) | src u16 | dst u16 | cum u32 | crc u32]. *)
 
-type ack = { ack_src : int; ack_dst : int; ack_cum : int; ack_sack : int }
+type ack = { ack_src : int; ack_dst : int; ack_cum : int }
 
 let encode_ack (a : ack) =
   let b = W.create () in
@@ -271,21 +251,19 @@ let encode_ack (a : ack) =
   W.u16 b a.ack_src;
   W.u16 b a.ack_dst;
   W.u32 b a.ack_cum;
-  W.u32 b a.ack_sack;
   append_crc (W.contents b)
 
 let decode_ack data =
-  let r = check_crc ~what:"ack" ~min_len:17 data in
+  let r = check_crc ~what:"ack" ~min_len:13 data in
   if R.u8 r <> tag_ack then fail "bad tag for ack";
   let ack_src = R.u16 r in
   let ack_dst = R.u16 r in
   let ack_cum = R.u32 r in
-  let ack_sack = R.u32 r in
   R.expect_end r;
-  { ack_src; ack_dst; ack_cum; ack_sack }
+  { ack_src; ack_dst; ack_cum }
 
-(** Serialized ack size: fixed — tag, src, dst, cum, sack, CRC. *)
-let ack_overhead = 1 + 2 + 2 + 4 + 4 + 4
+(** Serialized ack size: fixed — tag, src, dst, cum, CRC. *)
+let ack_overhead = 1 + 2 + 2 + 4 + 4
 
 (** {1 Checkpoint frames}
 

@@ -68,27 +68,43 @@ type fault =
   | Delay of int
 
 type t = {
-  sp : spec;
-  root : Rng.t; (* only ever split from, never consumed *)
+  draw : src:int -> dst:int -> attempt:int -> fault;
   attempts : (int * int, int ref) Hashtbl.t; (* per-link attempt counter *)
   tallies : int array; (* drop, corrupt, duplicate, reorder, delay *)
 }
 
-let create sp =
-  {
-    sp;
-    root = Rng.create ~seed:("ppgr-faultplan:" ^ sp.f_seed);
-    attempts = Hashtbl.create 31;
-    tallies = Array.make 5 0;
-  }
-
-let spec t = t.sp
+let scripted draw = { draw; attempts = Hashtbl.create 31; tallies = Array.make 5 0 }
 
 (* One decision = one split stream keyed by (link, attempt index);
    draws inside the stream happen in a fixed order so the schedule is a
-   pure function of the spec. *)
+   pure function of the spec.  The root is only ever split from, never
+   consumed. *)
+let create s =
+  let root = Rng.create ~seed:("ppgr-faultplan:" ^ s.f_seed) in
+  scripted (fun ~src ~dst ~attempt ->
+      let r =
+        Rng.split root ~label:(Printf.sprintf "link-%d-%d-%d" src dst attempt)
+      in
+      let u = float_of_int (Rng.int_below r 1_000_000_000) /. 1e9 in
+      let c1 = s.f_drop in
+      let c2 = c1 +. s.f_corrupt in
+      let c3 = c2 +. s.f_duplicate in
+      let c4 = c3 +. s.f_reorder in
+      let c5 = c4 +. s.f_delay in
+      if u < c1 then Drop
+      else if u < c2 then
+        Corrupt
+          {
+            cor_offset = Rng.int_below r 1_000_000;
+            cor_mask = 1 + Rng.int_below r 255;
+          }
+      else if u < c3 then Duplicate
+      else if u < c4 then Reorder
+      else if u < c5 then Delay (1 + Rng.int_below r s.f_max_delay)
+      else Deliver)
+
 let next t ~src ~dst =
-  let k =
+  let attempt =
     match Hashtbl.find_opt t.attempts (src, dst) with
     | Some r ->
         incr r;
@@ -97,41 +113,16 @@ let next t ~src ~dst =
         Hashtbl.add t.attempts (src, dst) (ref 1);
         0
   in
-  let r =
-    Rng.split t.root ~label:(Printf.sprintf "link-%d-%d-%d" src dst k)
-  in
-  let u = float_of_int (Rng.int_below r 1_000_000_000) /. 1e9 in
-  let s = t.sp in
-  let c1 = s.f_drop in
-  let c2 = c1 +. s.f_corrupt in
-  let c3 = c2 +. s.f_duplicate in
-  let c4 = c3 +. s.f_reorder in
-  let c5 = c4 +. s.f_delay in
-  if u < c1 then begin
-    t.tallies.(0) <- t.tallies.(0) + 1;
-    Drop
-  end
-  else if u < c2 then begin
-    t.tallies.(1) <- t.tallies.(1) + 1;
-    Corrupt
-      {
-        cor_offset = Rng.int_below r 1_000_000;
-        cor_mask = 1 + Rng.int_below r 255;
-      }
-  end
-  else if u < c3 then begin
-    t.tallies.(2) <- t.tallies.(2) + 1;
-    Duplicate
-  end
-  else if u < c4 then begin
-    t.tallies.(3) <- t.tallies.(3) + 1;
-    Reorder
-  end
-  else if u < c5 then begin
-    t.tallies.(4) <- t.tallies.(4) + 1;
-    Delay (1 + Rng.int_below r s.f_max_delay)
-  end
-  else Deliver
+  let f = t.draw ~src ~dst ~attempt in
+  let tally i = t.tallies.(i) <- t.tallies.(i) + 1 in
+  (match f with
+  | Deliver -> ()
+  | Drop -> tally 0
+  | Corrupt _ -> tally 1
+  | Duplicate -> tally 2
+  | Reorder -> tally 3
+  | Delay _ -> tally 4);
+  f
 
 let apply_corruption c msg =
   let len = Bytes.length msg in

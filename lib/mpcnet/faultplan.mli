@@ -58,7 +58,14 @@ type fault =
 type t
 
 val create : spec -> t
-val spec : t -> spec
+(** The seeded plan of [spec]: [scripted] over a draw keyed by
+    (seed, src, dst, attempt). *)
+
+val scripted : (src:int -> dst:int -> attempt:int -> fault) -> t
+(** A plan whose every decision is [f ~src ~dst ~attempt], [attempt]
+    counting the decisions already handed out on that directed link
+    from 0; {!injected} tallies whatever [f] returns.  A test seam for
+    enumerating fault schedules. *)
 
 val next : t -> src:int -> dst:int -> fault
 (** The fault decision for the next delivery attempt on the directed

@@ -238,15 +238,10 @@ let shard_us = create ()
 (** Wall-clock time of the secure top-k merge stage, microseconds. *)
 let merge_us = create ()
 
-(** Sender-side window occupancy (messages in flight on a directed
-    link) sampled at every windowed transmission admit. *)
-let window_occupancy = create ()
-
 let () =
   register ~name:"span_us" span_us;
   register ~name:"hop_us" hop_us;
   register ~name:"backoff_ticks" backoff_ticks;
   register ~name:"msg_bytes" msg_bytes;
   register ~name:"shard_us" shard_us;
-  register ~name:"merge_us" merge_us;
-  register ~name:"window_occupancy" window_occupancy
+  register ~name:"merge_us" merge_us

@@ -109,10 +109,6 @@ val shard_us : t
 (** Wall-clock time of the secure top-k merge stage, microseconds. *)
 val merge_us : t
 
-(** Sender-side window occupancy (messages in flight on a directed
-    link), sampled at every windowed transmission admit. *)
-val window_occupancy : t
-
 (** {1 Bucketing internals — exposed for the property tests} *)
 
 val bucket_index : int -> int

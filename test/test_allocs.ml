@@ -236,45 +236,6 @@ let telemetry_tests =
             (Format.asprintf "%a" Allocs.pp s));
   ]
 
-(* Windowed transport (PR 10): the per-link sliding-window bookkeeping
-   runs once per transmission and once per ack inside the pipelined
-   event loop, so every operation must be straight arithmetic over the
-   arrays preallocated at Window.create — zero words per op.  The only
-   sanctioned allocation is rbuf_take's escaping [Some]. *)
-let window_tests =
-  let module Window = Ppgr_grouprank.Transport.Window in
-  let w = Window.create 16 in
-  let payload = Bytes.create 64 in
-  let seq = ref 0 in
-  [
-    check_zero "Window.push/ack_cum cycle is allocation-free" (fun () ->
-        (* Admit a sequence then cumulatively release it: the warm
-           steady state of a healthy link. *)
-        let s = Window.push w ~seq:!seq in
-        assert (s >= 0);
-        Window.ack_cum w ~cum:(!seq + 1);
-        incr seq);
-    check_zero "Window.occupancy is allocation-free" (fun () ->
-        ignore (Window.occupancy w));
-    check_zero "Window.next_timer is allocation-free" (fun () ->
-        ignore (Window.next_timer w));
-    check_zero "Window.sack is allocation-free" (fun () ->
-        Window.sack w ~seq:!seq);
-    check_zero "Window.sack_bits is allocation-free" (fun () ->
-        ignore (Window.sack_bits w ~cum:!seq));
-    check_zero "Window.rbuf_put of a buffered seq is allocation-free"
-      (fun () ->
-        (* First call buffers, every later call hits the idempotent
-           already-held path — both stay on preallocated slots. *)
-        ignore (Window.rbuf_put w ~seq:7 payload));
-    check_exact "Window.rbuf_put/rbuf_take cycle allocates the option only"
-      2.0 (fun () ->
-        ignore (Window.rbuf_put w ~seq:9 payload);
-        match Window.rbuf_take w ~seq:9 with
-        | Some _ -> ()
-        | None -> assert false);
-  ]
-
 let () =
   Alcotest.run "allocs"
     [
@@ -284,5 +245,4 @@ let () =
       ("group-alloc", group_tests);
       ("group-retention", retention_tests);
       ("telemetry-alloc", telemetry_tests);
-      ("window-alloc", window_tests);
     ]

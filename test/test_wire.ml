@@ -186,7 +186,7 @@ let fuzz_tests =
       [| W.encode_cipher_batch batch; Bytes.of_string "opaque"; Bytes.empty |]
     in
     let envelope_payload = W.encode_pubkey y in
-    let ack = { Wire.ack_src = 2; ack_dst = 0; ack_cum = 41; ack_sack = 0b101 } in
+    let ack = { Wire.ack_src = 2; ack_dst = 0; ack_cum = 41 } in
     [
       ( "pubkey (0x10)",
         W.encode_pubkey y,
@@ -343,20 +343,19 @@ let ack_checkpoint_tests =
   in
   [
     Alcotest.test_case "ack round trip, documented size" `Quick (fun () ->
-        let a = { Wire.ack_src = 3; ack_dst = 1; ack_cum = 1000; ack_sack = 5 } in
+        let a = { Wire.ack_src = 3; ack_dst = 1; ack_cum = 1000 } in
         let data = Wire.encode_ack a in
         Alcotest.(check int) "ack_overhead" Wire.ack_overhead
           (Bytes.length data);
         let a' = Wire.decode_ack data in
         Alcotest.(check int) "src" a.Wire.ack_src a'.Wire.ack_src;
         Alcotest.(check int) "dst" a.Wire.ack_dst a'.Wire.ack_dst;
-        Alcotest.(check int) "cum" a.Wire.ack_cum a'.Wire.ack_cum;
-        Alcotest.(check int) "sack" a.Wire.ack_sack a'.Wire.ack_sack);
+        Alcotest.(check int) "cum" a.Wire.ack_cum a'.Wire.ack_cum);
     Alcotest.test_case "ack: every single-bit flip CRC-rejected" `Quick
       (fun () ->
         let data =
           Wire.encode_ack
-            { Wire.ack_src = 0; ack_dst = 2; ack_cum = 7; ack_sack = 0b11 }
+            { Wire.ack_src = 0; ack_dst = 2; ack_cum = 7 }
         in
         for i = 0 to (8 * Bytes.length data) - 1 do
           rejects
@@ -366,7 +365,7 @@ let ack_checkpoint_tests =
     Alcotest.test_case "ack: resealed trailing byte rejected" `Quick (fun () ->
         let data =
           Wire.encode_ack
-            { Wire.ack_src = 1; ack_dst = 0; ack_cum = 3; ack_sack = 0 }
+            { Wire.ack_src = 1; ack_dst = 0; ack_cum = 3 }
         in
         (* Valid CRC over a too-long body must still be refused. *)
         let padded = Bytes.cat data (Bytes.make 1 '\x00') in
