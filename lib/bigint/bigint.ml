@@ -523,8 +523,7 @@ module Mont = struct
      adding the modulus before an odd halving or after an underflowing
      subtraction.  ~2·numbits(m) iterations of O(w) limb work — the
      same ballpark as the old Euclidean [invmod] but with zero heap
-     traffic, which is what lets the group layer's signed-digit
-     exponentiation keep its lazy inverse cache allocation-free.
+     traffic.
 
      The helpers below are closure-free plain loops (see the finish
      comment: this path must not allocate). *)

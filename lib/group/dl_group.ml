@@ -19,6 +19,39 @@ module type PARAMS = sig
   (** Generator of the order-[q] subgroup of residues. *)
 end
 
+(** The variable-base window width for a group of the given order: 4
+    up to 256 bits, 5 above. *)
+let window_width order = if Bigint.numbits order <= 256 then 4 else 5
+
+(** Unsigned sliding-window recoding of a non-negative exponent [e] for
+    window width [w]: writes digits LEAST significant first into [dst]
+    and returns the digit count, one past the top non-zero digit (0 for
+    [e = 0]).  Then [e = Σ dst.(k)·2^k], every non-zero digit is odd
+    and below [2^w], and at least [w - 1] zero digits separate two
+    non-zero ones.  [dst] must hold [Bigint.numbits e] entries, all of
+    which are written.  Allocation-free: the exponent is read through
+    [Bigint.testbit] only. *)
+let sliding_window_into ~w (e : Bigint.t) (dst : int array) : int =
+  if Bigint.sign e < 0 then invalid_arg "sliding_window_into: negative exponent";
+  let nb = Bigint.numbits e in
+  Array.fill dst 0 nb 0;
+  let len = ref 0 in
+  let i = ref 0 in
+  while !i < nb do
+    if Bigint.testbit e !i then begin
+      (* The w bits from the set bit i up: an odd digit below 2^w. *)
+      let d = ref 0 in
+      for k = w - 1 downto 0 do
+        d := (!d lsl 1) lor if Bigint.testbit e (!i + k) then 1 else 0
+      done;
+      dst.(!i) <- !d;
+      len := !i + 1;
+      i := !i + w
+    end
+    else incr i
+  done;
+  !len
+
 module Make (P : PARAMS) : Group_intf.GROUP = struct
   let name = P.name
   let security_bits = P.security_bits
@@ -47,7 +80,8 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
   let is_identity x = equal x identity
 
   let inv x =
-    (* Via the group structure: x^(q-1); counted through [mul]. *)
+    (* Binary extended gcd on the Montgomery residue; ticked as one op
+       although it costs tens of multiplications. *)
     Ppgr_exec.Meter.incr ops;
     Bigint.Modring.inv ring x
 
@@ -55,76 +89,58 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     Ppgr_exec.Meter.incr ops;
     Bigint.Modring.sqr ring x
 
-  (* Per-domain exponentiation scratch (DESIGN.md §5h): the wNAF odd-
-     powers tables, their lazily-filled inverse caches, the accumulator
-     and the recoding digit buffers all live here, so a steady-state
-     [pow]/[pow2]/[pow_table] allocates nothing but its escaping result.
-     Two table slots because [pow2] runs two bases down one shared
-     squaring chain.  The digit buffers take one slot per exponent bit
-     plus slack for the recoding's possible carry digit. *)
+  (* Variable-base exponentiation is an unsigned sliding window
+     (DESIGN.md §5h) against the table x, x^3, ..., x^(2^w - 1): an
+     inversion costs tens of multiplications here, so signed digits
+     would only trade table entries for inversions. *)
+  let window = window_width order
+
+  (* Per-domain exponentiation scratch (DESIGN.md §5h): the odd-powers
+     tables, the accumulator and the recoding digit buffers all live
+     here, so a steady-state [pow]/[pow2]/[pow_table] allocates nothing
+     but its escaping result.  Two table slots because [pow2] runs two
+     bases down one shared squaring chain.  Exponents are reduced below
+     [order] first, so a digit buffer needs one slot per order bit. *)
   type scratch = {
     acc : element;
     x2 : element;
-    odd : element array; (* x^1, x^3, x^5, x^7 *)
-    oddinv : element array;
-    mutable inv_mask : int; (* bit i set = oddinv.(i) is valid *)
+    odd : element array; (* x^1, x^3, ..., x^(2^w - 1) *)
     odd2 : element array;
-    oddinv2 : element array;
-    mutable inv_mask2 : int;
     dg : int array;
     dg2 : int array;
   }
 
-  let digit_slots = Bigint.numbits order + 8
-
   let scratch : scratch Ppgr_exec.Slot_local.t =
     Ppgr_exec.Slot_local.make (fun () ->
         let elts n = Array.init n (fun _ -> Bigint.Modring.alloc ring) in
+        let slots = Bigint.numbits order in
         {
           acc = Bigint.Modring.alloc ring;
           x2 = Bigint.Modring.alloc ring;
-          odd = elts 4;
-          oddinv = elts 4;
-          inv_mask = 0;
-          odd2 = elts 4;
-          oddinv2 = elts 4;
-          inv_mask2 = 0;
-          dg = Array.make digit_slots 0;
-          dg2 = Array.make digit_slots 0;
+          odd = elts (1 lsl (window - 1));
+          odd2 = elts (1 lsl (window - 1));
+          dg = Array.make slots 0;
+          dg2 = Array.make slots 0;
         })
 
-  (* Build the odd-powers table x^1,x^3,x^5,x^7 into [tbl], using [s.x2]
-     as the x^2 temporary.  Tick parity with the old per-call table:
-     1 squaring + 3 multiplications. *)
+  (* Build the odd-powers table x^1, x^3, ..., x^(2^w - 1) into [tbl],
+     using [s.x2] as the x^2 temporary: 1 squaring + 2^(w-1) - 1
+     multiplications, each ticked. *)
   let fill_odd s (tbl : element array) x =
     Ppgr_exec.Meter.incr ops;
     Bigint.Modring.sqr_into ring s.x2 x;
     Bigint.Modring.copy_into ring tbl.(0) x;
-    for i = 1 to 3 do
+    for i = 1 to Array.length tbl - 1 do
       Ppgr_exec.Meter.incr ops;
       Bigint.Modring.mul_into ring tbl.(i) tbl.(i - 1) s.x2
     done
 
-  (* Multiply the table entry for wNAF digit [d] (non-zero) into the
-     accumulator, inverting lazily into the cache slot on first negative
-     use — at most 4 inversions per exponentiation, each ticking the
-     meter once, exactly like the old [inv_odd] option cache. *)
-  let mix_digit s (tbl : element array) (invtbl : element array) ~second d =
-    if d > 0 then begin
+  (* Multiply the table entry for digit [d] (odd, or 0 for none) into
+     the accumulator. *)
+  let mix_digit s (tbl : element array) d =
+    if d <> 0 then begin
       Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.mul_into ring s.acc s.acc tbl.(d / 2)
-    end
-    else begin
-      let i = -d / 2 in
-      let mask = if second then s.inv_mask2 else s.inv_mask in
-      if mask land (1 lsl i) = 0 then begin
-        Ppgr_exec.Meter.incr ops;
-        Bigint.Modring.inv_into ring invtbl.(i) tbl.(i);
-        if second then s.inv_mask2 <- mask lor (1 lsl i)
-        else s.inv_mask <- mask lor (1 lsl i)
-      end;
-      Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.mul_into ring s.acc s.acc invtbl.(i)
+      Bigint.Modring.mul_into ring s.acc s.acc tbl.(d lsr 1)
     end
 
   (* Copy the scratch accumulator out as the (sole) escaping allocation. *)
@@ -134,19 +150,18 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     r
 
   let pow_nonneg x e =
-    (* wNAF-4 with precomputed odd powers; every group multiplication
-       (squarings included) ticks the op counter once — the squarings go
-       through the cheaper dedicated squaring kernel. *)
+    (* The top digit seeds the accumulator, then one squaring per lower
+       digit position.  Every group multiplication (squarings included)
+       ticks the op counter once; squarings go through the cheaper
+       dedicated kernel. *)
     let s = Ppgr_exec.Slot_local.get scratch in
     fill_odd s s.odd x;
-    s.inv_mask <- 0;
-    let len = Group_intf.wnaf4_into e s.dg in
-    Bigint.Modring.one_into ring s.acc;
-    for k = len - 1 downto 0 do
+    let top = sliding_window_into ~w:window e s.dg - 1 in
+    Bigint.Modring.copy_into ring s.acc s.odd.(s.dg.(top) lsr 1);
+    for k = top - 1 downto 0 do
       Ppgr_exec.Meter.incr ops;
       Bigint.Modring.sqr_into ring s.acc s.acc;
-      let d = s.dg.(k) in
-      if d <> 0 then mix_digit s s.odd s.oddinv ~second:false d
+      mix_digit s s.odd s.dg.(k)
     done;
     escape s
 
@@ -231,7 +246,7 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
       if !started then escape s else identity
     end
 
-  (* Shamir's trick: one shared squaring chain over the aligned wNAF-4
+  (* Shamir's trick: one shared squaring chain over the aligned window
      recodings of both exponents, both odd-powers tables in scratch. *)
   let pow2 a e b f =
     let e = if Bigint.in_range e order then e else Bigint.erem e order
@@ -241,18 +256,25 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     else begin
       let s = Ppgr_exec.Slot_local.get scratch in
       fill_odd s s.odd a;
-      s.inv_mask <- 0;
       fill_odd s s.odd2 b;
-      s.inv_mask2 <- 0;
-      let len = Group_intf.wnaf4_pair_into e f s.dg s.dg2 in
-      Bigint.Modring.one_into ring s.acc;
-      for k = len - 1 downto 0 do
+      let la = sliding_window_into ~w:window e s.dg
+      and lb = sliding_window_into ~w:window f s.dg2 in
+      let len = Stdlib.max la lb in
+      Array.fill s.dg la (len - la) 0;
+      Array.fill s.dg2 lb (len - lb) 0;
+      (* At least one of the two top digits is non-zero. *)
+      let top = len - 1 in
+      let da = s.dg.(top) in
+      if da <> 0 then begin
+        Bigint.Modring.copy_into ring s.acc s.odd.(da lsr 1);
+        mix_digit s s.odd2 s.dg2.(top)
+      end
+      else Bigint.Modring.copy_into ring s.acc s.odd2.(s.dg2.(top) lsr 1);
+      for k = top - 1 downto 0 do
         Ppgr_exec.Meter.incr ops;
         Bigint.Modring.sqr_into ring s.acc s.acc;
-        let da = s.dg.(k) in
-        if da <> 0 then mix_digit s s.odd s.oddinv ~second:false da;
-        let db = s.dg2.(k) in
-        if db <> 0 then mix_digit s s.odd2 s.oddinv2 ~second:true db
+        mix_digit s s.odd s.dg.(k);
+        mix_digit s s.odd2 s.dg2.(k)
       done;
       escape s
     end
@@ -305,10 +327,9 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     Bigint.succ (Rng.bigint_below rng (Bigint.pred order))
 end
 
-(* [pow] in this family starts from the identity and multiplies [wnaf]
-   digits in; [inv] inside [pow_nonneg] is counted but occurs at most 4
-   times per exponentiation (table setup), matching the paper's O(lambda)
-   multiplications per exponentiation. *)
+(* A [pow] costs numbits(e) - 1 squarings, about numbits(e)/(w+1)
+   multiplications and a 2^(w-1)-entry table, and no inversion: the
+   paper's O(lambda) multiplications per exponentiation. *)
 
 let of_safe_prime ~name ~security_bits p : Group_intf.group =
   (module Make (struct

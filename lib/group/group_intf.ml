@@ -54,8 +54,8 @@ module type GROUP = sig
 
   val pow2 : element -> Bigint.t -> element -> Bigint.t -> element
   (** [pow2 a e b f = mul (pow a e) (pow b f)] via Shamir's trick
-      (interleaved wNAF with a shared squaring chain): ~1.3x the cost of
-      one exponentiation instead of 2x. *)
+      (interleaved window recodings with a shared squaring chain): ~1.3x
+      the cost of one exponentiation instead of 2x. *)
 
   val equal : element -> element -> bool
   val is_identity : element -> bool
@@ -107,7 +107,9 @@ type group = (module GROUP)
 
 (** Width-4 signed sliding-window (wNAF) recoding of a non-negative
     exponent: digits in {0, ±1, ±3, ±5, ±7}, most significant first.
-    Shared by both group families' [pow]. *)
+    The EC family's scalar multiplication uses it, since negating a
+    point is free; the DL family, where it is not, recodes unsigned
+    ([Dl_group.sliding_window_into]). *)
 let wnaf4 (e : Bigint.t) : int list =
   if Bigint.sign e < 0 then invalid_arg "wnaf4: negative exponent";
   let digits = ref [] in

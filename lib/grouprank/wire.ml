@@ -52,12 +52,14 @@ module W = struct
 end
 
 module R = struct
-  type t = { data : Bytes.t; mutable pos : int }
+  (* A reader over [data.(pos) .. data.(stop - 1)]: [stop] lets a
+     CRC-trailed frame be read in place, without its trailer. *)
+  type t = { data : Bytes.t; mutable pos : int; stop : int }
 
-  let of_bytes data = { data; pos = 0 }
+  let of_bytes data = { data; pos = 0; stop = Bytes.length data }
+  let remaining r = r.stop - r.pos
 
-  let ensure r n =
-    if r.pos + n > Bytes.length r.data then fail "truncated message (need %d bytes)" n
+  let ensure r n = if n > remaining r then fail "truncated message (need %d bytes)" n
 
   let u8 r =
     ensure r 1;
@@ -82,7 +84,7 @@ module R = struct
 
   let bigint r = Bigint.of_bytes_be (blob r)
 
-  let finished r = r.pos = Bytes.length r.data
+  let finished r = r.pos = r.stop
 
   let expect_end r = if not (finished r) then fail "trailing bytes"
 end
@@ -135,6 +137,8 @@ let append_crc body =
   Bytes.set out (blen + 3) (Char.chr (crc land 0xFF));
   out
 
+(* The returned reader covers [data] in place up to the trailer, so a
+   decoded envelope's payload blob is the one copy its decode makes. *)
 let check_crc ~what ~min_len data =
   let total = Bytes.length data in
   if total < min_len then fail "%s shorter than its fixed fields" what;
@@ -143,7 +147,7 @@ let check_crc ~what ~min_len data =
     (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
   in
   if crc32 ~pos:0 ~len:(total - 4) data <> stored then fail "%s CRC mismatch" what;
-  R.of_bytes (Bytes.sub data 0 (total - 4))
+  { R.data; pos = 0; stop = total - 4 }
 
 (** {1 Transport envelope}
 
@@ -215,9 +219,9 @@ let decode_hop_frame data =
   let payloads =
     Array.init n (fun _ ->
         let len = R.u32 r in
-        if len > Bytes.length r.R.data - r.R.pos then
+        if len > R.remaining r then
           fail "hop frame payload length %d exceeds remaining %d bytes" len
-            (Bytes.length r.R.data - r.R.pos);
+            (R.remaining r);
         let b = Bytes.sub r.R.data r.R.pos len in
         r.R.pos <- r.R.pos + len;
         b)
@@ -383,14 +387,13 @@ let encode_checkpoint (c : checkpoint_frame) =
 let decode_checkpoint data =
   let r = check_crc ~what:"checkpoint" ~min_len:18 data in
   if R.u8 r <> tag_checkpoint then fail "bad tag for checkpoint";
-  let remaining () = Bytes.length r.R.data - r.R.pos in
   (* Every count sizes an allocation: bound it by the bytes actually
      present before any Array.init, so a lying count is a typed decode
      error rather than a giant allocation (the hop-frame lesson). *)
   let vec () =
     let k = R.u16 r in
-    if 4 * k > remaining () then
-      fail "checkpoint vector count %d exceeds remaining %d bytes" k (remaining ());
+    if 4 * k > R.remaining r then
+      fail "checkpoint vector count %d exceeds remaining %d bytes" k (R.remaining r);
     Array.init k (fun _ -> R.u32 r)
   in
   let vec_exact what k =
@@ -409,8 +412,8 @@ let decode_checkpoint data =
   in
   let msgs () =
     let k = R.u32 r in
-    if 8 * k > remaining () then
-      fail "checkpoint round count %d exceeds remaining %d bytes" k (remaining ());
+    if 8 * k > R.remaining r then
+      fail "checkpoint round count %d exceeds remaining %d bytes" k (R.remaining r);
     List.init k (fun _ ->
         let src = R.u16 r in
         let dst = R.u16 r in
@@ -419,16 +422,16 @@ let decode_checkpoint data =
   in
   let blob_checked () =
     let len = R.u32 r in
-    if len > remaining () then
-      fail "checkpoint blob length %d exceeds remaining %d bytes" len (remaining ());
+    if len > R.remaining r then
+      fail "checkpoint blob length %d exceeds remaining %d bytes" len (R.remaining r);
     let b = Bytes.sub r.R.data r.R.pos len in
     r.R.pos <- r.R.pos + len;
     b
   in
   let blobs () =
     let k = R.u16 r in
-    if 4 * k > remaining () then
-      fail "checkpoint blob count %d exceeds remaining %d bytes" k (remaining ());
+    if 4 * k > R.remaining r then
+      fail "checkpoint blob count %d exceeds remaining %d bytes" k (R.remaining r);
     Array.init k (fun _ -> blob_checked ())
   in
   let ck_step = R.u16 r in
@@ -578,9 +581,9 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     (* The count sizes an allocation, so bound it by the bytes actually
        present before building the array: a corrupted u32 must be a
        typed decode error, not a multi-gigabyte Array.init. *)
-    if n * 2 * G.element_bytes <> Bytes.length r.R.data - r.R.pos then
+    if n * 2 * G.element_bytes <> R.remaining r then
       fail "cipher batch count %d inconsistent with %d payload bytes" n
-        (Bytes.length r.R.data - r.R.pos);
+        (R.remaining r);
     let cs = Array.init n (fun _ -> decode_cipher r) in
     R.expect_end r;
     cs

@@ -104,8 +104,8 @@ let powmod_tests =
   ]
 
 (* Group layer (PR 7): steady-state exponentiations allocate exactly
-   their escaping result — the wNAF tables, inverse caches, recoding
-   buffers and accumulators all live in per-domain scratch.  The pinned
+   their escaping result — the odd-powers tables, recoding buffers and
+   accumulators all live in per-domain scratch.  The pinned
    figures are the result object's own size:
    - DL-1024 element: 17 Montgomery limbs + array header = 18 words;
    - ECC-160 point: record (3 fields + header) + three 3-limb field
@@ -236,6 +236,52 @@ let telemetry_tests =
             (Format.asprintf "%a" Allocs.pp s));
   ]
 
+(* Wire layer: decoding an envelope copies its payload once.  A payload
+   over 2 KiB is allocated straight on the major heap, which
+   [Allocs.measure] (minor words) does not see, so this case counts
+   bytes on both heaps: one payload's worth plus a constant per decode,
+   at a 1 KiB and a DL-1024 ring-hop-sized 24 KiB payload.  The count
+   is [Gc.allocated_bytes]'s formula, minor + major - promoted words,
+   with the minor term read from [Gc.minor_words]: on OCaml 5.1 the
+   [Gc.counters] that [Gc.allocated_bytes] reads counts the words
+   allocated since the last minor collection at an eighth of their
+   number. *)
+let wire_tests =
+  let module Wire = Ppgr_grouprank.Wire in
+  let allocated_bytes () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
+  let bytes_per_decode frame =
+    let iters = 20 in
+    for _ = 1 to 3 do
+      ignore (Wire.decode_envelope frame)
+    done;
+    let before = allocated_bytes () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (Wire.decode_envelope frame))
+    done;
+    (allocated_bytes () -. before) /. float_of_int iters
+  in
+  [
+    Alcotest.test_case "envelope decode copies its payload once" `Quick (fun () ->
+        let over =
+          List.filter_map
+            (fun size ->
+              let payload = Bytes.init size (fun i -> Char.chr (i land 0xFF)) in
+              let frame = Wire.encode_envelope ~src:1 ~dst:2 ~seq:7 payload in
+              let got = bytes_per_decode frame in
+              let bound = float_of_int (size + 256) in
+              if got > bound then
+                Some
+                  (Printf.sprintf "%d-byte payload: %.0f bytes per decode, bound %.0f" size
+                     got bound)
+              else None)
+            [ 1024; 24 * 1024 ]
+        in
+        if over <> [] then Alcotest.fail (String.concat "; " over));
+  ]
+
 let () =
   Alcotest.run "allocs"
     [
@@ -245,4 +291,5 @@ let () =
       ("group-alloc", group_tests);
       ("group-retention", retention_tests);
       ("telemetry-alloc", telemetry_tests);
+      ("wire-alloc", wire_tests);
     ]

@@ -142,6 +142,33 @@ let homomorphism_props =
         G.equal (E.plaintext_power x lhs) (G.pow_gen (Bigint.of_int (k * (a + b)))));
   ]
 
+(* The zero test compares c with c'^x instead of decrypting: it must
+   agree with decrypt-then-test on every ciphertext, the degenerate ones
+   included, and still tick exactly one exponentiation. *)
+let zero_test_case name (g : Group_intf.group) =
+  let module G = (val g) in
+  let module E = Elgamal.Make (G) in
+  Alcotest.test_case (name ^ ": zero test = decrypt then test") `Quick (fun () ->
+      let x, y = E.keygen rng in
+      let other = G.pow_gen (G.random_scalar rng) in
+      List.iter
+        (fun (what, c, zero) ->
+          Alcotest.(check bool)
+            (what ^ ": decrypt then test")
+            zero
+            (E.is_zero_plaintext_power (E.decrypt x c));
+          let before = Opmeter.snapshot () in
+          let got = E.decrypt_exp_is_zero x c in
+          Alcotest.(check int) (what ^ ": one exponentiation") 1 (Opmeter.since before);
+          Alcotest.(check bool) what zero got)
+        [
+          ("plaintext 0", E.encrypt_exp_int rng y 0, true);
+          ("plaintext 1", E.encrypt_exp_int rng y 1, false);
+          ("random plaintext", E.encrypt_exp rng y (G.random_scalar rng), false);
+          ("all-identity", { E.c = G.identity; c' = G.identity }, true);
+          ("c' = identity, c <> identity", { E.c = other; c' = G.identity }, false);
+        ])
+
 let () =
   Alcotest.run "elgamal"
     [
@@ -149,4 +176,11 @@ let () =
       ("ec", suite "EC" (Ec_group.ecc_tiny ()));
       ("ecc-160", suite "ECC-160" (Ec_group.ecc_160 ()));
       ("homomorphism-props", homomorphism_props);
+      ( "zero-test",
+        [
+          zero_test_case "DL-test-64" (Dl_group.dl_test_64 ());
+          zero_test_case "DL-512" (Dl_group.dl_512 ());
+          zero_test_case "ECC-tiny" (Ec_group.ecc_tiny ());
+          zero_test_case "ECC-160" (Ec_group.ecc_160 ());
+        ] );
     ]

@@ -142,6 +142,109 @@ let engine_props =
           (N.pow2 x e (G.pow_gen Bigint.two) f));
   ]
 
+(* DL exponentiation against an independent reference: [Bigint.powmod]
+   runs a fixed 4-bit window over plain residues, with no signed digits
+   and no group code.  Exhaustive over small exponents on DL-test-64;
+   random full-width exponents on the production sizes. *)
+let dl_reference_suite name (g : Group_intf.group) p ~exhaustive =
+  let module G = (val g) in
+  let value x = Bigint.of_bytes_be (G.to_bytes x) in
+  let reference x e = Bigint.powmod (value x) (Bigint.erem e G.order) p in
+  let check_pow x e =
+    if not (Bigint.equal (value (G.pow x e)) (reference x e)) then
+      Alcotest.failf "%s: pow x e <> powmod at e = %s" name (Bigint.to_string e)
+  in
+  let check_pow2 a e b f =
+    let expected = Bigint.erem (Bigint.mul (reference a e) (reference b f)) p in
+    if not (Bigint.equal (value (G.pow2 a e b f)) expected) then
+      Alcotest.failf "%s: pow2 a e b f <> powmod product at e = %s, f = %s" name
+        (Bigint.to_string e) (Bigint.to_string f)
+  in
+  let random_elt () = G.pow_gen (G.random_scalar rng) in
+  let k = Bigint.numbits G.order in
+  let full_width () =
+    let top = Bigint.nth_bit_weight (k - 1) in
+    Bigint.add top (Rng.bigint_below rng (Bigint.sub G.order top))
+  in
+  if exhaustive then
+    [
+      Alcotest.test_case (name ^ ": pow = powmod, every e < 2^12 and edges") `Quick
+        (fun () ->
+          let x = random_elt () in
+          for e = 0 to (1 lsl 12) - 1 do
+            check_pow x (Bigint.of_int e)
+          done;
+          List.iter (check_pow x) (edge_exponents G.order));
+      Alcotest.test_case (name ^ ": pow2 = powmod product, every e, f < 2^6") `Quick
+        (fun () ->
+          let a = random_elt () and b = random_elt () in
+          for e = 0 to 63 do
+            for f = 0 to 63 do
+              check_pow2 a (Bigint.of_int e) b (Bigint.of_int f)
+            done
+          done);
+    ]
+  else
+    [
+      Alcotest.test_case (name ^ ": pow and pow2 = powmod, full-width exponents")
+        `Quick (fun () ->
+          let a = random_elt () and b = random_elt () in
+          for _ = 1 to 50 do
+            let e = full_width () and f = full_width () in
+            check_pow a e;
+            check_pow2 a e b f
+          done);
+    ]
+
+(* The recoding behind DL [pow]/[pow2], at both widths the family uses:
+   the digits sum back to the exponent, every non-zero digit is odd and
+   below 2^w, at least w - 1 zero digits separate two non-zero ones, and
+   the top digit is non-zero. *)
+let recoding_tests =
+  let check w e =
+    let dst = Array.make (Stdlib.max 1 (Bigint.numbits e)) (-1) in
+    let len = Dl_group.sliding_window_into ~w e dst in
+    let where = Printf.sprintf "w = %d, e = %s" w (Bigint.to_string e) in
+    let sum = ref Bigint.zero and last = ref (-w) in
+    for i = len - 1 downto 0 do
+      sum := Bigint.add (Bigint.shift_left !sum 1) (Bigint.of_int dst.(i))
+    done;
+    if not (Bigint.equal !sum e) then Alcotest.failf "digits do not sum back (%s)" where;
+    if len > 0 && dst.(len - 1) = 0 then Alcotest.failf "top digit is zero (%s)" where;
+    for i = 0 to len - 1 do
+      let d = dst.(i) in
+      if d <> 0 then begin
+        if d < 0 || d land 1 = 0 || d >= 1 lsl w then
+          Alcotest.failf "digit %d at %d (%s)" d i where;
+        if i - !last < w then
+          Alcotest.failf "digits at %d and %d too close (%s)" !last i where;
+        last := i
+      end
+    done
+  in
+  [
+    Alcotest.test_case "window width: 4 up to 256 bits, 5 above" `Quick (fun () ->
+        List.iter
+          (fun (bits, w) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%d-bit order" bits)
+              w
+              (Dl_group.window_width (Bigint.pred (Bigint.nth_bit_weight bits))))
+          [ (63, 4); (127, 4); (256, 4); (257, 5); (511, 5); (1023, 5) ]);
+    Alcotest.test_case "every e < 2^12" `Quick (fun () ->
+        for e = 0 to (1 lsl 12) - 1 do
+          check 4 (Bigint.of_int e);
+          check 5 (Bigint.of_int e)
+        done);
+    Alcotest.test_case "200 random 1023-bit exponents" `Quick (fun () ->
+        let top = Bigint.nth_bit_weight 1022 in
+        for _ = 1 to 200 do
+          let e = Bigint.add top (Rng.bigint_below rng top) in
+          check 4 e;
+          check 5 e
+        done);
+  ]
+
 (* Phase-2 regression: the engine must not change what the protocol
    computes, and the instrumented counters must stay deterministic for a
    fixed RNG seed (fresh group module per run so the lazily built
@@ -250,6 +353,14 @@ let () =
       ("ecc-tiny", engine_suite "ECC-tiny" (Ec_group.ecc_tiny ()));
       ("ecc-160", engine_suite "ECC-160" (Ec_group.ecc_160 ()));
       ("props", engine_props);
+      ( "dl-reference",
+        dl_reference_suite "DL-test-64" (Dl_group.dl_test_64 ()) Modp_params.test_64
+          ~exhaustive:true
+        @ dl_reference_suite "DL-512" (Dl_group.dl_512 ()) Modp_params.p_512
+            ~exhaustive:false
+        @ dl_reference_suite "DL-1024" (Dl_group.dl_1024 ()) Modp_params.p_1024
+            ~exhaustive:false );
+      ("dl-recoding", recoding_tests);
       ("batch-normalization", powtable_batch_normalization);
       ("runtime-regression", runtime_regression);
     ]
