@@ -51,9 +51,9 @@ let () =
      shard — the privacy/throughput trade sharding makes. *)
   let mc = res.Shard.merge.Shard.merge_costs in
   Printf.printf
-    "merge: %d candidates, %d field mults on the committee (no group ops)\n"
+    "merge: %d candidates on the committee (no group ops), mults: %d, field mults: %d\n"
     (Array.length res.Shard.merge.Shard.candidates)
-    mc.Ppgr_shamir.Engine.c_mults;
+    mc.Ppgr_shamir.Engine.c_mults mc.Ppgr_shamir.Engine.c_field_mults;
   Printf.printf "total group mults: %d  (monolithic would be O(n^2 l))\n"
     res.Shard.group_ops;
   Printf.printf "transcript sha256: %s\n" res.Shard.transcript_sha;

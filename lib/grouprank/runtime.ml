@@ -153,11 +153,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       (enc_bits : E.cipher array) =
     if Array.length enc_bits <> l then invalid_arg "Runtime: bad bit batch length";
     let enc_zero = { E.c = G.identity; c' = G.identity } in
-    (* gamma^b = own XOR other: linear because own bits are clear. *)
+    (* gamma^b = own XOR other: linear because own bits are clear.  The
+       flipped bit 1 - other^b is gamma^b for a set own bit and
+       1 - gamma^b for a clear one, so each bit is negated once. *)
+    let flipped = Array.map (fun c -> E.add_clear (E.neg c) Bigint.one) enc_bits in
     let gamma =
-      Array.init l (fun b ->
-          if own_bits.(b) = 0 then enc_bits.(b)
-          else E.add_clear (E.neg enc_bits.(b)) Bigint.one)
+      Array.init l (fun b -> if own_bits.(b) = 0 then enc_bits.(b) else flipped.(b))
     in
     let s = Array.make l enc_zero in
     for b = l - 2 downto 0 do
@@ -167,7 +168,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
          else E.add s.(b + 1) gamma.(b + 1))
     done;
     Array.init l (fun b ->
-        let one_minus = E.add_clear (E.neg gamma.(b)) Bigint.one in
+        let one_minus = if own_bits.(b) = 0 then flipped.(b) else enc_bits.(b) in
         let omega = E.add (E.scale_int one_minus (l - b)) s.(b) in
         if own_bits.(b) = 0 then omega else E.add_clear omega Bigint.one)
 

@@ -12,8 +12,8 @@
     Burkhart–Dimitropoulos secret-shared top-k ({!Ppgr_shamir.Topk}) on
     a small committee, arranged as Tueno et al.'s star network one
     level deep ({!Ppgr_mpcnet.Topology.two_level_tree}).  Total group
-    work drops from [O(n^2 l)] exponentiations to [O(n s l)] plus an
-    [O((n/s) k l)]-multiplication field-arithmetic merge.
+    work drops from [O(n^2 l)] exponentiations to [O(n s l)] plus a
+    field-arithmetic merge of [O((n/s) k l)] bitwise comparisons.
 
     Why the shards stay comparable: phase 1 masks every partial gain
     with the {e same} multiplicative [rho] (per-participant [rho_j]
@@ -28,8 +28,14 @@
       Sharding trades the global bound for throughput;
     - shard-local ranks are only learned by the shard's own members
       (each member learns its own rank, as in the paper);
-    - the merge opens top-k {e membership} (which candidates are
-      winners) plus the Topk probe counts, but no rank order among
+    - each candidate shares the [l] bits of its own beta with the
+      committee ({!Ppgr_shamir.Topk.input_bits}): it knows its beta, so
+      under the honest-but-curious model this replaces a bit
+      decomposition protocol, and every threshold probe is a bitwise
+      comparison against public bits that opens nothing;
+    - the merge opens exactly the Topk probe counts (one per probe of
+      the binary search) and the membership bits of the final
+      threshold: which candidates are winners, but no rank order among
       winners and no losing candidate's value.  The deterministic
       tie-break additionally reveals which candidates tie at the cut
       (see {!Ppgr_shamir.Topk.top_k_det}). *)
@@ -88,8 +94,12 @@ let make_plan rng ~n ~shard_size =
 
 (** {1 The merge committee} *)
 
-(* The committee's comparison field: the smallest test prime satisfying
-   Compare's numbits(p) > l + 2 + kappa requirement. *)
+(** The committee's field: the smallest test prime with
+    [numbits p > l + 2 + 40], the room the masked-open
+    {!Ppgr_shamir.Compare.ge} needs.  The bitwise merge no longer needs
+    it (a prime above the candidate count keeps every probe count from
+    wrapping), but the rule is kept: the merge's share size and the
+    benchmark's field-multiplication cost are priced on this field. *)
 let merge_field ~l =
   let need = l + 2 + 40 in
   let p =
@@ -110,14 +120,18 @@ type merge_stat = {
 }
 
 (** Run the secure top-k merge over [candidates] (global ids with their
-    betas, in canonical order).  Every candidate secret-shares its beta
-    to the [committee] in one simultaneous round; the committee runs
-    the deterministic top-k and publishes the winning ids. *)
+    betas, in canonical order).  Every candidate secret-shares the [l]
+    little-endian bits of its beta to the [committee], all in one
+    simultaneous round; the committee runs the deterministic top-k on
+    those bits and publishes the winning ids.
+    @raise Invalid_argument if a beta lies outside [[0, 2^l)]. *)
 let merge_top_k rng ~l ~committee ~k
     ~(candidates : (int * Bigint.t) array) : merge_stat =
   let r = Array.length candidates in
   if k > r then invalid_arg "Shard.merge_top_k: k exceeds candidate count";
   if committee < 3 then invalid_arg "Shard.merge_top_k: committee must be >= 3";
+  if Array.exists (fun (_, b) -> Bigint.sign b < 0 || Bigint.numbits b > l) candidates
+  then invalid_arg "Shard.merge_top_k: beta outside [0, 2^l)";
   let t0 = Unix.gettimeofday () in
   let stat =
     Trace.with_span
@@ -127,13 +141,8 @@ let merge_top_k rng ~l ~committee ~k
     let f = merge_field ~l in
     let e = Engine.create rng f ~n:committee in
     Engine.reset_costs e;
-    let prm = Compare.default_params ~l () in
-    let shared =
-      Array.of_list
-        (Engine.input_batch e
-           (Array.to_list (Array.map (fun (_, b) -> b) candidates)))
-    in
-    let win_idx = Topk.top_k_det e prm ~k shared in
+    let bits = Topk.input_bits e ~l (Array.map snd candidates) in
+    let win_idx = Topk.top_k_det e ~k bits in
     let winners =
       Array.of_list (List.map (fun i -> fst candidates.(i)) win_idx)
     in
@@ -195,11 +204,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
   (* The fan-in schedule on the two-level tree party space.  Per-shard
      runtime schedules are remapped onto global participant ids and
      overlaid (shards run in parallel in the field); then the merge:
-     one fan-in round (each candidate shares its beta to the
-     committee), the committee's internal rounds as all-broadcasts
-     (SS-framework accounting idiom), and one winner announcement. *)
+     one fan-in round (each candidate shares its beta's l bits to the
+     committee, l field elements per member), the committee's internal
+     rounds as all-broadcasts (SS-framework accounting idiom), and one
+     winner announcement. *)
   let fan_in_schedule ~plan ~(shard_scheds : Netsim.schedule array)
-      ~(merge : merge_stat) ~field_bytes =
+      ~(merge : merge_stat) ~l ~field_bytes =
     let n = plan.n in
     let m = merge.committee in
     let intra =
@@ -217,7 +227,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
           Array.to_list merge.candidates
           |> List.concat_map (fun p ->
                  List.init m (fun c ->
-                     { Netsim.src = p; dst = n + c; bytes = field_bytes }));
+                     { Netsim.src = p; dst = n + c; bytes = l * field_bytes }));
       }
     in
     let c = merge.merge_costs in
@@ -371,7 +381,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       (Bigint.numbits (Ppgr_dotprod.Zfield.modulus (merge_field ~l)) + 7) / 8
     in
     let schedule =
-      fan_in_schedule ~plan ~shard_scheds ~merge ~field_bytes
+      fan_in_schedule ~plan ~shard_scheds ~merge ~l ~field_bytes
     in
     {
       plan;

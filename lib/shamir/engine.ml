@@ -202,7 +202,8 @@ let input e v : shared =
 
 (** Many parties share their private inputs simultaneously (1 round,
     n-1 elements each) — the merge-stage fan-in, where every shard
-    representative feeds its masked gain to the committee at once. *)
+    representative feeds the l bits of its masked gain to the committee
+    at once. *)
 let input_batch e vs : shared list =
   e.rounds <- e.rounds + 1;
   let coeffs = fresh e (e.th + 1) in

@@ -77,7 +77,8 @@ val input : t -> Bigint.t -> shared
 
 val input_batch : t -> Bigint.t list -> shared list
 (** Many parties share private inputs in one simultaneous round —
-    the sharded-ranking merge fan-in. *)
+    the sharded-ranking merge fan-in, where each candidate deals the
+    bits of its beta ({!Topk.input_bits}). *)
 
 val open_ : t -> shared -> Bigint.t
 (** Reveal a shared value to everyone (1 round). *)

@@ -15,6 +15,9 @@ let engine ?(n = 5) () =
   Engine.reset_costs e;
   e
 
+(* Each value's 10 bits, dealt by its owner, as the merge inputs them. *)
+let bit_shares e vals = Topk.input_bits e ~l:10 (Array.map bi vals)
+
 let topk_tests =
   let prm = Compare.default_params ~l:10 () in
   [
@@ -25,8 +28,7 @@ let topk_tests =
         let run_topk n =
           let vals = Array.init n (fun i -> 7 * (i + 1)) in
           let e = engine ~n:5 () in
-          let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-          ignore (Topk.top_k_det e prm ~k:2 shared);
+          ignore (Topk.top_k_det e ~k:2 (bit_shares e vals));
           (Engine.costs e).Engine.c_mults
         in
         let run_sort n =
@@ -48,7 +50,6 @@ let topk_tests =
    exactly k winners, ties at the cut resolved by ascending input
    index. *)
 let topk_det_tests =
-  let prm = Compare.default_params ~l:10 () in
   let prop ?(count = 30) name gen f =
     QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
   in
@@ -66,8 +67,7 @@ let topk_det_tests =
   in
   let check_det vals k =
     let e = engine () in
-    let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-    Topk.top_k_det e prm ~k shared = expected_det vals k
+    Topk.top_k_det e ~k (bit_shares e vals) = expected_det vals k
   in
   let vals_gen =
     (* Small domain forces frequent duplicates, including at the cut. *)
@@ -87,21 +87,19 @@ let topk_det_tests =
         let k = 1 + (kseed mod n) in
         let vals = Array.make n 5 in
         let e = engine () in
-        let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
-        Topk.top_k_det e prm ~k shared = List.init k Fun.id);
+        Topk.top_k_det e ~k (bit_shares e vals) = List.init k Fun.id);
     Alcotest.test_case "duplicate exactly at the cut" `Quick (fun () ->
         (* Two values tie at the cut with room for one: the lower index
            wins. *)
         let vals = [| 9; 7; 7; 3 |] in
         let e = engine () in
-        let shared = Array.map (fun v -> Engine.input e (bi v)) vals in
         Alcotest.(check (list int)) "winners" [ 0; 1 ]
-          (Topk.top_k_det e prm ~k:2 shared));
+          (Topk.top_k_det e ~k:2 (bit_shares e vals)));
     Alcotest.test_case "k out of range rejected" `Quick (fun () ->
         let e = engine () in
-        let shared = [| Engine.input e (bi 1) |] in
+        let shared = bit_shares e [| 1 |] in
         Alcotest.check_raises "bad k" (Invalid_argument "Topk.top_k: k out of range")
-          (fun () -> ignore (Topk.top_k_det e prm ~k:0 shared)));
+          (fun () -> ignore (Topk.top_k_det e ~k:0 shared)));
   ]
 
 let () =

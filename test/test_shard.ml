@@ -25,10 +25,14 @@ let sharded ?(seed = "shard-run") ?(shard_size = 4) ?(k = 3) ~n ~l () =
   let betas = distinct_betas (fresh_rng (seed ^ "-betas")) n ~l in
   (betas, S.run ~shard_size ~committee:3 ~k rng ~l ~betas)
 
-(* The k largest betas' owners (unique when betas are distinct). *)
+(* The k largest betas' owners under the merge's tie rule: the values
+   above the cut, then the lowest indices at the cut. *)
 let expect_top_k betas k =
   let idx = Array.init (Array.length betas) (fun i -> i) in
-  Array.sort (fun a b -> Bigint.compare betas.(b) betas.(a)) idx;
+  Array.sort
+    (fun a b ->
+      match Bigint.compare betas.(b) betas.(a) with 0 -> compare a b | c -> c)
+    idx;
   List.sort compare (Array.to_list (Array.sub idx 0 k))
 
 let plan_tests =
@@ -196,16 +200,56 @@ let differential_tests =
         Alcotest.(check int) "k winners" k (Array.length r1.Shard.winners);
         Alcotest.(check (array int)) "stable" r1.Shard.winners r2.Shard.winners)
     ;
+    Alcotest.test_case "merge = clear rule on every small input" `Quick
+      (fun () ->
+        (* Every l = 3 vector of 3 candidates and every l = 2 vector of
+           4 candidates, at every k: 2,560 merges, ties at the cut
+           included. *)
+        let rng = fresh_rng "merge-exhaustive" in
+        List.iter
+          (fun (r, l) ->
+            for v = 0 to (1 lsl (r * l)) - 1 do
+              let betas =
+                Array.init r (fun i -> bi ((v lsr (i * l)) land ((1 lsl l) - 1)))
+              in
+              for k = 1 to r do
+                let st =
+                  Shard.merge_top_k rng ~l ~committee:3 ~k
+                    ~candidates:(Array.mapi (fun i b -> (i, b)) betas)
+                in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "l=%d vector %d k=%d" l v k)
+                  (expect_top_k betas k)
+                  (Array.to_list st.Shard.winners)
+              done
+            done)
+          [ (3, 3); (4, 2) ])
+    ;
+    Alcotest.test_case "merge rejects a beta outside [0, 2^l)" `Quick
+      (fun () ->
+        List.iter
+          (fun b ->
+            Alcotest.check_raises (Printf.sprintf "beta %d at l = 3" b)
+              (Invalid_argument "Shard.merge_top_k: beta outside [0, 2^l)")
+              (fun () ->
+                ignore
+                  (Shard.merge_top_k (fresh_rng "merge-range") ~l:3 ~committee:3 ~k:1
+                     ~candidates:[| (0, bi 5); (1, bi b) |])))
+          [ 8; -1 ])
+    ;
   ]
 
 (* The merge at the benchmark's shape (six candidates, a committee of
    five, k = 3, l = 16): the winners and the whole protocol ledger are
-   pinned to the values the Bigint-share engine produced, so a change of
-   share representation cannot move the protocol.  The sharded
-   workload's per-party wire bytes are derived from these counters.  The
-   field-multiplication meter counts local work, so it is pinned
-   relative to that engine: openings reuse the Lagrange weights cached
-   at engine creation instead of recomputing them. *)
+   pinned, so neither the share representation nor the probe arithmetic
+   can move the protocol unnoticed.  The sharded workload's per-party
+   wire bytes are derived from these counters.  Each candidate deals its
+   16 bits in the one input round; each of the 17 probes (16 search
+   steps, then the membership bits of the cut) runs one bitwise
+   comparison per candidate, 49 multiplications for the suffix ORs and
+   16 for the products, so 17 * 6 * 65 = 6630.  The only openings are
+   the 16 counts and the 6 membership bits, and no random bit is
+   drawn. *)
 let invariance_tests =
   [
     Alcotest.test_case "merge ledger pinned at the benchmark shape" `Quick
@@ -218,14 +262,12 @@ let invariance_tests =
         in
         let c = st.Shard.merge_costs in
         Alcotest.(check (array int)) "winners" [| 10; 12; 14 |] st.Shard.winners;
-        Alcotest.(check int) "c_mults" 12444 c.Ppgr_shamir.Engine.c_mults;
-        Alcotest.(check int) "c_rounds" 936 c.Ppgr_shamir.Engine.c_rounds;
-        Alcotest.(check int) "c_opens" 5938 c.Ppgr_shamir.Engine.c_opens;
-        Alcotest.(check int) "c_elements" 483944 c.Ppgr_shamir.Engine.c_elements;
-        Alcotest.(check int) "c_randoms" 5814 c.Ppgr_shamir.Engine.c_randoms;
-        (* That engine ticked 2147780; an opening costs n = 5 field
-           mults instead of n + n(2n-1), 45 fewer each. *)
-        Alcotest.(check int) "c_field_mults" (2147780 - (5938 * 45))
+        Alcotest.(check int) "c_mults" 6630 c.Ppgr_shamir.Engine.c_mults;
+        Alcotest.(check int) "c_rounds" 528 c.Ppgr_shamir.Engine.c_rounds;
+        Alcotest.(check int) "c_opens" 22 c.Ppgr_shamir.Engine.c_opens;
+        Alcotest.(check int) "c_elements" 133424 c.Ppgr_shamir.Engine.c_elements;
+        Alcotest.(check int) "c_randoms" 0 c.Ppgr_shamir.Engine.c_randoms;
+        Alcotest.(check int) "c_field_mults" 697700
           c.Ppgr_shamir.Engine.c_field_mults)
     ;
     Alcotest.test_case "sharded transcript pinned at the benchmark shape" `Quick
@@ -240,7 +282,7 @@ let invariance_tests =
         in
         Alcotest.(check (array int)) "winners" [| 7; 8; 15 |] r.Shard.winners;
         Alcotest.(check string) "digest"
-          "9e7e5557576945c4235de2804df143a4dc272a89b33e6548c8c7bde28787f403"
+          "d0e139d6689a2864ba0527767634a4e780b5b76bd3163f54bb2ffe109f83ab58"
           r.Shard.transcript_sha)
     ;
     Alcotest.test_case "merge wall is timed with histograms off" `Quick
