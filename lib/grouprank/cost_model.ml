@@ -18,11 +18,15 @@
       multiplications per exponentiation on group [g], a step costs
       [ops_test + exps * (mpe(target) - mpe(test))] multiplications on
       a target group.  A party's cost is the sum of the steps.
-    - {b SS baseline}: invocation counts of the multiplication protocol
-      per comparator are n-independent; per-party field-multiplication
-      unit costs of each primitive follow the engine implementation
-      exactly ([mul]: 1 + nt + n, [random]: nt, [open]: n).  Counts are
-      measured on a small run and scaled by the Batcher comparator count.
+    - {b SS baseline}: {!Ss_model} is a view of the {!Engine} ledger.
+      One compare-exchange's invocation counts and rounds do not depend
+      on n; {!Ss_model.measure} reads them off a real engine once.  An
+      n-party run is that comparator once per Batcher comparator and its
+      rounds once per layer, plus the inputs and openings, and the
+      engine's own pricing ({!Engine.field_mults_per_party},
+      {!Engine.elements}) turns the counts into per-party field
+      multiplications and traffic.  The test suite holds the ledger
+      equal to direct runs at n = 3…9.
 
     Wall-clock per group multiplication / field multiplication is
     measured by the bench executable and multiplied in at the end. *)
@@ -167,177 +171,67 @@ module He_model = struct
     @ [ round 4 [] ]
 end
 
-module Shard_model = struct
-  (** Shard-aware cost model: per-shard quadratic plus merge term.
-
-      The committee-sharded mode replaces one [n]-party ring with
-      [ceil(n/s)] rings of [<= s] parties plus a secret-shared top-k
-      merge over the shard representatives.  Group work is the sum of
-      per-shard quadratics — effectively linear in [n] for fixed [s] —
-      and the merge adds field multiplications linear in the candidate
-      count.  This model fits both terms from instrumented runs on the
-      test group and locates the quadratic-vs-sharded crossover [n*]
-      that the bench measures. *)
-
-  type t = {
-    l : int;
-    total_q : float * float * float;
-        (* TOTAL group ops of one distributed run (all parties summed)
-           vs (n-1), fitted through measured sizes *)
-    merge_mults_per_cand : float;
-        (* committee field multiplications per merge candidate; the
-           binary search probes all candidates each round, so the cost
-           is linear in candidates and k-independent *)
-  }
-
-  (* The total group-op count of one session (its party spans tile
-     the run), the quantity Shard.run accounts per shard. *)
-  let measure_total_ops rng ~l ~n =
-    let ops, _, _ = He_model.measure_session rng ~l ~n in
-    Array.fold_left ( + ) 0 ops
-
-  let fit rng ~l =
-    let point n = (n - 1, float_of_int (measure_total_ops rng ~l ~n)) in
-    let p1 = point 3 in
-    let p2 = point 4 in
-    let p3 = point 5 in
-    let r0 = 8 in
-    let candidates =
-      Array.init r0 (fun i ->
-          (i, Rng.bigint_below rng (Bigint.nth_bit_weight l)))
-    in
-    let st = Shard.merge_top_k rng ~l ~committee:3 ~k:(r0 / 2) ~candidates in
-    {
-      l;
-      total_q = quadratic_through p1 p2 p3;
-      merge_mults_per_cand =
-        float_of_int st.Shard.merge_costs.Engine.c_field_mults /. float_of_int r0;
-    }
-
-  (* Balanced shard sizes, mirroring Shard.make_plan. *)
-  let shard_sizes ~n ~shard_size =
-    let count = (n + shard_size - 1) / shard_size in
-    let base = n / count and extra = n mod count in
-    List.init count (fun i -> if i < extra then base + 1 else base)
-
-  (** Total group ops of one monolithic [n]-party run. *)
-  let predict_mono_ops m ~n = eval_quadratic m.total_q (n - 1)
-
-  (** Total group ops of the sharded mode: the per-shard quadratic
-      summed over the balanced partition (singleton shards run no
-      ring). *)
-  let predict_sharded_ops m ~n ~shard_size =
-    List.fold_left
-      (fun acc size -> if size < 2 then acc else acc +. eval_quadratic m.total_q (size - 1))
-      0.
-      (shard_sizes ~n ~shard_size)
-
-  (** Committee field multiplications of the merge: candidates are the
-      per-shard top-[min(k, size)] members. *)
-  let predict_merge_mults m ~n ~shard_size ~k =
-    let cands =
-      List.fold_left
-        (fun acc size -> acc + Stdlib.min k size)
-        0
-        (shard_sizes ~n ~shard_size)
-    in
-    float_of_int cands *. m.merge_mults_per_cand
-
-  (** End-to-end cost in seconds(-equivalent units): group ops and
-      field multiplications are different currencies, so the crossover
-      is only meaningful after both are priced. *)
-  let predict_seconds_mono m ~n ~sec_per_op = predict_mono_ops m ~n *. sec_per_op
-
-  let predict_seconds_sharded m ~n ~shard_size ~k ~sec_per_op
-      ~sec_per_field_mult =
-    (predict_sharded_ops m ~n ~shard_size *. sec_per_op)
-    +. (predict_merge_mults m ~n ~shard_size ~k *. sec_per_field_mult)
-
-  (** The predicted quadratic→near-linear crossover: the smallest [n]
-      above [shard_size] from which the sharded mode stays cheaper.
-      Returns [None] if no crossover up to n = 4096 (e.g. when the merge
-      is priced absurdly high). *)
-  let crossover m ~shard_size ~k ~sec_per_op
-      ~sec_per_field_mult =
-    let cheaper n =
-      predict_seconds_sharded m ~n ~shard_size ~k ~sec_per_op ~sec_per_field_mult
-      < predict_seconds_mono m ~n ~sec_per_op
-    in
-    let rec search n =
-      if n > 4096 then None
-      else if cheaper n && cheaper (n + 1) && cheaper (n + 2) then Some n
-      else search (n + 1)
-    in
-    search (shard_size + 1)
-end
-
 module Ss_model = struct
+  (** The SS baseline as {!Ss_sort.rank_via_sort} runs it: the n inputs
+      dealt in one round, the Batcher network one layer at a time, and
+      the n sorted values opened in one round. *)
   type t = {
     l : int;
-    kappa : int;
-    (* Per-comparator invocation counts (n-independent), measured. *)
-    mults_per_comp : float;
-    randoms_per_comp : float;
-    opens_per_comp : float;
-    rounds_per_layer : float;
+    comparator : Engine.costs;
+        (* one compare-exchange's ledger; its invocation counts and
+           rounds do not depend on the number of parties *)
   }
 
+  (** One compare-exchange, measured: {!Ss_sort.sort} on two dealt
+      inputs on a fresh three-party engine. *)
   let measure rng ~l ?(kappa = 40) ?field () =
     let f = match field with Some f -> f | None -> Ppgr_dotprod.Zfield.default () in
-    let n0 = 5 in
-    let e = Engine.create rng f ~n:n0 in
+    let e = Engine.create rng f ~n:3 in
+    let wires =
+      Array.of_list
+        (Engine.input_batch e
+           (List.init 2 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))))
+    in
     Engine.reset_costs e;
-    let prm = { Compare.l; kappa } in
-    let betas = Array.init n0 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
-    ignore (Ss_sort.rank_via_sort e prm betas);
-    let c = Engine.costs e in
-    let net = Sort_network.generate n0 in
-    let comps = float_of_int (Sort_network.comparator_count net) in
-    let depth = float_of_int (Sort_network.depth net) in
+    ignore (Ss_sort.sort e { Compare.l; kappa } wires);
+    { l; comparator = Engine.costs e }
+
+  (** The ledger of an [n]-party run: the comparator's invocations once
+      per comparator of the network and its rounds once per layer, the
+      n inputs in one round and the n openings in another, and the traffic
+      and field multiplications the engine prices those counts at.
+
+      [faithful:true] replaces the comparator's multiplications (a
+      masked-open comparison, about 5l) with the Nishide–Ohta constant
+      the paper assumes (279l + 5): the SS baseline as the paper costs
+      it.  The default follows what the repository implements. *)
+  let ledger ?(faithful = false) m ~n : Engine.costs =
+    let net = Sort_network.generate n in
+    let comps = Sort_network.comparator_count net in
+    let c = m.comparator in
+    let mults = if faithful then Compare.nishide_ohta_mults ~l:m.l else c.Engine.c_mults in
+    let counts =
+      {
+        Engine.c_mults = comps * mults;
+        c_rounds = (Sort_network.depth net * c.Engine.c_rounds) + 2;
+        c_elements = 0;
+        c_opens = (comps * c.Engine.c_opens) + n;
+        c_randoms = comps * c.Engine.c_randoms;
+        c_inputs = n;
+        c_scalings = comps * c.Engine.c_scalings;
+        c_field_mults = 0;
+      }
+    in
     {
-      l;
-      kappa;
-      mults_per_comp = float_of_int c.Engine.c_mults /. comps;
-      randoms_per_comp = float_of_int c.Engine.c_randoms /. comps;
-      opens_per_comp = float_of_int c.Engine.c_opens /. comps;
-      rounds_per_layer = float_of_int c.Engine.c_rounds /. depth;
+      counts with
+      c_elements = Engine.elements ~n counts;
+      c_field_mults = n * Engine.field_mults_per_party ~n counts;
     }
 
-  (** Per-party field multiplications for an n-party run, from the
-      engine's unit costs: a multiplication costs a party [1 + nt + n]
-      (local product, resharing polynomial evaluations, recombination),
-      a random value [nt], an opening [n].
-
-      [faithful:true] replaces the per-comparator multiplication count
-      of our implementation (a masked-open comparison, ~5l) with the
-      Nishide–Ohta constant the paper assumes (279l + 5) — the SS
-      baseline as the paper costs it.  Default follows what we actually
-      implemented. *)
-  let mults_per_comp ?(faithful = false) m =
-    if faithful then float_of_int (Compare.nishide_ohta_mults ~l:m.l)
-    else m.mults_per_comp
-
   let predict_party_field_mults ?faithful m ~n =
-    let t = (n - 1) / 2 in
-    let comps = float_of_int (Sort_network.comparator_count (Sort_network.generate n)) in
-    let mul_cost = float_of_int (1 + (n * t) + n) in
-    let rnd_cost = float_of_int (n * t) in
-    let open_cost = float_of_int n in
-    comps
-    *. ((mults_per_comp ?faithful m *. mul_cost)
-       +. (m.randoms_per_comp *. rnd_cost)
-       +. (m.opens_per_comp *. open_cost))
+    float_of_int (Engine.field_mults_per_party ~n (ledger ?faithful m ~n))
 
-  let predict_rounds m ~n =
-    m.rounds_per_layer *. float_of_int (Sort_network.depth (Sort_network.generate n))
-
-  (** Total field elements on the wire (all parties). *)
-  let predict_elements ?faithful m ~n =
-    let comps = float_of_int (Sort_network.comparator_count (Sort_network.generate n)) in
-    let per_inv = float_of_int (n * (n - 1)) in
-    comps
-    *. (mults_per_comp ?faithful m +. m.randoms_per_comp +. m.opens_per_comp)
-    *. per_inv
+  let predict_rounds m ~n = float_of_int (ledger m ~n).Engine.c_rounds
 
   let predict_seconds ?faithful m ~n ~sec_per_field_mult =
     predict_party_field_mults ?faithful m ~n *. sec_per_field_mult
@@ -353,22 +247,24 @@ module Ss_model = struct
     *. float_of_int (Compare.nishide_ohta_mults ~l)
     *. float_of_int (n * t)
 
-  (** SS schedule for the network simulation: [rounds] synchronized
-      all-to-all exchanges. *)
+  (** SS schedule for the network simulation: the ledger's rounds as
+      identical all-to-all exchanges, each carrying an equal share of
+      its elements and of a party's field multiplications. *)
   let schedule ?faithful m ~n ~field_bytes ~sec_per_field_mult ~sec_per_op :
       Cost.schedule =
     let open Ppgr_mpcnet in
-    let rounds = Stdlib.max 1 (int_of_float (predict_rounds m ~n)) in
-    let elements = predict_elements ?faithful m ~n in
+    let c = ledger ?faithful m ~n in
+    let rounds = c.Engine.c_rounds in
     let per_pair_bytes =
-      Stdlib.max 1
-        (int_of_float (elements /. float_of_int (rounds * n * (n - 1))) * field_bytes)
+      Stdlib.max 1 (c.Engine.c_elements / (rounds * n * (n - 1)) * field_bytes)
     in
-    let mults = predict_party_field_mults ?faithful m ~n in
     (* Express compute in "ops" of the consumer's unit via the ratio of
        the two measured costs. *)
     let ops_per_round =
-      int_of_float (mults /. float_of_int rounds *. (sec_per_field_mult /. sec_per_op))
+      int_of_float
+        (float_of_int (Engine.field_mults_per_party ~n c)
+        /. float_of_int rounds
+        *. (sec_per_field_mult /. sec_per_op))
     in
     List.init rounds (fun _ ->
         {

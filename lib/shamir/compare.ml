@@ -119,12 +119,3 @@ let ge e prm (x : Engine.shared) (y : Engine.shared) : Engine.shared =
   in
   (* bit_l(z) = m_div - r_high - u  (an exact 0/1 integer identity). *)
   Engine.sub e (Engine.sub e (Engine.of_public e m_div) r_high) u
-
-let lt e prm x y = Engine.add_public e (Engine.neg e (ge e prm x y)) Bigint.one
-let gt e prm x y = lt e prm y x
-let le e prm x y = ge e prm y x
-
-(** Shares of [x = y] (two comparisons and one multiplication). *)
-let eq e prm x y =
-  let a = ge e prm x y and b = ge e prm y x in
-  Engine.mul e a b

@@ -32,10 +32,3 @@ val ge : Engine.t -> params -> Engine.shared -> Engine.shared -> Engine.shared
 (** Shares of the bit [x >= y], for [x, y] in [[0, 2^l)].
     @raise Invalid_argument if the field is smaller than [l + kappa + 2]
     bits. *)
-
-val lt : Engine.t -> params -> Engine.shared -> Engine.shared -> Engine.shared
-val gt : Engine.t -> params -> Engine.shared -> Engine.shared -> Engine.shared
-val le : Engine.t -> params -> Engine.shared -> Engine.shared -> Engine.shared
-
-val eq : Engine.t -> params -> Engine.shared -> Engine.shared -> Engine.shared
-(** Two comparisons and one multiplication. *)

@@ -4,18 +4,22 @@
     party [i+1]'s share); the engine executes each sub-protocol for every
     party and keeps the cost ledger the evaluation reads:
 
-    - [mults]: invocations of the multiplication protocol (the unit of
-      the paper's SS cost analysis);
+    - invocation counts: multiplications (the unit of the paper's SS
+      cost analysis), random values, openings, inputs dealt and public
+      scalings;
     - [rounds]: communication rounds, counting parallel multiplications
       batched by {!mul_batch} as one round;
-    - [field_elements_sent]: total field elements put on the wire;
-    - the underlying field's own multiplication counter gives per-run
-      local computation (divide by [n] for a per-party figure).
+    - the field elements on the wire and the field multiplications per
+      party, both priced from the counts ({!elements},
+      {!field_mults_per_party});
+    - the underlying field's own multiplication counter, the work the
+      simulation really did, all parties together.
 
     Degree reduction after multiplication follows Gennaro–Rabin–Rabin:
     each party reshares its local product with a fresh degree-[t]
     polynomial and the new share is the Lagrange-weighted sum of the
-    subshares, so the engine requires [n >= 2t + 1].
+    subshares.  The engine tolerates the most colluders that allows,
+    t = (n-1)/2, so n >= 2t + 1 at every n.
 
     Shares are Montgomery-form limb vectors over the field's cached
     context ({!Zfield.ring}): every share operation runs on the
@@ -43,22 +47,21 @@ type t = {
   half_p : Bigint.t; (* (p-1)/2, the largest canonical square root *)
   mutable mults : int;
   mutable rounds : int;
-  mutable field_elements_sent : int;
   mutable opens : int;
   mutable randoms : int;
+  mutable inputs : int;
+  mutable scalings : int;
 }
 
 (* Length n.  Operations never write into an operand's elements, so one
    element may back several shares (see {!of_public}). *)
 type shared = M.elt array
 
-let create ?(threshold = `Max_colluders) rng f ~n =
-  let th =
-    match threshold with
-    | `Max_colluders -> (n - 1) / 2 (* largest t with n >= 2t + 1 *)
-    | `Fixed t -> t
-  in
-  if n < (2 * th) + 1 then invalid_arg "Engine.create: need n >= 2t + 1";
+(* The largest t with n >= 2t + 1. *)
+let threshold_of n = (n - 1) / 2
+
+let create rng f ~n =
+  if n < 1 then invalid_arg "Engine.create: need n >= 1";
   let p = Zfield.modulus f in
   (* Random bits take square roots as one exponentiation by (p+1)/4,
      which needs p = 3 mod 4 (every vendored prime is). *)
@@ -70,7 +73,7 @@ let create ?(threshold = `Max_colluders) rng f ~n =
     f;
     ring;
     n;
-    th;
+    th = threshold_of n;
     rng;
     xs;
     lagrange_all = Shamir.lagrange_at_zero f xs;
@@ -79,14 +82,13 @@ let create ?(threshold = `Max_colluders) rng f ~n =
     half_p = Bigint.shift_right p 1;
     mults = 0;
     rounds = 0;
-    field_elements_sent = 0;
     opens = 0;
     randoms = 0;
+    inputs = 0;
+    scalings = 0;
   }
 
 let field e = e.f
-let parties e = e.n
-let threshold e = e.th
 
 type costs = {
   c_mults : int;
@@ -94,55 +96,89 @@ type costs = {
   c_elements : int;
   c_opens : int;
   c_randoms : int;
+  c_inputs : int;
+  c_scalings : int;
   c_field_mults : int;
 }
 
+(** Field elements on the wire, all parties: every multiplication,
+    random value and opening is an all-to-all exchange of one element
+    per ordered pair, and an input goes from its dealer to the other
+    n-1 parties. *)
+let elements ~n c =
+  ((c.c_mults + c.c_randoms + c.c_opens) * n * (n - 1)) + (c.c_inputs * (n - 1))
+
+(** Field multiplications per party: each invocation's simulation-wide
+    count divided by n, with t = (n-1)/2 and a share dealt costing t+1
+    (Horner).  A multiplication is n local products, n resharings of n
+    shares and n^2 recombination terms, so 1 + n(t+2); a random value
+    is n sharings, n(t+1); an opening is n Lagrange terms, 1; an input
+    is one sharing, t+1; a public scaling is one per share, 1.  These
+    are the only unit prices in the repository; the field meter of a
+    run whose ledger started at {!reset_costs} reads n times this. *)
+let field_mults_per_party ~n c =
+  let t = threshold_of n in
+  (c.c_mults * (1 + (n * (t + 2))))
+  + (c.c_randoms * n * (t + 1))
+  + c.c_opens
+  + (c.c_inputs * (t + 1))
+  + c.c_scalings
+
 let costs e =
-  {
-    c_mults = e.mults;
-    c_rounds = e.rounds;
-    c_elements = e.field_elements_sent;
-    c_opens = e.opens;
-    c_randoms = e.randoms;
-    c_field_mults = Zfield.mult_count e.f;
-  }
+  let c =
+    {
+      c_mults = e.mults;
+      c_rounds = e.rounds;
+      c_elements = 0;
+      c_opens = e.opens;
+      c_randoms = e.randoms;
+      c_inputs = e.inputs;
+      c_scalings = e.scalings;
+      c_field_mults = Zfield.mult_count e.f;
+    }
+  in
+  { c with c_elements = elements ~n:e.n c }
 
 let reset_costs e =
   e.mults <- 0;
   e.rounds <- 0;
-  e.field_elements_sent <- 0;
   e.opens <- 0;
   e.randoms <- 0;
+  e.inputs <- 0;
+  e.scalings <- 0;
   Zfield.reset_mult_count e.f
 
 (** A child engine for one independent task of a parallel batch: its
     randomness is a split of the parent's stream under [label] (so the
     transcript does not depend on how tasks interleave) and its ledger
     starts at zero over the same field; {!absorb} folds the counters
-    back in.  Round counting becomes the caller's business: a batch of
-    forked comparators that would run in lockstep should be absorbed as
-    the {e maximum} of the children's rounds, which is what the sorting
-    layer does. *)
+    back in. *)
 let fork e ~label =
   {
     e with
     rng = Rng.split e.rng ~label;
     mults = 0;
     rounds = 0;
-    field_elements_sent = 0;
     opens = 0;
     randoms = 0;
+    inputs = 0;
+    scalings = 0;
   }
 
-(** Fold a {!fork}ed child's additive counters into the parent.
-    [rounds] defaults to the child's own count (sequential composition);
-    pass the batch-wide maximum when the children ran in lockstep. *)
-let absorb ?rounds e child =
-  e.mults <- e.mults + child.mults;
-  e.rounds <- e.rounds + Option.value rounds ~default:child.rounds;
-  e.field_elements_sent <- e.field_elements_sent + child.field_elements_sent;
-  e.opens <- e.opens + child.opens;
-  e.randoms <- e.randoms + child.randoms
+(** Fold a batch of {!fork}ed children that ran in lockstep into the
+    parent, in array order: their invocation counters add up, and their
+    rounds count once, at the batch's maximum.  A batch of one is
+    sequential composition. *)
+let absorb e children =
+  Array.iter
+    (fun c ->
+      e.mults <- e.mults + c.mults;
+      e.opens <- e.opens + c.opens;
+      e.randoms <- e.randoms + c.randoms;
+      e.inputs <- e.inputs + c.inputs;
+      e.scalings <- e.scalings + c.scalings)
+    children;
+  e.rounds <- e.rounds + Array.fold_left (fun m c -> Stdlib.max m c.rounds) 0 children
 
 (* Fresh zero elements: a share vector, or dealing scratch. *)
 let fresh e len = Array.init len (fun _ -> M.alloc e.ring)
@@ -166,6 +202,7 @@ let map2 e op (a : shared) (b : shared) : shared =
 
 (* Every party multiplies its share by the public [c]. *)
 let scale_elt e c (a : shared) : shared =
+  e.scalings <- e.scalings + 1;
   Zfield.count_mults e.f e.n;
   map e (fun d s -> M.mul_into e.ring d c s) a
 
@@ -197,7 +234,7 @@ let deal e coeffs v : shared =
     elements). *)
 let input e v : shared =
   e.rounds <- e.rounds + 1;
-  e.field_elements_sent <- e.field_elements_sent + (e.n - 1);
+  e.inputs <- e.inputs + 1;
   deal e (fresh e (e.th + 1)) (M.enter e.ring v)
 
 (** Many parties share their private inputs simultaneously (1 round,
@@ -209,7 +246,7 @@ let input_batch e vs : shared list =
   let coeffs = fresh e (e.th + 1) in
   List.map
     (fun v ->
-      e.field_elements_sent <- e.field_elements_sent + (e.n - 1);
+      e.inputs <- e.inputs + 1;
       deal e coeffs (M.enter e.ring v))
     vs
 
@@ -218,8 +255,7 @@ let reveal e (a : shared) = Shamir.interpolate e.f e.lagrange_all a
 
 let count_opens e k =
   e.rounds <- e.rounds + 1;
-  e.opens <- e.opens + k;
-  e.field_elements_sent <- e.field_elements_sent + (k * e.n * (e.n - 1))
+  e.opens <- e.opens + k
 
 (** Open a shared value to all parties (1 round; every party broadcasts
     its share). *)
@@ -249,7 +285,6 @@ let mul_batch e (pairs : (shared * shared) list) : shared list =
       List.map
         (fun ((a : shared), (b : shared)) ->
           e.mults <- e.mults + 1;
-          e.field_elements_sent <- e.field_elements_sent + (e.n * (e.n - 1));
           let out = fresh e e.n in
           (* The local products, then the n^2 weighted recombinations. *)
           Zfield.count_mults e.f (e.n * (e.n + 1));
@@ -290,7 +325,6 @@ let random_batch e k : shared array =
   else begin
     e.rounds <- e.rounds + 1;
     e.randoms <- e.randoms + k;
-    e.field_elements_sent <- e.field_elements_sent + (k * e.n * (e.n - 1));
     let coeffs = fresh e (e.th + 1) and subs = fresh e e.n in
     let secret = M.alloc e.ring in
     Array.init k (fun _ -> random_shared e coeffs subs secret)

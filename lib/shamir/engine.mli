@@ -11,7 +11,8 @@
     the multiplications the simulation performs, all parties together:
     [t+1] per share dealt, one per share of a local product or public
     scaling, [n^2] per degree reduction and [n] per opening (the Lagrange
-    weights are computed once, in {!create}). *)
+    weights are computed once, in {!create}).  {!field_mults_per_party}
+    prices a ledger's invocation counts with the same unit costs. *)
 
 open Ppgr_bigint
 open Ppgr_dotprod
@@ -21,34 +22,45 @@ type t
 type shared
 (** Every party's share of one value. *)
 
-val create :
-  ?threshold:[ `Max_colluders | `Fixed of int ] ->
-  Ppgr_rng.Rng.t ->
-  Zfield.t ->
-  n:int ->
-  t
-(** [`Max_colluders] (default) picks the largest [t] with [n >= 2t+1].
-    @raise Invalid_argument if the threshold is unusable, or unless the
-    field prime is 3 mod 4 (random bits take square roots as one
-    exponentiation by [(p+1)/4]). *)
+val create : Ppgr_rng.Rng.t -> Zfield.t -> n:int -> t
+(** [n] parties at threshold [t = (n-1)/2], the most colluders GRR
+    degree reduction tolerates.
+    @raise Invalid_argument if [n < 1], or unless the field prime is
+    3 mod 4 (random bits take square roots as one exponentiation by
+    [(p+1)/4]). *)
 
 val field : t -> Zfield.t
-val parties : t -> int
-val threshold : t -> int
 
 (** {1 Cost ledger} *)
 
 type costs = {
   c_mults : int; (* multiplication-protocol invocations *)
   c_rounds : int; (* communication rounds (batches count once) *)
-  c_elements : int; (* field elements on the wire, all parties *)
+  c_elements : int; (* field elements on the wire, all parties: {!elements} *)
   c_opens : int;
   c_randoms : int;
-  c_field_mults : int; (* local field mults, whole simulation *)
+  c_inputs : int; (* shares of private inputs dealt *)
+  c_scalings : int; (* multiplications of a share vector by a public value *)
+  c_field_mults : int; (* the field meter: local field mults, whole simulation *)
 }
 
 val costs : t -> costs
+
 val reset_costs : t -> unit
+(** Zero the ledger and the field's meter (which {!create}'s Lagrange
+    weights have ticked). *)
+
+val elements : n:int -> costs -> int
+(** The field elements an [n]-party run with these invocation counts
+    puts on the wire: [n(n-1)] per multiplication, random value and
+    opening, [n-1] per input. *)
+
+val field_mults_per_party : n:int -> costs -> int
+(** The field multiplications one party of an [n]-party run with these
+    invocation counts performs, with [t = (n-1)/2]: [1 + n(t+2)] per
+    multiplication, [n(t+1)] per random value, [t+1] per input and 1 per
+    opening or public scaling.  For a ledger started at {!reset_costs},
+    [c_field_mults = n * field_mults_per_party ~n c]. *)
 
 val fork : t -> label:string -> t
 (** A child engine for one independent task of a parallel batch: same
@@ -56,10 +68,10 @@ val fork : t -> label:string -> t
     ledger zeroed.  The field-multiplication meter is shared (it is
     per-domain-mergeable), so only the protocol counters fork. *)
 
-val absorb : ?rounds:int -> t -> t -> unit
-(** [absorb e child] folds a {!fork}ed child's counters back into [e].
-    [?rounds] overrides the round contribution — pass the batch-wide
-    maximum for children that ran in lockstep. *)
+val absorb : t -> t array -> unit
+(** [absorb e children] folds a batch of {!fork}ed children that ran in
+    lockstep back into [e]: every invocation counter adds up, and the
+    batch's rounds count once, at the children's maximum. *)
 
 (** {1 Linear (communication-free) operations} *)
 

@@ -7,14 +7,11 @@
     extra multiplication, leaving the wires sorted ascending without
     anyone learning [b]. *)
 
-
 module Trace = Ppgr_obs.Trace
 
-type costs = Engine.costs
-
 (** Sort an array of shared [l]-bit values ascending.  Comparators in
-    the same network layer share communication rounds (their
-    multiplications are batched). *)
+    the same network layer run in lockstep, so a layer costs the rounds
+    of one comparator, plus one for the batched exchange products. *)
 let sort e prm (values : Engine.shared array) : Engine.shared array =
   let a = Array.copy values in
   let net = Sort_network.generate (Array.length a) in
@@ -38,8 +35,8 @@ let sort e prm (values : Engine.shared array) : Engine.shared array =
       (* Comparisons of one layer touch disjoint wire pairs, so they
          fan out over the domain pool: each comparator runs on a child
          engine forked under a stable (layer, slot) label, and the
-         children's ledgers are absorbed back in slot order, keeping
-         transcript and costs independent of the job count. *)
+         children's ledgers are absorbed back as one lockstep batch,
+         keeping transcript and costs independent of the job count. *)
       let subs =
         Array.mapi
           (fun ci _ -> Engine.fork e ~label:(Printf.sprintf "sort-%d-%d" li ci))
@@ -50,7 +47,7 @@ let sort e prm (values : Engine.shared array) : Engine.shared array =
             let i, j = layer_arr.(ci) in
             Compare.ge subs.(ci) prm a.(i) a.(j))
       in
-      Array.iter (fun sub -> Engine.absorb e sub) subs;
+      Engine.absorb e subs;
       (* lo = x - b (x - y); hi = y + b (x - y). *)
       let diffs =
         Array.to_list
@@ -79,14 +76,14 @@ let sort e prm (values : Engine.shared array) : Engine.shared array =
   a
 
 (** The full baseline sorting protocol for ranking: every party inputs a
-    private value; the sorted sequence is opened; each party reads off
-    the rank of its own input.  Ranks are 1-based in non-increasing
-    order (rank 1 = largest), ties broken arbitrarily, to match the
-    framework's ranking convention. *)
+    private value, all in one round; the sorted sequence is opened in
+    one round; each party reads off the rank of its own input.  Ranks
+    are 1-based in non-increasing order (rank 1 = largest), ties broken
+    arbitrarily, to match the framework's ranking convention. *)
 let rank_via_sort e prm (inputs : Ppgr_bigint.Bigint.t array) : int array =
-  let shared = Array.map (Engine.input e) inputs in
+  let shared = Array.of_list (Engine.input_batch e (Array.to_list inputs)) in
   let sorted = sort e prm shared in
-  let opened = Array.map (Engine.open_ e) sorted in
+  let opened = Array.of_list (Engine.open_batch e (Array.to_list sorted)) in
   (* opened is ascending; rank of v = n - (index of v) counting from the
      end, consuming duplicates so equal gains get distinct slots. *)
   let n = Array.length inputs in

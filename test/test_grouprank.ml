@@ -258,8 +258,7 @@ let framework_tests =
             Framework.run_with_group (Ec_group.ecc_tiny ()) rng cfg ~criterion ~infos
           in
           let ss = Ss_framework.run rng cfg ~criterion ~infos in
-          Alcotest.(check (array int)) "same ranks" he.Framework.ranks
-            ss.Ss_framework.ranks
+          Alcotest.(check (array int)) "same ranks" he.Framework.ranks ss
         end);
     Alcotest.test_case "cost ledger is populated" `Quick (fun () ->
         let criterion = Attrs.random_criterion rng spec in
@@ -389,23 +388,36 @@ let cost_model_tests =
               (rel pred_exps exps < 0.05))
           [ 7; 9 ]);
     Alcotest.test_case "SS model predicts direct field mults" `Slow (fun () ->
+        (* Exact at every n: the model's ledger is the one a direct
+           rank_via_sort keeps, field multiplications, rounds and
+           elements included, and the direct run's field meter reads
+           what the engine's pricing of its ledger says. *)
+        let open Ppgr_shamir in
         let l = 16 in
         let m = Cost_model.Ss_model.measure rng ~l () in
-        (* Direct run at n = 7: total field mults / n vs prediction. *)
         let f = Ppgr_dotprod.Zfield.default () in
-        let n = 7 in
-        let e = Ppgr_shamir.Engine.create rng f ~n in
-        Ppgr_shamir.Engine.reset_costs e;
-        let prm = { Ppgr_shamir.Compare.l; kappa = 40 } in
-        let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
-        ignore (Ppgr_shamir.Ss_sort.rank_via_sort e prm betas);
-        let c = Ppgr_shamir.Engine.costs e in
-        let direct = float_of_int c.Ppgr_shamir.Engine.c_field_mults /. float_of_int n in
-        let pred = Cost_model.Ss_model.predict_party_field_mults m ~n in
-        Alcotest.(check bool)
-          (Printf.sprintf "within 35%% (pred %.0f direct %.0f)" pred direct)
-          true
-          (abs_float (pred -. direct) /. direct < 0.35));
+        List.iter
+          (fun n ->
+            let e = Engine.create rng f ~n in
+            Engine.reset_costs e;
+            let betas = Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l)) in
+            ignore (Ss_sort.rank_via_sort e (Compare.default_params ~l ()) betas);
+            let c = Engine.costs e and p = Cost_model.Ss_model.ledger m ~n in
+            let at what = Printf.sprintf "%s at n=%d" what n in
+            Alcotest.(check int) (at "priced field mults") c.Engine.c_field_mults
+              (n * Engine.field_mults_per_party ~n c);
+            Alcotest.(check int) (at "field mults per party")
+              (c.Engine.c_field_mults / n)
+              (int_of_float (Cost_model.Ss_model.predict_party_field_mults m ~n));
+            Alcotest.(check int) (at "rounds") c.Engine.c_rounds
+              (int_of_float (Cost_model.Ss_model.predict_rounds m ~n));
+            Alcotest.(check int) (at "elements") c.Engine.c_elements p.Engine.c_elements;
+            Alcotest.(check (list int)) (at "invocations")
+              [ c.Engine.c_mults; c.Engine.c_randoms; c.Engine.c_opens;
+                c.Engine.c_inputs; c.Engine.c_scalings ]
+              [ p.Engine.c_mults; p.Engine.c_randoms; p.Engine.c_opens;
+                p.Engine.c_inputs; p.Engine.c_scalings ])
+          [ 3; 4; 5; 6; 7; 8; 9 ]);
     Alcotest.test_case "schedules have positive costs and traffic" `Quick
       (fun () ->
         let l = 16 in

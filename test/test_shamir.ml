@@ -118,9 +118,11 @@ let engine_tests =
             (Bigint.to_string (Engine.open_ e p))
         done);
     Alcotest.test_case "multiplication needs n >= 2t+1" `Quick (fun () ->
-        Alcotest.check_raises "too few"
-          (Invalid_argument "Engine.create: need n >= 2t + 1") (fun () ->
-            ignore (Engine.create ~threshold:(`Fixed 2) rng f ~n:4)));
+        (* The threshold is t = (n-1)/2, so n >= 2t+1 holds at every
+           n >= 1; no party at all is the one unusable size. *)
+        Alcotest.check_raises "no parties"
+          (Invalid_argument "Engine.create: need n >= 1") (fun () ->
+            ignore (Engine.create rng f ~n:0)));
     Alcotest.test_case "chained multiplications stay correct" `Quick (fun () ->
         let e = make_engine () in
         let x = Engine.input e (bi 3) in
@@ -167,6 +169,23 @@ let engine_tests =
         Alcotest.(check int) "one mult" 1 c.Engine.c_mults;
         Alcotest.(check bool) "rounds counted" true (c.Engine.c_rounds >= 3);
         Alcotest.(check bool) "traffic counted" true (c.Engine.c_elements > 0));
+    Alcotest.test_case "ledger prices the field meter" `Quick (fun () ->
+        (* Every invocation kind at every small n, and a forked batch
+           absorbed back: the field meter reads n times the engine's
+           per-party pricing of the ledger. *)
+        List.iter
+          (fun n ->
+            let e = make_engine ~n () in
+            let a = Engine.input e (bi 5) and b = Engine.input e (bi 6) in
+            let subs = Array.init 2 (fun i -> Engine.fork e ~label:(string_of_int i)) in
+            Array.iter (fun sub -> ignore (Engine.random_bits sub 3)) subs;
+            Engine.absorb e subs;
+            let p = Engine.mul e (Engine.scale e (bi 3) a) (Engine.random e) in
+            ignore (Engine.open_batch e [ p; b ]);
+            let c = Engine.costs e in
+            Alcotest.(check int) (Printf.sprintf "n=%d" n) c.Engine.c_field_mults
+              (n * Engine.field_mults_per_party ~n c))
+          [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
     Alcotest.test_case "mul_batch counts one round" `Quick (fun () ->
         let e = make_engine () in
         let a = Engine.input e (bi 2) and b = Engine.input e (bi 3) in
@@ -195,20 +214,6 @@ let compare_tests =
               g)
           [ (0, 0); (1, 0); (0, 1); (65535, 65535); (65535, 0); (0, 65535);
             (32768, 32767); (32767, 32768); (12345, 12345) ]);
-    Alcotest.test_case "lt / gt / le are consistent" `Quick (fun () ->
-        let e = make_engine () in
-        let x = 777 and y = 1234 in
-        let sx = Engine.input e (bi x) and sy = Engine.input e (bi y) in
-        let get p = Bigint.to_int_exn (Engine.open_ e p) in
-        Alcotest.(check int) "lt" 1 (get (Compare.lt e prm sx sy));
-        Alcotest.(check int) "gt" 0 (get (Compare.gt e prm sx sy));
-        Alcotest.(check int) "le" 1 (get (Compare.le e prm sx sy)));
-    Alcotest.test_case "eq" `Quick (fun () ->
-        let e = make_engine () in
-        let get p = Bigint.to_int_exn (Engine.open_ e p) in
-        let s v = Engine.input e (bi v) in
-        Alcotest.(check int) "equal" 1 (get (Compare.eq e prm (s 999) (s 999)));
-        Alcotest.(check int) "unequal" 0 (get (Compare.eq e prm (s 999) (s 998))));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:40 ~name:"ge matches integer comparison"
          QCheck2.Gen.(pair (int_range 0 65535) (int_range 0 65535))
