@@ -827,6 +827,23 @@ module Modring = struct
     done;
     !i = n
 
+  let equal_neg c (a : elt) (b : elt) =
+    (* a + b = m with the carry chain; 0 = -0 is the one pair whose sum
+       is 0 rather than m. *)
+    let m = c.mc.Mont.m in
+    let carry = ref 0 in
+    let i = ref 0 in
+    while
+      !i < c.mc.Mont.w
+      &&
+      let s = a.(!i) + b.(!i) + !carry in
+      carry := s lsr 61;
+      s land Mag.mask = m.(!i)
+    do
+      incr i
+    done;
+    (!i = c.mc.Mont.w && !carry = 0) || (is_zero c a && is_zero c b)
+
   let is_one c (a : elt) =
     let o = c.mc.Mont.one_m in
     let i = ref (c.mc.Mont.w - 1) in

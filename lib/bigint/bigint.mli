@@ -221,6 +221,13 @@ module Modring : sig
   (** @raise Division_by_zero if not invertible. *)
 
   val equal : ctx -> elt -> elt -> bool
+
+  val equal_neg : ctx -> elt -> elt -> bool
+  (** [equal_neg c a b] is [a = -b].  For non-zero operands that is
+      [a + b = m] limb by limb, which holds in Montgomery form exactly
+      when it holds for the plain values.  Closure-free and
+      allocation-free. *)
+
   val is_zero : ctx -> elt -> bool
   val is_one : ctx -> elt -> bool
   val double : ctx -> elt -> elt

@@ -75,6 +75,10 @@ module type S = sig
   val sub : cipher -> cipher -> cipher
   val neg : cipher -> cipher
 
+  val neg_batch : cipher array -> cipher array
+  (** [neg_batch a = Array.map neg a], with both components of every
+      ciphertext inverted in one {!G.inv_batch}. *)
+
   val scale : cipher -> Bigint.t -> cipher
   (** [E(a) -> E(k a)] by component-wise exponentiation. *)
 
@@ -170,6 +174,14 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
     G.equal cph.c (G.pow cph.c' x)
   let add a b = { c = G.mul a.c b.c; c' = G.mul a.c' b.c' }
   let neg a = { c = G.inv a.c; c' = G.inv a.c' }
+
+  let neg_batch a =
+    let k = Array.length a in
+    let inv =
+      G.inv_batch (Array.init (2 * k) (fun i -> if i < k then a.(i).c else a.(i - k).c'))
+    in
+    Array.init k (fun i -> { c = inv.(i); c' = inv.(k + i) })
+
   let sub a b = add a (neg b)
 
   let scale a k =

@@ -1,9 +1,17 @@
-(** The "DL" group family: quadratic residues modulo a safe prime.
+(** The "DL" group family: quadratic residues modulo a safe prime, as
+    signed quadratic residues.
 
     For a safe prime [p = 2q + 1] the quadratic residues form the unique
     subgroup of prime order [q]; DDH is believed hard there (§IV-B of the
-    paper).  Elements are kept in Montgomery form so a group
-    multiplication is a single Montgomery multiplication. *)
+    paper).  Since [p = 3 (mod 4)], [-1] is not a residue, so each pair
+    [{x, p - x}] holds exactly one residue and [x -> min(x, p - x)] maps
+    the residues one-to-one onto [[1, q]]: the group of signed quadratic
+    residues of Hofheinz and Kiltz (CRYPTO 2009), isomorphic to the
+    residues, so DDH carries over.  Arithmetic stays in [Z_p^*] on
+    Montgomery residues (a group multiplication is one Montgomery
+    multiplication); [x] and [p - x] are one element, the encoding is
+    [min(x, p - x)], and membership of a decoded value is the range
+    check [1 <= y <= q] (DESIGN.md §5a). *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -13,7 +21,7 @@ module type PARAMS = sig
   val security_bits : int
 
   val p : Bigint.t
-  (** Safe prime with [p = 7 (mod 8)] (so that 2 is a residue). *)
+  (** Safe prime [p = 2q + 1], so [p = 3 (mod 4)]. *)
 
   val g : Bigint.t
   (** Generator of the order-[q] subgroup of residues. *)
@@ -76,14 +84,44 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     Ppgr_exec.Meter.incr ops;
     Bigint.Modring.mul ring a b
 
-  let equal a b = Bigint.Modring.equal ring a b
-  let is_identity x = equal x identity
+  (* x and p - x are one element; -a is p - a in Montgomery form too,
+     so both tests read the limbs as they are. *)
+  let equal a b = Bigint.Modring.equal ring a b || Bigint.Modring.equal_neg ring a b
+
+  let is_identity x =
+    Bigint.Modring.is_one ring x || Bigint.Modring.equal_neg ring x identity
+
+  (* Inversions, the [field_invs] probe: one per [inv] and one per
+     [inv_batch]. *)
+  let invs = Ppgr_exec.Meter.create ()
 
   let inv x =
     (* Binary extended gcd on the Montgomery residue; ticked as one op
        although it costs tens of multiplications. *)
     Ppgr_exec.Meter.incr ops;
+    Ppgr_exec.Meter.incr invs;
     Bigint.Modring.inv ring x
+
+  (* Montgomery's trick: the prefix products, one inversion of the
+     whole product, then one backward pass peeling off each element:
+     3(k - 1) multiplications and one inversion for k elements. *)
+  let inv_batch a =
+    let k = Array.length a in
+    if k = 0 then [||]
+    else begin
+      let prefix = Array.make k a.(0) in
+      for i = 1 to k - 1 do
+        prefix.(i) <- mul prefix.(i - 1) a.(i)
+      done;
+      let out = Array.make k identity in
+      let t = ref (inv prefix.(k - 1)) in
+      for i = k - 1 downto 1 do
+        out.(i) <- mul !t prefix.(i - 1);
+        t := mul !t a.(i)
+      done;
+      out.(0) <- !t;
+      out
+    end
 
   let sqr x =
     Ppgr_exec.Meter.incr ops;
@@ -303,25 +341,29 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
 
   let element_bytes = (Bigint.numbits P.p + 7) / 8
 
-  let to_bytes x =
-    Bigint.to_bytes_be_padded element_bytes
-      (Bigint.Modring.leave ring x)
+  (* The canonical value of the element {x, p - x}: the one in [1, q]. *)
+  let canonical x =
+    let v = Bigint.Modring.leave ring x in
+    if Bigint.compare v order > 0 then Bigint.sub P.p v else v
+
+  let to_bytes x = Bigint.to_bytes_be_padded element_bytes (canonical x)
 
   (* Residues are affine already: batching buys nothing here, the hook
      exists for the EC family's shared-inversion normalization. *)
   let to_bytes_batch a = Array.map to_bytes a
-  let probes = []
+  let probes = [ ("field_invs", fun () -> Ppgr_exec.Meter.read invs) ]
 
+  (* Every y in [1, q] is the canonical value of exactly one element, so
+     membership is a range check: no Jacobi symbol. *)
   let of_bytes b =
     if Bytes.length b <> element_bytes then None
     else begin
       let v = Bigint.of_bytes_be b in
-      if Bigint.sign v <= 0 || Bigint.compare v P.p >= 0 then None
-      else if Bigint.jacobi v P.p <> 1 then None
+      if Bigint.sign v <= 0 || Bigint.compare v order > 0 then None
       else Some (Bigint.Modring.enter ring v)
     end
 
-  let pp fmt x = Bigint.pp fmt (Bigint.Modring.leave ring x)
+  let pp fmt x = Bigint.pp fmt (canonical x)
 
   let random_scalar rng =
     Bigint.succ (Rng.bigint_below rng (Bigint.pred order))

@@ -19,6 +19,7 @@ end) : Group_intf.GROUP = struct
   let identity = Ec_curve.infinity cv
   let mul a b = Ec_curve.add cv a b
   let inv a = Ec_curve.neg cv a
+  let inv_batch a = Array.map inv a
   let pow x e = Ec_curve.scalar_mul cv x e
 
   type powtable = Ec_curve.powtable

@@ -29,6 +29,12 @@ module type GROUP = sig
   val mul : element -> element -> element
   val inv : element -> element
 
+  val inv_batch : element array -> element array
+  (** [inv_batch a] equals [Array.map inv a].  The DL family inverts the
+      whole array with Montgomery's trick (one inversion and [3(k-1)]
+      multiplications for [k] elements, each ticked); the EC family's
+      inversion is a point negation, so it maps {!inv}. *)
+
   val pow : element -> Bigint.t -> element
   (** [pow x e] for any integer [e] (reduced modulo {!order}). *)
 
@@ -58,6 +64,9 @@ module type GROUP = sig
       the cost of one exponentiation instead of 2x. *)
 
   val equal : element -> element -> bool
+  (** Group equality.  The DL family compares up to sign ([x] and
+      [p - x] are one element); neither family allocates. *)
+
   val is_identity : element -> bool
 
   val to_bytes : element -> Bytes.t
@@ -72,7 +81,8 @@ module type GROUP = sig
       message. *)
 
   val of_bytes : Bytes.t -> element option
-  (** Decode and validate group membership. *)
+  (** Decode and validate group membership: [None] for any string that
+      is not the {!to_bytes} of an element. *)
 
   val element_bytes : int
   (** Serialized size; doubles as the ciphertext-size unit [S_c] in the
@@ -98,9 +108,9 @@ module type GROUP = sig
 
   val probes : (string * (unit -> int)) list
   (** Family-specific cost counters beyond group multiplications, as
-      [(name, read)] pairs for the observability probe registry — e.g.
-      the EC family's field-inversion count (where batch normalization
-      shows up).  Empty when the family has nothing extra to report. *)
+      [(name, read)] pairs for the observability probe registry.  Both
+      families report [field_invs], their field inversions: where EC
+      batch normalization and DL {!inv_batch} show up. *)
 end
 
 type group = (module GROUP)
@@ -220,10 +230,10 @@ let window_digits ~window (e : Bigint.t) : int array =
   Array.init n (fun i ->
       Bigint.to_int_exn (Bigint.logand (Bigint.shift_right e (i * window)) mask))
 
-(** Strip a group of its fixed-base and simultaneous-exponentiation
-    machinery: [pow_gen]/[pow_table]/[pow2] fall back to plain
-    variable-base [pow].  The reference implementation for property
-    tests. *)
+(** Strip a group of its fixed-base, simultaneous-exponentiation and
+    batch-inversion machinery: [pow_gen]/[pow_table]/[pow2] fall back
+    to plain variable-base [pow], [inv_batch] to one [inv] per element.
+    The reference implementation for property tests. *)
 module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let name = G.name ^ "-naive"
   let security_bits = G.security_bits
@@ -235,6 +245,7 @@ module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let identity = G.identity
   let mul = G.mul
   let inv = G.inv
+  let inv_batch a = Array.map G.inv a
   let pow = G.pow
   let pow_gen e = G.pow G.generator e
 

@@ -164,8 +164,8 @@ module He_model = struct
          length-prefixed response. *)
       round 0 (to_all (1 + elem_bytes) @ to_all (7 + elem_bytes + scalar_bytes));
       round 1 (to_all (Wire.cipher_batch_bytes ~elem_bytes m.l));
-      (* P_1 posts its own set to itself too. *)
-      round 2 (List.init n (fun j -> msg j 0 set));
+      (* Every other party sends its set to P_1, which keeps its own. *)
+      round 2 (List.init (n - 1) (fun j -> msg (j + 1) 0 set));
     ]
     @ List.init n (fun h -> round 3 (hop h))
     @ [ round 4 [] ]

@@ -155,8 +155,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     let enc_zero = { E.c = G.identity; c' = G.identity } in
     (* gamma^b = own XOR other: linear because own bits are clear.  The
        flipped bit 1 - other^b is gamma^b for a set own bit and
-       1 - gamma^b for a clear one, so each bit is negated once. *)
-    let flipped = Array.map (fun c -> E.add_clear (E.neg c) Bigint.one) enc_bits in
+       1 - gamma^b for a clear one, so each bit is negated once, and the
+       2l components share one batched inversion. *)
+    let flipped =
+      Array.map (fun c -> E.add_clear c Bigint.one) (E.neg_batch enc_bits)
+    in
     let gamma =
       Array.init l (fun b -> if own_bits.(b) = 0 then enc_bits.(b) else flipped.(b))
     in
@@ -174,7 +177,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
 
   (** Step 7: consume everyone's encrypted-bit announcements and emit
       this party's comparison sets, flattened in owner order with own
-      slot empty, as one message to P_1. *)
+      slot empty, as one message to P_1 (P_1 keeps its own). *)
   let compare_all p ~(enc_msgs : Bytes.t array) : Bytes.t =
     (* Deterministic homomorphic evaluation: the n-1 pairs fan out. *)
     let sets =
@@ -539,22 +542,26 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       wire_mark "encrypt" (fun () -> broadcast enc_msgs);
       checkpoint 2 ~enc:enc_msgs ~v:[||]
     end;
-    (* Comparison sets to P_1 (party 0). *)
+    (* Comparison sets to P_1 (party 0), which keeps its own the way
+       the last hop keeps the owner's: it never leaves the party. *)
     let v =
       match ck with
       | Some c when start >= 3 -> c.Wire.ck_v
       | _ ->
           wire_mark "compare" (fun () ->
-              let tickets =
+              let sets =
                 Array.mapi
                   (fun j p ->
-                    post ~src:j ~dst:0
-                      (party_span ~k:2 "compare" j (fun () ->
-                           compare_all p ~enc_msgs)))
+                    party_span ~k:2 "compare" j (fun () -> compare_all p ~enc_msgs))
                   parties
               in
+              let tickets =
+                Array.mapi (fun j set -> if j = 0 then -1 else post ~src:j ~dst:0 set) sets
+              in
               let out = Transport.flush tr in
-              Array.map (fun tk -> out.(tk)) tickets)
+              Array.mapi
+                (fun j set -> if tickets.(j) < 0 then set else out.(tickets.(j)))
+                sets)
     in
     if start <= 2 then checkpoint 3 ~enc:[||] ~v;
     (* Ring pass: each hop receives the vector, processes, forwards.

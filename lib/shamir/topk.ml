@@ -53,28 +53,49 @@ let input_bits e ~l (values : Bigint.t array) : Engine.shared array array =
   let shared = Array.of_list (Engine.input_batch e bits) in
   Array.init (Array.length values) (fun i -> Array.sub shared (i * l) l)
 
-(* Shares of [x >= t] for every value [x], given as its shared bits,
-   against a public threshold [t] in [[0, 2^l]]. *)
-let ge_threshold e (values : Engine.shared array array) threshold =
-  Array.map
-    (fun x ->
-      if Bigint.is_zero threshold then Engine.of_public e Bigint.one
-      else
-        Compare.bit_lt_public e
-          ~a_bits:(Bigint.bits_of (Bigint.pred threshold) ~width:(Array.length x))
-          ~b_bits:x)
-    values
+(* The inputs of one selection, each as its shared bits, and the count
+   of probes run on them so far. *)
+type probes = {
+  e : Engine.t;
+  values : Engine.shared array array;
+  mutable next : int;
+}
+
+(* Shares of [x >= t] for every value [x] against a public threshold [t]
+   in [[0, 2^l]].  The comparisons are independent, so they run as one
+   lockstep batch, the idiom of {!Ss_sort}'s layers: each on a child
+   engine forked under a (probe, candidate) label, the batch costing the
+   rounds of one comparison.  The probe index keeps every child stream
+   distinct, since forking never advances the parent's stream. *)
+let ge_threshold pr threshold =
+  let n = Array.length pr.values in
+  if Bigint.is_zero threshold then Array.init n (fun _ -> Engine.of_public pr.e Bigint.one)
+  else begin
+    let probe = pr.next in
+    pr.next <- probe + 1;
+    let a_bits =
+      Bigint.bits_of (Bigint.pred threshold) ~width:(Array.length pr.values.(0))
+    in
+    let subs =
+      Array.init n (fun i ->
+          Engine.fork pr.e ~label:(Printf.sprintf "probe-%d-%d" probe i))
+    in
+    let bits =
+      Ppgr_exec.Pool.parallel_init n (fun i ->
+          Compare.bit_lt_public subs.(i) ~a_bits ~b_bits:pr.values.(i))
+    in
+    Engine.absorb pr.e subs;
+    bits
+  end
 
 (* Shares of count(T) = Σ_i [x_i >= T] for a public threshold T. *)
-let count_ge e (values : Engine.shared array array) threshold =
-  Array.fold_left (Engine.add e) (Engine.of_public e Bigint.zero)
-    (ge_threshold e values threshold)
+let count_ge pr threshold =
+  Array.fold_left (Engine.add pr.e) (Engine.of_public pr.e Bigint.zero)
+    (ge_threshold pr threshold)
 
 (* Open the membership bits for the final threshold. *)
-let members e (values : Engine.shared array array) threshold =
-  let opened =
-    Engine.open_batch e (Array.to_list (ge_threshold e values threshold))
-  in
+let members pr threshold =
+  let opened = Engine.open_batch pr.e (Array.to_list (ge_threshold pr threshold)) in
   List.concat
     (List.mapi (fun i b -> if Bigint.equal b Bigint.one then [ i ] else []) opened)
 
@@ -82,8 +103,8 @@ let members e (values : Engine.shared array array) threshold =
    count(lo) >= k > count(lo + 1).  Invariant: count(lo) >= k and
    count(hi) < k; lo = 0 qualifies everything (count = n >= k),
    hi = 2^l exceeds every input (count = 0 < k). *)
-let search_cut e ~k (values : Engine.shared array array) =
-  let open_count t = Engine.open_ e (count_ge e values t) in
+let search_cut pr ~k =
+  let open_count t = Engine.open_ pr.e (count_ge pr t) in
   let rec search lo hi =
     (* lo < hi - 1 means the interval still contains candidate cuts. *)
     if Bigint.compare (Bigint.sub hi lo) Bigint.one <= 0 then lo
@@ -93,7 +114,7 @@ let search_cut e ~k (values : Engine.shared array array) =
       if c >= k then search mid hi else search lo mid
     end
   in
-  search Bigint.zero (Bigint.nth_bit_weight (Array.length values.(0)))
+  search Bigint.zero (Bigint.nth_bit_weight (Array.length pr.values.(0)))
 
 (** The indices of the [k] largest inputs, always exactly [k]; each
     input is its {!input_bits} shares.  When more than [k] inputs reach
@@ -110,14 +131,15 @@ let search_cut e ~k (values : Engine.shared array array) =
     nothing beyond that public ordering. *)
 let top_k_det e ~k (values : Engine.shared array array) : int list =
   if k < 1 || k > Array.length values then invalid_arg "Topk.top_k: k out of range";
-  let lo = search_cut e ~k values in
-  let at_or_above = members e values lo in
+  let pr = { e; values; next = 0 } in
+  let lo = search_cut pr ~k in
+  let at_or_above = members pr lo in
   if List.length at_or_above = k then at_or_above
   else begin
     (* Strictly above the cut: values >= lo + 1.  By the search
        invariant there are fewer than k of them, and at_or_above holds
        more than k, so the cut ties fill the remainder. *)
-    let above = members e values (Bigint.succ lo) in
+    let above = members pr (Bigint.succ lo) in
     let at_cut = List.filter (fun i -> not (List.mem i above)) at_or_above in
     let need = k - List.length above in
     (* members returns ascending indices: take the first [need]. *)

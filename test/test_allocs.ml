@@ -36,6 +36,9 @@ let zero_alloc_tests =
     check_zero "neg_into is allocation-free" (fun () -> Bigint.Modring.neg_into c d y);
     check_zero "double_into is allocation-free" (fun () -> Bigint.Modring.double_into c d y);
     check_zero "copy_into is allocation-free" (fun () -> Bigint.Modring.copy_into c d x);
+    (let nx = Bigint.Modring.neg c x in
+     check_zero "equal_neg is allocation-free" (fun () ->
+         if not (Bigint.Modring.equal_neg c x nx) then failwith "x <> -(-x)"));
   ]
 
 (* The same pins at the MPC engine's width: the shard-merge field is the
@@ -133,7 +136,22 @@ let group_tests =
   let qt = E.scalar_mul cv (E.base_point cv) sf in
   let ptbl = E.make_powtable cv pt ~bits:(Bigint.numbits n) in
   let ec_words = 16.0 in
+  (* A pair x, p - x: a residue above q, and its decoding, which is the
+     canonical value p - x below q. *)
+  let q = G.order and p = Ppgr_group.Modp_params.p_1024 in
+  let rec above_q () =
+    let e = G.random_scalar rng in
+    if Bigint.compare (Bigint.powmod (Bigint.of_int 4) e p) q > 0 then G.pow_gen e
+    else above_q ()
+  in
+  let hx = above_q () in
+  let neg_hx = Option.get (G.of_bytes (G.to_bytes hx)) in
+  let minus_one = G.mul neg_hx (G.inv hx) in
   [
+    check_zero "DL-1024 equal on a negated pair allocates nothing" (fun () ->
+        if not (G.equal hx neg_hx) then failwith "x <> p - x");
+    check_zero "DL-1024 is_identity of p - 1 allocates nothing" (fun () ->
+        if not (G.is_identity minus_one) then failwith "p - 1 is not the identity");
     check_exact "DL-1024 pow allocates result only" dl_words (fun () ->
         ignore (G.pow gx e));
     check_exact "DL-1024 pow_table allocates result only" dl_words (fun () ->

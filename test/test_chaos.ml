@@ -278,44 +278,44 @@ end
 let dl_512_pins =
   [
     ( "calm-baseline",
-      "b6e15d0c4ce8a59dbb69f69c3c937adc33ac44a089a9c359d3293b092b031d5b ticks=8 \
-       phys_bytes=47554 retransmits=0" );
+      "59dcb1475e1599f12a270cb66bcb033e196013b8fa981c5de5fb0e69d80e347d ticks=8 \
+       phys_bytes=45612 retransmits=0" );
     ( "drop-storm",
       "abort announce#0 \
        45bfba94f204fbbe8c037d65e76eef1c2c5c517704d5982cfb4a670b8826589d" );
     ( "dup-heavy",
-      "23c96d10e7339b5e21885cf6ae0f6870aa97fa2d40819d3a596933fe7ee9e4ca ticks=13 \
-       phys_bytes=60578 retransmits=0" );
+      "427d63d9ff26304ac41d46128ca84957e89dc4e77e95ee7cfb72dfa9377807a4 ticks=12 \
+       phys_bytes=56694 retransmits=0" );
     ( "reorder-heavy",
-      "1a9d4ba878f61e20d134ebeb15870c03978ad1032232b274b47b1f4251932351 ticks=98 \
-       phys_bytes=78210 retransmits=41" );
+      "df6d0cec84edb76f9f0af82a785179162878398cb1a53f100a5de33a23610c8f ticks=98 \
+       phys_bytes=76268 retransmits=41" );
     ( "delay-heavy",
-      "b6e15d0c4ce8a59dbb69f69c3c937adc33ac44a089a9c359d3293b092b031d5b ticks=97 \
-       phys_bytes=47554 retransmits=0" );
+      "59dcb1475e1599f12a270cb66bcb033e196013b8fa981c5de5fb0e69d80e347d ticks=97 \
+       phys_bytes=45612 retransmits=0" );
     ( "perfect-storm",
-      "abort ring#4 b907767f17b4e916862c579a819565684533188699bb2317f25455019f513c5f"
+      "abort ring#4 b452f7efe151aa7d2d099dfb4fe46253e795d146270f76bddb9630b8bfa331e8"
     );
   ]
 
 let ecc_160_pins =
   [
     ( "calm-baseline",
-      "e8c33cd0a3eee3393c91e62629a52b70cef607a1a425af95bdcd5f77a02944f7 ticks=8 \
-       phys_bytes=30604 retransmits=0" );
+      "9654bb063200e630933d4f4da011cb94dfdac926f95ad636f92ee86e868de462 ticks=8 \
+       phys_bytes=29352 retransmits=0" );
     ( "drop-storm",
       "abort announce#0 \
        45bfba94f204fbbe8c037d65e76eef1c2c5c517704d5982cfb4a670b8826589d" );
     ( "dup-heavy",
-      "20203866a2395125cb08b0d344a6257761660088b54021d1ad5e43daefd9445b ticks=13 \
-       phys_bytes=38994 retransmits=0" );
+      "12dc92199e3452ed7cd3a99627bd1f2f61adf3cb00dd0c3499e717283237f6ed ticks=12 \
+       phys_bytes=36490 retransmits=0" );
     ( "reorder-heavy",
-      "66b6c1fafb330c82d2cdf081a5a41536c6c795f8e82c3a0850e440c704e63618 ticks=98 \
-       phys_bytes=50355 retransmits=41" );
+      "f9acbc210cb986fc7897402d01204cd468984c5addc3f33e717fb06f4b26d5d4 ticks=98 \
+       phys_bytes=49103 retransmits=41" );
     ( "delay-heavy",
-      "e8c33cd0a3eee3393c91e62629a52b70cef607a1a425af95bdcd5f77a02944f7 ticks=97 \
-       phys_bytes=30604 retransmits=0" );
+      "9654bb063200e630933d4f4da011cb94dfdac926f95ad636f92ee86e868de462 ticks=97 \
+       phys_bytes=29352 retransmits=0" );
     ( "perfect-storm",
-      "abort ring#4 4cd38b400cc71382cc980948a22a94956fe61309bd5197ef1330df5472af2825"
+      "abort ring#4 0484091c6c8a862d6bf2e473dabb5f44a168b9be1e7728f94dbf28db35facd94"
     );
   ]
 

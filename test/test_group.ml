@@ -85,6 +85,21 @@ let group_suite name (g : Group_intf.group) =
           (fun b ->
             Alcotest.(check bytes) "all-identity batch" (G.to_bytes G.identity) b)
           ids);
+    Alcotest.test_case (name ^ ": batch inversion = per-element") `Quick (fun () ->
+        List.iter
+          (fun k ->
+            let els =
+              Array.init k (fun i -> if i mod 4 = 3 then G.identity else random_elt ())
+            in
+            let inv = G.inv_batch els in
+            Alcotest.(check int) "length" k (Array.length inv);
+            Array.iteri
+              (fun i x ->
+                Alcotest.(check bool) "= inv" true (G.equal inv.(i) (G.inv x));
+                Alcotest.(check bool) "x * x^-1 = e" true
+                  (G.is_identity (G.mul x inv.(i))))
+              els)
+          [ 0; 1; 2; 9 ]);
   ]
 
 let wnaf_tests =
@@ -177,6 +192,26 @@ let ec_structural_tests =
                 (Array.to_list
                    (Ec_curve.to_affine_batch cv
                       (Array.make 4 (Ec_curve.infinity cv)))))));
+    Alcotest.test_case "P and -P = (x, p - y) are distinct elements" `Quick
+      (fun () ->
+        (* Unlike the DL family's x and p - x, a point and its negation
+           are two elements; only the identity is its own negation. *)
+        let module G = (val Ec_group.of_params prm) in
+        let fbytes = (G.element_bytes - 1) / 2 in
+        let y_of b = Bigint.of_bytes_be (Bytes.sub b (1 + fbytes) fbytes) in
+        for k = 1 to Stdlib.min 20 (q - 1) do
+          let pt = G.pow_gen (Bigint.of_int k) in
+          let neg = G.inv pt in
+          Alcotest.(check bool) "y + y' = p" true
+            (Bigint.equal prm.Ec_curve.p
+               (Bigint.add (y_of (G.to_bytes pt)) (y_of (G.to_bytes neg))));
+          Alcotest.(check bool) "P <> -P" false (G.equal pt neg);
+          Alcotest.(check bool) "-P <> P" false (G.equal neg pt);
+          Alcotest.(check bool) "-P is not the identity" false (G.is_identity neg)
+        done;
+        let neg_o = G.inv G.identity in
+        Alcotest.(check bool) "-O is the identity" true (G.is_identity neg_o);
+        Alcotest.(check bool) "-O = O" true (G.equal neg_o G.identity));
     Alcotest.test_case "batch normalization costs one field inversion" `Quick
       (fun () ->
         let pts =
@@ -194,30 +229,115 @@ let ec_structural_tests =
           (Ppgr_exec.Meter.read cv.Ec_curve.invs));
   ]
 
+(* The test-only residue oracle, Euler's criterion: for a safe prime
+   p = 2q + 1, y is a quadratic residue iff y^q = 1 (mod p). *)
+let is_residue y p =
+  Bigint.equal Bigint.one (Bigint.powmod y (Bigint.shift_right (Bigint.pred p) 1) p)
+
+(* A 16-bit safe prime, 65063 = 2 * 32531 + 1: every two-byte string
+   can be tried. *)
+let p16 = Bigint.of_int 65063
+let q16 = 32531
+let dl_16 () = Dl_group.of_safe_prime ~name:"DL-16" ~security_bits:0 p16
+
+let bytes16 y =
+  let b = Bytes.create 2 in
+  Bytes.set_uint16_be b 0 y;
+  b
+
 let dl_structural_tests =
   [
     Alcotest.test_case "DL elements are quadratic residues" `Quick (fun () ->
+        (* Up to sign: the encoding y lies in [1, q], exactly one of y
+           and p - y is a residue, and that one is the g^r computed. *)
         let module G = (val Dl_group.dl_test_128 ()) in
-        for _ = 1 to 20 do
-          let e = G.pow_gen (G.random_scalar rng) in
-          let v = Bigint.of_bytes_be (G.to_bytes e) in
-          Alcotest.(check int) "jacobi 1" 1 (Bigint.jacobi v Modp_params.test_128)
-        done);
-    Alcotest.test_case "DL of_bytes rejects non-residues" `Quick (fun () ->
-        let module G = (val Dl_group.dl_test_128 ()) in
-        (* Find a non-residue and check rejection. *)
         let p = Modp_params.test_128 in
-        let rec find v =
-          if Bigint.jacobi v p = -1 then v else find (Bigint.succ v)
-        in
+        for _ = 1 to 20 do
+          let r = G.random_scalar rng in
+          let y = Bigint.of_bytes_be (G.to_bytes (G.pow_gen r)) in
+          Alcotest.(check bool) "1 <= y <= q" true
+            (Bigint.sign y > 0 && Bigint.compare y G.order <= 0);
+          let y' = Bigint.sub p y in
+          Alcotest.(check bool) "one residue in {y, p - y}" true
+            (is_residue y p <> is_residue y' p);
+          Alcotest.(check bool) "the residue is g^r" true
+            (Bigint.equal
+               (if is_residue y p then y else y')
+               (Bigint.powmod (Bigint.of_int 4) r p))
+        done);
+    Alcotest.test_case "DL of_bytes accepts exactly [1, q]" `Quick (fun () ->
+        let module G = (val Dl_group.dl_test_128 ()) in
+        let p = Modp_params.test_128 and q = G.order in
+        let enc v = Bigint.to_bytes_be_padded G.element_bytes v in
+        List.iter
+          (fun (what, v, want) ->
+            Alcotest.(check bool) what want (Option.is_some (G.of_bytes (enc v))))
+          [
+            ("0", Bigint.zero, false);
+            ("1", Bigint.one, true);
+            ("q", q, true);
+            ("q + 1", Bigint.succ q, false);
+            ("p - 1", Bigint.pred p, false);
+            ("p", p, false);
+            ("2^128 - 1", Bigint.pred (Bigint.nth_bit_weight 128), false);
+          ];
+        (* A non-residue below q encodes its pair, whose residue is p - y. *)
+        let rec find v = if is_residue v p then find (Bigint.succ v) else v in
         let nr = find (Bigint.of_int 2) in
-        let b = Bigint.to_bytes_be_padded G.element_bytes nr in
-        Alcotest.(check bool) "rejected" true (G.of_bytes b = None));
+        match G.of_bytes (enc nr) with
+        | None -> Alcotest.fail "a non-residue below q was rejected"
+        | Some x -> Alcotest.(check bytes) "re-encodes to itself" (enc nr) (G.to_bytes x));
     Alcotest.test_case "order is (p-1)/2" `Quick (fun () ->
         let module G = (val Dl_group.dl_test_64 ()) in
         Alcotest.(check bool) "order" true
           (Bigint.equal G.order
              (Bigint.shift_right (Bigint.pred Modp_params.test_64) 1)));
+    Alcotest.test_case "DL-16: exactly [1, q] decodes, all 65536 strings" `Quick
+      (fun () ->
+        let module G = (val dl_16 ()) in
+        Alcotest.(check int) "element bytes" 2 G.element_bytes;
+        Alcotest.(check int) "q" q16 (Bigint.to_int_exn G.order);
+        let qm1 = Bigint.pred G.order in
+        let decoded = ref 0 in
+        for y = 0 to 65535 do
+          let b = bytes16 y in
+          match G.of_bytes b with
+          | None -> if y >= 1 && y <= q16 then Alcotest.failf "%d rejected" y
+          | Some x ->
+              if y < 1 || y > q16 then Alcotest.failf "%d accepted" y;
+              incr decoded;
+              if not (Bytes.equal b (G.to_bytes x)) then
+                Alcotest.failf "%d re-encodes to another string" y;
+              if
+                is_residue (Bigint.of_int y) p16
+                = is_residue (Bigint.of_int (65063 - y)) p16
+              then Alcotest.failf "%d: not exactly one residue in {y, p - y}" y;
+              (* x^q by arithmetic (pow reduces q itself to 0): -1 for a
+                 non-residue y, which must count as the identity. *)
+              if not (G.is_identity (G.mul (G.pow x qm1) x)) then
+                Alcotest.failf "%d: x^q is not the identity" y
+        done;
+        Alcotest.(check int) "values decoded" q16 !decoded);
+    Alcotest.test_case "DL-16: x and p - x are one element" `Quick (fun () ->
+        let module G = (val dl_16 ()) in
+        let dec y = Option.get (G.of_bytes (bytes16 y)) in
+        (* -1 in Z_p^*, reached by arithmetic: y^q for a non-residue y. *)
+        let rec find y = if is_residue (Bigint.of_int y) p16 then find (y + 1) else y in
+        let nr = dec (find 2) in
+        let minus_one = G.mul (G.pow nr (Bigint.pred G.order)) nr in
+        Alcotest.(check bool) "-1 is the identity" true (G.is_identity minus_one);
+        Alcotest.(check bool) "-1 = 1" true (G.equal minus_one G.identity);
+        Alcotest.(check bytes) "-1 encodes as 1" (G.to_bytes G.identity)
+          (G.to_bytes minus_one);
+        for y = 1 to q16 do
+          let x = dec y in
+          let neg = G.mul x minus_one in
+          if not (G.equal x neg && G.equal neg x) then Alcotest.failf "%d: x <> p - x" y;
+          if not (Bytes.equal (G.to_bytes x) (G.to_bytes neg)) then
+            Alcotest.failf "%d: p - x encodes differently" y;
+          if G.is_identity neg <> (y = 1) then Alcotest.failf "%d: is_identity of p - x" y;
+          if y > 1 && G.equal x (dec (y - 1)) then Alcotest.failf "%d = %d" y (y - 1)
+        done);
   ]
 
 let () =

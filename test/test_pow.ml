@@ -144,18 +144,23 @@ let engine_props =
 
 (* DL exponentiation against an independent reference: [Bigint.powmod]
    runs a fixed 4-bit window over plain residues, with no signed digits
-   and no group code.  Exhaustive over small exponents on DL-test-64;
+   and no group code.  An element encodes as min(r, p - r), and powmod
+   on that value gives r^e up to sign, so results are compared by the
+   same canonical value.  Exhaustive over small exponents on DL-test-64;
    random full-width exponents on the production sizes. *)
 let dl_reference_suite name (g : Group_intf.group) p ~exhaustive =
   let module G = (val g) in
   let value x = Bigint.of_bytes_be (G.to_bytes x) in
+  let canonical r = Bigint.min r (Bigint.sub p r) in
   let reference x e = Bigint.powmod (value x) (Bigint.erem e G.order) p in
   let check_pow x e =
-    if not (Bigint.equal (value (G.pow x e)) (reference x e)) then
+    if not (Bigint.equal (value (G.pow x e)) (canonical (reference x e))) then
       Alcotest.failf "%s: pow x e <> powmod at e = %s" name (Bigint.to_string e)
   in
   let check_pow2 a e b f =
-    let expected = Bigint.erem (Bigint.mul (reference a e) (reference b f)) p in
+    let expected =
+      canonical (Bigint.erem (Bigint.mul (reference a e) (reference b f)) p)
+    in
     if not (Bigint.equal (value (G.pow2 a e b f)) expected) then
       Alcotest.failf "%s: pow2 a e b f <> powmod product at e = %s, f = %s" name
         (Bigint.to_string e) (Bigint.to_string f)
@@ -342,6 +347,20 @@ let powtable_batch_normalization =
         let mid = probe () in
         ignore (G.pow_table tbl e);
         Alcotest.(check int) "no inversion in pow_table" 0 (probe () - mid));
+    Alcotest.test_case "DL probe sees one inversion per inv_batch" `Quick
+      (fun () ->
+        (* Montgomery's trick: 3(k - 1) multiplications and one
+           inversion for k elements, where k inversions cost k. *)
+        let module G = (val Dl_group.dl_1024 ()) in
+        let probe = List.assoc "field_invs" G.probes in
+        let els = Array.init 32 (fun _ -> G.pow_gen (G.random_scalar rng)) in
+        let before = probe () and ops0 = G.op_snapshot () in
+        ignore (G.inv_batch els);
+        Alcotest.(check int) "one inversion" 1 (probe () - before);
+        Alcotest.(check int) "ops" ((3 * 31) + 1) (G.ops_since ops0);
+        let mid = probe () in
+        Array.iter (fun x -> ignore (G.inv x)) els;
+        Alcotest.(check int) "one per inv" 32 (probe () - mid));
   ]
 
 let () =

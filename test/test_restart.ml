@@ -348,5 +348,50 @@ module G_ec = (val Ec_group.ecc_160 () : Group_intf.GROUP)
 module Dl = Battery (G_dl)
 module Ec = Battery (G_ec)
 
+(* A DL value above q encodes no element: the element it names is its
+   pair's canonical value p - y.  One element of a set swapped for the
+   other member of its pair is refused as a typed Wire.Malformed,
+   whether the set comes back from a checkpoint or in a hop frame. *)
+let dl_above_q_cases =
+  let p = Modp_params.p_512 and eb = G_dl.element_bytes in
+  let header = Wire.cipher_batch_bytes ~elem_bytes:eb 0 in
+  let flip_first set =
+    let b = Bytes.copy set in
+    let y = Bigint.of_bytes_be (Bytes.sub b header eb) in
+    Bytes.blit (Bigint.to_bytes_be_padded eb (Bigint.sub p y)) 0 b header eb;
+    b
+  in
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "expected Wire.Malformed"
+    | exception Wire.Malformed msg ->
+        Alcotest.(check string) "reason" "invalid group element (not in the group)" msg
+  in
+  [
+    Alcotest.test_case "DL checkpoint with an element above q refused" `Quick
+      (fun () ->
+        let _, cks = Lazy.force Dl.golden in
+        (* Step 3 holds the comparison sets; hop 0 decodes P_2's first. *)
+        let c = Wire.decode_checkpoint cks.(2) in
+        let ck_v = Array.copy c.Wire.ck_v in
+        ck_v.(1) <- flip_first ck_v.(1);
+        let frame = Wire.encode_checkpoint { c with Wire.ck_v } in
+        refused (fun () -> Dl.RT.run ~resume:frame (Rng.create ~seed) ~l ~betas));
+    Alcotest.test_case "DL hop frame with an element above q refused" `Quick
+      (fun () ->
+        let _, cks = Lazy.force Dl.golden in
+        (* Step 4 holds the vector hop 0 forwards to P_2 in one frame. *)
+        let v = Array.copy (Wire.decode_checkpoint cks.(3)).Wire.ck_v in
+        v.(0) <- flip_first v.(0);
+        let session = Dl.RT.make_session ~n ~l in
+        let p2 =
+          Dl.RT.create_party ~index:1 ~n ~l ~labels:session.Dl.RT.s_labels
+            ~beta:betas.(1) (Rng.create ~seed)
+        in
+        let v_msgs = Dl.RT.ring_receive_frame p2 (Wire.encode_hop_frame v) in
+        refused (fun () -> Dl.RT.ring_hop p2 ~v_msgs));
+  ]
+
 let () =
-  Alcotest.run "restart" [ ("dl-512", Dl.cases); ("ecc-160", Ec.cases) ]
+  Alcotest.run "restart"
+    [ ("dl-512", Dl.cases @ dl_above_q_cases); ("ecc-160", Ec.cases) ]
