@@ -98,10 +98,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let jsonl_arg =
-  let doc = "Write the recorded spans as one-JSON-object-per-line to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE" ~doc)
-
 let metrics_arg =
   let doc =
     "Print the per-phase × per-party metrics table (exponentiations, group \
@@ -150,14 +146,6 @@ let restart_arg =
   in
   Arg.(value & opt int 0 & info [ "restart" ] ~docv:"N" ~doc)
 
-let stats_out_arg =
-  let doc =
-    "Write a Prometheus text-format snapshot of all meters, probes and \
-     latency/size histograms to $(docv) after the run (scrape payload of \
-     the future daemon mode).  Enables histogram recording for the run."
-  in
-  Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the parallel hot loops (0 = all recommended \
@@ -203,8 +191,8 @@ let print_abort (f : Transport.forensics) =
       Printf.printf "    %s\n" (Format.asprintf "%a" Ppgr_obs.Flightrec.pp_event ev))
     f.Transport.fr_flight
 
-let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
-    window restart stats_out =
+let run_cmd group_name n k seed spec h verbose jobs trace metrics faults window
+    restart =
   usage_checked
     (count_checks ~min_n:2 ~n ~k
     @ [
@@ -222,13 +210,7 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
   Printf.printf "group: %s (order %d bits), participants: %d, k: %d\n" G.name
     (Ppgr_bigint.Bigint.numbits G.order)
     n k;
-  let observing =
-    trace <> None || jsonl <> None || metrics || stats_out <> None
-  in
-  if stats_out <> None then begin
-    Ppgr_obs.Hist.reset_all ();
-    Ppgr_obs.Hist.set_enabled true
-  end;
+  let observing = trace <> None || metrics in
   if observing then begin
     (* The probes sampled at every span boundary: full exponentiations
        (global engine meter), this group's multiplication counter, and
@@ -254,33 +236,13 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
   in
   let dt = Unix.gettimeofday () -. t0 in
   let write_traces flows =
-    (match trace with
+    match trace with
     | Some path ->
         Ppgr_obs.Export.write_chrome ~flows path spans;
         Printf.printf
           "\ntrace: %d spans + %d causal arrows -> %s (load in https://ui.perfetto.dev)\n"
           (List.length spans) (List.length flows) path
-    | None -> ());
-    match jsonl with
-    | Some path ->
-        Ppgr_obs.Export.write_jsonl path spans;
-        Printf.printf "jsonl: %d spans -> %s\n" (List.length spans) path
     | None -> ()
-  in
-  (* Probes stay registered until after the --stats-out snapshot so the
-     exposition includes their counters. *)
-  let finish () =
-    (match stats_out with
-    | Some path ->
-        Ppgr_obs.Export.write_prometheus path;
-        Ppgr_obs.Hist.set_enabled false;
-        Printf.printf "stats: Prometheus snapshot -> %s\n" path
-    | None -> ());
-    if observing then begin
-      Ppgr_obs.Metrics.unregister ~name:"exps";
-      Ppgr_obs.Metrics.unregister ~name:"group_mults";
-      List.iter (fun (name, _) -> Ppgr_obs.Metrics.unregister ~name) G.probes
-    end
   in
   let out, rc =
     match result with
@@ -288,7 +250,6 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
     | Error f ->
         write_traces [];
         print_abort f;
-        finish ();
         exit 3
   in
   let st = rc.F.RT.rec_stats in
@@ -411,8 +372,7 @@ let run_cmd group_name n k seed spec h verbose jobs trace jsonl metrics faults
        else "(MISMATCH vs physical counters)");
     if not tiles then
       failwith "per-link accounting does not tile the physical counters"
-  end;
-  finish ()
+  end
 
 let shards_arg =
   let doc =
@@ -603,8 +563,8 @@ let run_term =
   Term.(
     ret
       (const run_cmd $ group_arg $ n_arg $ k_arg $ seed_arg $ spec_arg $ h_arg
-     $ verbose_arg $ jobs_arg $ trace_arg $ jsonl_arg $ metrics_arg
-     $ faults_arg $ window_arg $ restart_arg $ stats_out_arg))
+     $ verbose_arg $ jobs_arg $ trace_arg $ metrics_arg $ faults_arg
+     $ window_arg $ restart_arg))
 
 let rank_term =
   Term.(

@@ -153,6 +153,14 @@ let to_affine_batch cv pts =
   end;
   out
 
+(** The curve equation [y^2 = (x^2 + a)x + b] on affine coordinates in
+    the Montgomery domain, as {!of_affine} leaves them: no inversion,
+    unlike {!on_curve} on a Jacobian point. *)
+let affine_on_curve cv x y =
+  let f = cv.fp in
+  Modring.equal f (Modring.sqr f y)
+    (Modring.add f (Modring.mul f (Modring.add f (Modring.sqr f x) cv.ca) x) cv.cb)
+
 let on_curve cv pt =
   if is_infinity cv pt then true
   else begin

@@ -54,7 +54,8 @@ end) : Group_intf.GROUP = struct
   let equal a b = Ec_curve.equal cv a b
   let is_identity x = Ec_curve.is_infinity cv x
 
-  let fbytes = (Bigint.numbits P.params.Ec_curve.p + 7) / 8
+  let field_p = P.params.Ec_curve.p
+  let fbytes = (Bigint.numbits field_p + 7) / 8
   let element_bytes = 1 + (2 * fbytes)
 
   let affine_bytes aff =
@@ -88,10 +89,18 @@ end) : Group_intf.GROUP = struct
           in
           if all_zero 1 then Some identity else None
       | '\004' ->
+          (* One encoding per point: a coordinate is a field element,
+             so x + p, which [of_affine] would reduce to x, is refused.
+             The equation is checked on the parsed coordinates, with no
+             inversion. *)
           let ax = Bigint.of_bytes_be (Bytes.sub b 1 fbytes) in
           let ay = Bigint.of_bytes_be (Bytes.sub b (1 + fbytes) fbytes) in
-          let pt = Ec_curve.of_affine cv ax ay in
-          if Ec_curve.on_curve cv pt then Some pt else None
+          if Bigint.compare ax field_p >= 0 || Bigint.compare ay field_p >= 0
+          then None
+          else
+            let pt = Ec_curve.of_affine cv ax ay in
+            if Ec_curve.affine_on_curve cv pt.Ec_curve.x pt.Ec_curve.y then Some pt
+            else None
       | _ -> None
     end
 

@@ -25,7 +25,6 @@
 open Ppgr_bigint
 open Ppgr_rng
 module Trace = Ppgr_obs.Trace
-module Hist = Ppgr_obs.Hist
 
 module Make (G : Ppgr_group.Group_intf.GROUP) = struct
   module E = Ppgr_elgamal.Elgamal.Make (G)
@@ -323,9 +322,10 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       disturbed, and the fault schedule is a pure function of the seed
       fast-forwarded to the persisted position.
       @raise Invalid_argument if [resume] is for another party count.
-      @raise Wire.Malformed if [resume] does not decode, or its step is
-      outside [1..n+3] or disagrees with its [ck_enc]/[ck_v] sections;
-      both are raised before any party work.
+      @raise Wire.Malformed if [resume] does not decode, its step is
+      outside [1..n+3] or disagrees with its [ck_enc]/[ck_v] sections,
+      or a section's set holds a non-element or the wrong number of
+      ciphertexts; both are raised before any party work.
       @raise Transport.Party_dropped when a message exhausts
       [retry_budget] retransmissions (or [kill_after] physical
       transmissions are reached, for crash injection). *)
@@ -353,7 +353,22 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
               step want
         in
         expect "ck_enc" (Array.length c.Wire.ck_enc) (if step = 2 then n else 0);
-        expect "ck_v" (Array.length c.Wire.ck_v) (if step >= 3 then n else 0)
+        expect "ck_v" (Array.length c.Wire.ck_v) (if step >= 3 then n else 0);
+        (* Decode every carried set once: a non-element or a set of the
+           wrong size is refused here, before any key generation, not
+           when a resumed step first reads it.  Each party encrypts its
+           l bits; each compared set holds (n - 1)·l ciphertexts. *)
+        let expect_sets field sets want =
+          Array.iteri
+            (fun j set ->
+              let got = Array.length (W.decode_cipher_batch set) in
+              if got <> want then
+                Wire.fail "checkpoint %s set %d holds %d ciphertexts, needs %d"
+                  field j got want)
+            sets
+        in
+        expect_sets "ck_enc" c.Wire.ck_enc l;
+        expect_sets "ck_v" c.Wire.ck_v ((n - 1) * l)
     | None -> ());
     let start = match ck with None -> 0 | Some c -> c.Wire.ck_step in
     let shard_attrs =
@@ -573,13 +588,10 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     let v = ref v in
     for hop = 0 to n - 1 do
       if start <= 3 + hop then begin
-        let hop_t0 = if Hist.enabled () then Unix.gettimeofday () else 0. in
         let processed =
           party_span ~attrs:[ ("hop", Trace.Int hop) ] ~k:(3 + hop) "ring" hop
             (fun () -> ring_hop parties.(hop) ~v_msgs:!v)
         in
-        if Hist.enabled () then
-          Hist.record_us Hist.hop_us ((Unix.gettimeofday () -. hop_t0) *. 1e6);
         if hop < n - 1 then begin
           let frame =
             wire_mark "ring" (fun () ->

@@ -45,7 +45,6 @@ open Ppgr_rng
 open Ppgr_shamir
 open Ppgr_mpcnet
 module Trace = Ppgr_obs.Trace
-module Hist = Ppgr_obs.Hist
 module Sha256 = Ppgr_hash.Sha256
 
 (** {1 The partition plan} *)
@@ -155,9 +154,7 @@ let merge_top_k rng ~l ~committee ~k
       merge_wall_s = 0.;
     }
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  if Hist.enabled () then Hist.record_us Hist.merge_us (wall *. 1e6);
-  { stat with merge_wall_s = wall }
+  { stat with merge_wall_s = Unix.gettimeofday () -. t0 }
 
 (** {1 The sharded run} *)
 
@@ -342,7 +339,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
           let ops = G.ops_since ops0 in
           group_ops := !group_ops + ops;
           let wall = Unix.gettimeofday () -. t0 in
-          if Hist.enabled () then Hist.record_us Hist.shard_us (wall *. 1e6);
           Sha256.feed_string ctx sha;
           {
             shard = i;

@@ -34,7 +34,6 @@
 
 open Ppgr_mpcnet
 module Trace = Ppgr_obs.Trace
-module Hist = Ppgr_obs.Hist
 module Flightrec = Ppgr_obs.Flightrec
 module Sha256 = Ppgr_hash.Sha256
 
@@ -45,7 +44,6 @@ type forensics = {
   fr_seq : int; (* sequence number of the undeliverable message *)
   fr_attempts : int; (* attempts spent, budget included *)
   fr_events : string list; (* per-attempt fault outcomes, oldest first *)
-  fr_recent : string list; (* cross-link event tail, oldest first *)
   fr_flight : Flightrec.event list;
       (* the dropping sender's flight-recorder tail, oldest first *)
   fr_digest : string; (* transcript digest at abort time (hex) *)
@@ -201,12 +199,8 @@ type t = {
   mutable step : string;
   mutable round_rev : Netsim.message list; (* current step's attempts *)
   mutable rounds_rev : (string * Netsim.message list) list;
-  mutable recent_rev : string list; (* rolling cross-link event log *)
-  mutable recent_len : int;
   mutable digest : Bytes.t; (* chained transcript digest *)
 }
-
-let recent_cap = 32
 
 let create ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity)
     ?(rto = winspec_default.ws_rto) ?(kill_after = -1) ~n () =
@@ -248,8 +242,6 @@ let create ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity
     step = "init";
     round_rev = [];
     rounds_rev = [];
-    recent_rev = [];
-    recent_len = 0;
     digest = Sha256.digest_string "ppgr-transcript-v1";
   }
 
@@ -330,24 +322,12 @@ let net_rounds t =
     (fun (_, msgs) -> { Netsim.compute_s = 0.; messages = msgs })
     (closed @ t.rounds_rev)
 
-let note t ev =
-  t.recent_rev <- ev :: t.recent_rev;
-  t.recent_len <- t.recent_len + 1;
-  if t.recent_len > 2 * recent_cap then begin
-    (* Amortized trim: keep the newest [recent_cap]. *)
-    let rec take k = function
-      | x :: tl when k > 0 -> x :: take (k - 1) tl
-      | _ -> []
-    in
-    t.recent_rev <- take recent_cap t.recent_rev;
-    t.recent_len <- recent_cap
-  end
-
 (* Every wire touch: per-party and per-link physical tallies, the
-   message-size histogram and the sender's flight-recorder entry, plus
-   the chained transcript digest (corrupted copies hash as transmitted,
-   so the digest pins the exact fault schedule too).  [seq] feeds only
-   the flight recorder; limbo flushes of held stale copies pass -1. *)
+   message's size in the step's round, the sender's flight-recorder
+   entry, and the chained transcript digest (corrupted copies hash as
+   transmitted, so the digest pins the exact fault schedule too).
+   [seq] feeds only the flight recorder; limbo flushes of held stale
+   copies pass -1. *)
 let transmit t ~src ~dst ~seq (wire_bytes : Bytes.t) =
   let len = Bytes.length wire_bytes in
   t.st.phys_messages <- t.st.phys_messages + 1;
@@ -357,7 +337,6 @@ let transmit t ~src ~dst ~seq (wire_bytes : Bytes.t) =
   t.link_msgs.(src).(dst) <- t.link_msgs.(src).(dst) + 1;
   t.link_bytes.(src).(dst) <- t.link_bytes.(src).(dst) + len;
   t.env_by_src.(src) <- t.env_by_src.(src) + Wire.envelope_overhead;
-  Hist.record Hist.msg_bytes len;
   Flightrec.record t.flight ~party:src Flightrec.Send ~src ~dst ~seq ~info:len;
   t.round_rev <- { Netsim.src; dst; bytes = len } :: t.round_rev;
   let ctx = Sha256.init () in
@@ -383,12 +362,11 @@ let party_dropped t ~src ~dst ~seq ~attempts events =
       fr_seq = seq;
       fr_attempts = attempts;
       fr_events = List.rev events;
-      fr_recent = List.rev t.recent_rev;
       fr_flight = Flightrec.tail t.flight ~party:src;
       fr_digest = transcript_sha t;
     }
 
-let retry_span t ~kind ~src ~dst ~seq ~attempt =
+let retry_span ~kind ~src ~dst ~seq =
   if Trace.enabled () then
     Trace.instant
       ~attrs:
@@ -400,8 +378,7 @@ let retry_span t ~kind ~src ~dst ~seq ~attempt =
           ("fault", Trace.Str kind);
           ("retries", Trace.Int 1);
         ]
-      "runtime.retry";
-  note t (Printf.sprintf "%s[%d->%d#%d@%d]" kind src dst seq attempt)
+      "runtime.retry"
 
 (** {1 The delivery engine}
 
@@ -526,7 +503,7 @@ let deliver t (p : pending) =
     if t.kill_after >= 0 && t.st.phys_messages >= t.kill_after then
       raise (party_dropped t ~src ~dst ~seq ~attempts:k ("killed" :: !events));
     let fault kind event =
-      retry_span t ~kind ~src ~dst ~seq ~attempt:k;
+      retry_span ~kind ~src ~dst ~seq;
       events := event :: !events
     in
     (* The copies that reach the receiver, in arrival order, and the
@@ -601,7 +578,6 @@ let deliver t (p : pending) =
     t.retrans_by_src.(src) <- t.retrans_by_src.(src) + 1;
     t.link_retrans.(src).(dst) <- t.link_retrans.(src).(dst) + 1;
     t.st.backoff_ticks <- t.st.backoff_ticks + t.rto;
-    Hist.record Hist.backoff_ticks t.rto;
     Flightrec.record t.flight ~party:src Flightrec.Retransmit ~src ~dst ~seq
       ~info:attempts;
     attempt (k + 1)

@@ -1,11 +1,13 @@
-(** Trace exporters: Chrome trace-event JSON (loadable in Perfetto or
-    chrome://tracing), a line-per-span JSONL event log, and a
-    Prometheus text-format exposition of probes and histograms.
+(** The trace exporter: Chrome trace-event JSON, loadable in Perfetto
+    or chrome://tracing.  It is the one file rendering of the recorded
+    spans (the {!Summary} table is the other view): each span's name,
+    id, parent, lane, start, duration and attributes land in the
+    trace.
 
-    The JSON formats are rendered with a hand-rolled emitter — the repo
-    has no JSON dependency — and are deliberately minimal: complete
-    events ([ph:"X"]) on one process, one thread id per domain slot,
-    span attributes in [args].  Cross-party causality is rendered as
+    The JSON is rendered with a hand-rolled emitter — the repo has no
+    JSON dependency — and is deliberately minimal: complete events
+    ([ph:"X"]) on one process, one thread id per domain slot, span
+    attributes in [args].  Cross-party causality is rendered as
     flow events ([ph:"s"]/[ph:"f"]): Perfetto draws an arrow from the
     sender's slice to the receiver's, binding each endpoint to the
     slice enclosing its (pid, tid, ts) coordinate. *)
@@ -116,68 +118,3 @@ let write_chrome ?flows path spans =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc (chrome_string ?flows spans))
-
-(** {1 JSONL event log} *)
-
-let jsonl_line b (sp : Trace.span) =
-  Buffer.add_string b "{\"name\":";
-  buf_add_json_string b sp.name;
-  Buffer.add_string b
-    (Printf.sprintf ",\"id\":%d,\"parent\":%d,\"slot\":%d,\"ts_us\":%.1f,\"dur_us\":%.1f,\"attrs\":"
-       sp.id sp.parent sp.slot sp.start_us sp.dur_us);
-  buf_add_attrs b sp.attrs;
-  Buffer.add_string b "}\n"
-
-let jsonl_string (spans : Trace.span list) =
-  let b = Buffer.create 4096 in
-  List.iter (jsonl_line b) spans;
-  Buffer.contents b
-
-let write_jsonl path spans =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (jsonl_string spans))
-
-(** {1 Prometheus text exposition}
-
-    Every registered {!Metrics} probe becomes a counter and every
-    registered {!Hist} a histogram (cumulative [le] buckets over the
-    non-empty log-linear buckets' upper bounds).  This is the scrape
-    payload for the upcoming daemon mode; today the CLI snapshots it to
-    a file ([--stats-out]). *)
-
-let prom_sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
-let prometheus_string () =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (name, v) ->
-      let m = "ppgr_" ^ prom_sanitize name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" m m v))
-    (Metrics.read_all ());
-  List.iter
-    (fun (name, h) ->
-      let m = "ppgr_" ^ prom_sanitize name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" m);
-      let cum = ref 0 in
-      List.iter
-        (fun (_, hi, c) ->
-          cum := !cum + c;
-          Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" m hi !cum))
-        (Hist.buckets h);
-      Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m !cum);
-      Buffer.add_string b (Printf.sprintf "%s_sum %d\n" m (Hist.sum h));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" m (Hist.count h)))
-    (Hist.registered ());
-  Buffer.contents b
-
-let write_prometheus path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (prometheus_string ()))

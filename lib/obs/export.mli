@@ -1,6 +1,6 @@
-(** Trace exporters: Chrome trace-event JSON (Perfetto-loadable) with
-    optional cross-party flow arrows, a line-per-span JSONL event log,
-    and a Prometheus text-format exposition of probes and histograms. *)
+(** The trace exporter: Chrome trace-event JSON (Perfetto-loadable)
+    with optional cross-party flow arrows.  Each span's name, id,
+    parent, lane, start, duration and attributes land in the trace. *)
 
 (** {1 Chrome trace-event format} *)
 
@@ -27,17 +27,3 @@ type flow = {
 val chrome_string : ?flows:flow list -> Trace.span list -> string
 
 val write_chrome : ?flows:flow list -> string -> Trace.span list -> unit
-
-(** {1 JSONL event log} *)
-
-val jsonl_string : Trace.span list -> string
-val write_jsonl : string -> Trace.span list -> unit
-
-(** {1 Prometheus text exposition} *)
-
-(** Snapshot every registered {!Metrics} probe as a counter and every
-    registered {!Hist} as a histogram (cumulative [le] buckets), metric
-    names prefixed [ppgr_] and sanitized to [[a-zA-Z0-9_]]. *)
-val prometheus_string : unit -> string
-
-val write_prometheus : string -> unit

@@ -9,7 +9,7 @@
     so recording costs four stores and no allocation, and the tail can
     be attached to [Party_dropped] forensics and the CLI exit-3 report.
 
-    Unlike tracing and histograms there is no global gate: the recorder
+    Unlike tracing there is no global gate: the recorder
     is cheap enough to leave always-on, which is the point — the events
     preceding a failure were recorded {e before} anyone knew a failure
     was coming.  It lives beside the transport (one per [Transport.t]),

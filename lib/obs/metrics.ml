@@ -26,8 +26,6 @@ let register ~name read =
   probes := others @ [ { name; read } ]
 
 let unregister ~name = probes := List.filter (fun p -> p.name <> name) !probes
-let clear () = probes := []
-let names () = List.map (fun p -> p.name) !probes
 
 type sample = (string * int) list
 

@@ -14,8 +14,6 @@ type probe = { name : string; read : unit -> int }
 val register : name:string -> (unit -> int) -> unit
 
 val unregister : name:string -> unit
-val clear : unit -> unit
-val names : unit -> string list
 
 type sample = (string * int) list
 

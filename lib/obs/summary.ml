@@ -151,20 +151,3 @@ let by_shard (spans : Trace.span list) : row list =
       | _ -> ())
     spans;
   List.sort (fun a b -> compare a.party b.party) !out
-
-(** Collapse rows over parties: one row per phase.  Returned in
-    first-appearance order. *)
-let by_phase rows_ =
-  let out = ref [] in
-  List.iter
-    (fun r ->
-      match List.find_opt (fun r' -> r'.phase = r.phase) !out with
-      | Some r' ->
-          r'.wall_us <- r'.wall_us +. r.wall_us;
-          r'.metrics <- merge_metrics r'.metrics r.metrics
-      | None ->
-          out :=
-            !out
-            @ [ { phase = r.phase; party = -1; wall_us = r.wall_us; metrics = r.metrics } ])
-    rows_;
-  !out

@@ -37,7 +37,3 @@ val to_string : row list -> string
     ["shard-<i>"], party = shard index, ascending).  Spans without the
     attribute (e.g. the merge committee) are skipped. *)
 val by_shard : Trace.span list -> row list
-
-(** Collapse rows over parties: one row per phase (party = -1), in
-    first-appearance order. *)
-val by_phase : row list -> row list

@@ -3,9 +3,11 @@
     A span is a named, nestable interval with attributes (phase, step,
     party index, ring hop, group name, byte counts) and wall-clock
     timestamps; the instrumented protocol layers open one span per
-    phase step / party / ring hop, and the exporters turn the recorded
-    set into a Chrome trace (Perfetto-loadable), a JSONL event log, or
-    the per-phase × per-party summary table.
+    phase step / party / ring hop, and the recorded set is shown as a
+    Chrome trace (Perfetto-loadable, {!Export}) or as the per-phase ×
+    per-party summary table ({!Summary}).  Spans are the one telemetry
+    path: a hop's latency is its [runtime.ring] span, a step's operation
+    counts are the span's probe deltas.
 
     {b Cost model.}  Tracing is off by default and the disabled path is
     one ref read and a branch per call site, so instrumented hot paths
@@ -133,7 +135,6 @@ let close_span sp ~probe_before =
       Domain.DLS.set stack_key (strip stack));
   if on_main_domain () then batch_parent := sp.parent;
   sp.dur_us <- now_us sp.slot -. sp.start_us;
-  Hist.record_us Hist.span_us sp.dur_us;
   (match probe_before with
   | None -> ()
   | Some before ->
@@ -176,19 +177,6 @@ let add_attr name v =
     | sp :: _ -> sp.attrs <- sp.attrs @ [ (name, v) ]
     | [] -> ()
 
-let bump_attr name k =
-  if !enabled_flag then
-    match Domain.DLS.get stack_key with
-    | sp :: _ -> (
-        match List.assoc_opt name sp.attrs with
-        | Some (Int v) ->
-            sp.attrs <-
-              List.map
-                (fun (n, a) -> if n = name then (n, Int (v + k)) else (n, a))
-                sp.attrs
-        | _ -> sp.attrs <- sp.attrs @ [ (name, Int k) ])
-    | [] -> ()
-
 (** Recorded spans in deterministic (slot, open-seq) order; call on the
     main domain outside parallel regions. *)
 let spans () : span list =
@@ -200,8 +188,6 @@ let spans () : span list =
     (fun a b ->
       if a.slot <> b.slot then compare a.slot b.slot else compare a.seq b.seq)
     !all
-
-let span_count () = List.length (spans ())
 
 (** Run [f] with tracing enabled on a fresh buffer; returns the result
     and the recorded spans, restoring the previous enabled state. *)

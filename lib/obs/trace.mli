@@ -38,16 +38,9 @@ val add_attr : string -> attr -> unit
 (** Append an attribute to the innermost open span of the calling
     domain; no-op when disabled or outside any span. *)
 
-val bump_attr : string -> int -> unit
-(** Add to an integer attribute of the innermost open span, creating it
-    at the given value if absent — the accumulator the wire layer uses
-    for per-span byte tallies. *)
-
 val spans : unit -> span list
 (** All recorded spans in deterministic (slot, open-order) order.  Call
     on the main domain outside parallel regions. *)
-
-val span_count : unit -> int
 
 val current_span_id : unit -> int
 (** Id of the innermost open span of the calling domain (the batch

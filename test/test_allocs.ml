@@ -208,40 +208,14 @@ let retention_tests =
         ignore (E.scalar_mul cv (E.base_point cv) (Bigint.of_int 12345)));
   ]
 
-(* Telemetry layer (PR 8): recording into a histogram or the flight
-   recorder is steady-state allocation-free in BOTH states — disabled
-   (one ref read, the hot-path guarantee) and enabled (preallocated
-   int-array lanes, no boxing). *)
+(* Telemetry layer: recording into the always-on flight recorder is
+   steady-state allocation-free (preallocated int-array lanes, no
+   boxing). *)
 let telemetry_tests =
-  let module Hist = Ppgr_obs.Hist in
   let module Flightrec = Ppgr_obs.Flightrec in
-  let h = Hist.create () in
   let fl = Flightrec.create ~parties:4 () in
   let tick = ref 0 in
   [
-    Alcotest.test_case "disabled Hist.record is allocation-free" `Quick
-      (fun () ->
-        Hist.set_enabled false;
-        let s =
-          Allocs.measure ~warmup:8 ~iters:200 (fun () ->
-              incr tick;
-              Hist.record h !tick)
-        in
-        if not (Allocs.is_alloc_free s) then
-          Alcotest.failf "disabled record allocates: %s"
-            (Format.asprintf "%a" Allocs.pp s));
-    Alcotest.test_case "enabled Hist.record is allocation-free" `Quick
-      (fun () ->
-        Hist.set_enabled true;
-        Fun.protect ~finally:(fun () -> Hist.set_enabled false) @@ fun () ->
-        let s =
-          Allocs.measure ~warmup:8 ~iters:200 (fun () ->
-              incr tick;
-              Hist.record h (!tick * 7919))
-        in
-        if not (Allocs.is_alloc_free s) then
-          Alcotest.failf "enabled record allocates: %s"
-            (Format.asprintf "%a" Allocs.pp s));
     Alcotest.test_case "Flightrec.record is allocation-free" `Quick (fun () ->
         let s =
           Allocs.measure ~warmup:8 ~iters:200 (fun () ->

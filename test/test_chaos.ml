@@ -16,7 +16,6 @@ open Ppgr_group
 open Ppgr_grouprank
 module Faultplan = Ppgr_mpcnet.Faultplan
 module Pool = Ppgr_exec.Pool
-module Hist = Ppgr_obs.Hist
 module Metrics = Ppgr_obs.Metrics
 module Trace = Ppgr_obs.Trace
 
@@ -325,20 +324,17 @@ module Invariant (G : Group_intf.GROUP) = struct
   module RT = Runtime.Make (G)
 
   (* Telemetry on is everything the CLI's observability flags switch
-     on: span tracing with probe sampling, histograms and the causal
-     flow ledger. *)
+     on: span tracing with probe sampling and the causal flow ledger.
+     Returns the run and its spans. *)
   let with_telemetry f =
     let probes =
       ("exps", Opmeter.count) :: ("group_mults", G.op_count) :: G.probes
     in
     List.iter (fun (name, read) -> Metrics.register ~name read) probes;
-    Hist.reset Hist.hop_us;
-    Hist.set_enabled true;
     Fun.protect
       ~finally:(fun () ->
-        Hist.set_enabled false;
         List.iter (fun (name, _) -> Metrics.unregister ~name) probes)
-      (fun () -> fst (Trace.capture f))
+      (fun () -> Trace.capture f)
 
   let run ~jobs ~window ~telemetry spec =
     let prev = Pool.jobs () in
@@ -349,7 +345,7 @@ module Invariant (G : Group_intf.GROUP) = struct
         (Rng.create ~seed:"chaos-protocol")
         ~l ~betas
     in
-    if telemetry then with_telemetry go else go ()
+    if telemetry then with_telemetry go else (go (), [])
 
   let cases =
     [
@@ -359,7 +355,7 @@ module Invariant (G : Group_intf.GROUP) = struct
           let spec =
             Faultplan.spec_of_string (List.assoc "all-faults-moderate" scenarios)
           in
-          let base = run ~jobs:1 ~window:None ~telemetry:false spec in
+          let base, _ = run ~jobs:1 ~window:None ~telemetry:false spec in
           Alcotest.(check (array int)) "ranks golden" golden base.RT.ranks;
           List.iter
             (fun jobs ->
@@ -367,7 +363,7 @@ module Invariant (G : Group_intf.GROUP) = struct
                 (fun (wname, window) ->
                   List.iter
                     (fun telemetry ->
-                      let st = run ~jobs ~window ~telemetry spec in
+                      let st, spans = run ~jobs ~window ~telemetry spec in
                       let what =
                         Printf.sprintf "jobs=%d %s telemetry=%b" jobs wname
                           telemetry
@@ -377,8 +373,14 @@ module Invariant (G : Group_intf.GROUP) = struct
                       Alcotest.(check (array int)) (what ^ ": ranks") golden
                         st.RT.ranks;
                       if telemetry then
-                        Alcotest.(check int) (what ^ ": one hop sample per party")
-                          (Array.length betas) (Hist.count Hist.hop_us);
+                        Alcotest.(check int)
+                          (what ^ ": one runtime.ring span per party")
+                          (Array.length betas)
+                          (List.length
+                             (List.filter
+                                (fun (sp : Trace.span) ->
+                                  sp.Trace.name = "runtime.ring")
+                                spans));
                       (* The causal ledger: one flow per logical
                          message when traced, none otherwise. *)
                       Alcotest.(check int) (what ^ ": flows")

@@ -227,6 +227,58 @@ let ec_structural_tests =
         Array.iter (fun p -> ignore (Ec_curve.to_affine cv p)) pts;
         Alcotest.(check int) "eight inversions per-point" (before + 8)
           (Ppgr_exec.Meter.read cv.Ec_curve.invs));
+    Alcotest.test_case "ECC-160: the x + p alias is refused" `Quick (fun () ->
+        (* x = 4 lies on secp160r1, and p + 4 still fits the 20-byte
+           coordinate: without a range check the point has two
+           encodings. *)
+        let module G = (val Ec_group.ecc_160 ()) in
+        let prm = Ec_params.secp160r1 in
+        let p = prm.Ec_curve.p in
+        let fbytes = (G.element_bytes - 1) / 2 in
+        let x = Bigint.of_int 4 in
+        let rhs =
+          Bigint.erem
+            (Bigint.add
+               (Bigint.mul (Bigint.add (Bigint.mul x x) prm.Ec_curve.a) x)
+               prm.Ec_curve.b)
+            p
+        in
+        (* p = 3 mod 4, so rhs^((p + 1)/4) is a root of a square. *)
+        let y = Bigint.powmod rhs (Bigint.shift_right (Bigint.succ p) 2) p in
+        Alcotest.(check bool) "x = 4 is on the curve" true
+          (Bigint.equal (Bigint.erem (Bigint.mul y y) p) rhs);
+        let encode x =
+          let b = Bytes.make G.element_bytes '\004' in
+          Bytes.blit (Bigint.to_bytes_be_padded fbytes x) 0 b 1 fbytes;
+          Bytes.blit (Bigint.to_bytes_be_padded fbytes y) 0 b (1 + fbytes) fbytes;
+          b
+        in
+        let canonical = encode x in
+        (match G.of_bytes canonical with
+        | Some pt ->
+            Alcotest.(check bool) "re-encodes to itself" true
+              (Bytes.equal canonical (G.to_bytes pt))
+        | None -> Alcotest.fail "canonical encoding refused");
+        Alcotest.(check bool) "x + p refused" true
+          (G.of_bytes (encode (Bigint.add x p)) = None));
+    Alcotest.test_case "ECC-160: a decode ticks no field inversion" `Quick
+      (fun () ->
+        let module G = (val Ec_group.ecc_160 ()) in
+        let invs = List.assoc "field_invs" G.probes in
+        let encodings =
+          Array.init 8 (fun k -> G.to_bytes (G.pow_gen (Bigint.of_int (k + 1))))
+        in
+        let before = invs () in
+        let decoded = Array.map G.of_bytes encodings in
+        Alcotest.(check int) "field inversions" 0 (invs () - before);
+        Array.iteri
+          (fun k d ->
+            match d with
+            | Some pt ->
+                Alcotest.(check bool) "round trip" true
+                  (Bytes.equal encodings.(k) (G.to_bytes pt))
+            | None -> Alcotest.fail "honest encoding refused")
+          decoded);
   ]
 
 (* The test-only residue oracle, Euler's criterion: for a safe prime

@@ -175,15 +175,25 @@ module Battery (G : Group_intf.GROUP) = struct
         | exception Invalid_argument _ -> ())
 
   (* A checkpoint's step fixes which sections it carries: ck_enc only
-     at step 2, ck_v from step 3 on.  A CRC-valid frame re-encoded with
-     one field out of line is refused before any keygen, and every
-     golden checkpoint, the last (step n+3) included, still resumes. *)
+     at step 2, ck_v from step 3 on, l and (n - 1)·l ciphertexts per
+     set.  A CRC-valid frame re-encoded with one field out of line is
+     refused before any keygen, and every golden checkpoint, the last
+     (step n+3) included, still resumes. *)
   let resume_inconsistent_case =
     Alcotest.test_case "resume rejects a checkpoint inconsistent with its step"
       `Quick (fun () ->
         let gst, cks = Lazy.force golden in
         let mutate i f =
           Wire.encode_checkpoint (f (Wire.decode_checkpoint cks.(i)))
+        in
+        (* Set [j] of [sets] re-encoded with [k] ciphertexts. *)
+        let resize sets j k =
+          let cs = RT.W.decode_cipher_batch sets.(j) in
+          let sets = Array.copy sets in
+          sets.(j) <-
+            RT.W.encode_cipher_batch
+              (Array.init k (fun i -> cs.(i mod Array.length cs)));
+          sets
         in
         List.iter
           (fun (what, field, frame) ->
@@ -208,6 +218,13 @@ module Battery (G : Group_intf.GROUP) = struct
               mutate 1 (fun c -> { c with Wire.ck_enc = [||] }) );
             ( "step-3 frame, empty ck_v", "ck_v",
               mutate 2 (fun c -> { c with Wire.ck_v = [||] }) );
+            ( "step-2 frame, a ck_enc set of l - 1", "ck_enc",
+              mutate 1 (fun c ->
+                  { c with Wire.ck_enc = resize c.Wire.ck_enc 2 (l - 1) }) );
+            ( "step-5 frame, a ck_v set of (n - 1)l + 1", "ck_v",
+              mutate 4 (fun c ->
+                  { c with Wire.ck_v = resize c.Wire.ck_v 0 (((n - 1) * l) + 1) })
+            );
           ];
         Array.iteri
           (fun i ck ->
@@ -351,7 +368,8 @@ module Ec = Battery (G_ec)
 (* A DL value above q encodes no element: the element it names is its
    pair's canonical value p - y.  One element of a set swapped for the
    other member of its pair is refused as a typed Wire.Malformed,
-   whether the set comes back from a checkpoint or in a hop frame. *)
+   whether the set comes back from a checkpoint (before any key
+   generation) or in a hop frame. *)
 let dl_above_q_cases =
   let p = Modp_params.p_512 and eb = G_dl.element_bytes in
   let header = Wire.cipher_batch_bytes ~elem_bytes:eb 0 in
@@ -376,7 +394,9 @@ let dl_above_q_cases =
         let ck_v = Array.copy c.Wire.ck_v in
         ck_v.(1) <- flip_first ck_v.(1);
         let frame = Wire.encode_checkpoint { c with Wire.ck_v } in
-        refused (fun () -> Dl.RT.run ~resume:frame (Rng.create ~seed) ~l ~betas));
+        let ops0 = G_dl.op_snapshot () in
+        refused (fun () -> Dl.RT.run ~resume:frame (Rng.create ~seed) ~l ~betas);
+        Alcotest.(check int) "no group op before refusal" 0 (G_dl.ops_since ops0));
     Alcotest.test_case "DL hop frame with an element above q refused" `Quick
       (fun () ->
         let _, cks = Lazy.force Dl.golden in

@@ -295,8 +295,14 @@ let invariance_tests =
     ;
     Alcotest.test_case "merge wall is timed with histograms off" `Quick
       (fun () ->
-        Ppgr_obs.Hist.set_enabled false;
         let _, r = sharded ~n:8 ~l:6 () in
+        Alcotest.(check int) "one stat per shard" 2
+          (Array.length r.Shard.shard_stats);
+        Array.iter
+          (fun (st : Shard.shard_stat) ->
+            Alcotest.(check bool) "shard_wall_s > 0" true
+              (st.Shard.shard_wall_s > 0.))
+          r.Shard.shard_stats;
         Alcotest.(check bool) "merge_wall_s > 0" true
           (r.Shard.merge.Shard.merge_wall_s > 0.))
     ;
@@ -381,15 +387,6 @@ let observability_tests =
           (fun (r : Ppgr_obs.Summary.row) ->
             Alcotest.(check bool) "wall accrued" true (r.Ppgr_obs.Summary.wall_us > 0.))
           rows)
-    ;
-    Alcotest.test_case "shard and merge histograms record" `Quick (fun () ->
-        let module Hist = Ppgr_obs.Hist in
-        Hist.set_enabled true;
-        Hist.reset_all ();
-        let _ = sharded ~n:8 ~l:6 () in
-        Hist.set_enabled false;
-        Alcotest.(check int) "one sample per shard" 2 (Hist.count Hist.shard_us);
-        Alcotest.(check int) "one merge sample" 1 (Hist.count Hist.merge_us))
     ;
   ]
 
