@@ -35,19 +35,31 @@ let () =
   Printf.printf "(shapes reproduce the paper's Fig. 2-3; absolute numbers are this machine's)\n";
   (* Calibration is needed by most sections; run it once. *)
   let t0 = Unix.gettimeofday () in
-  let dl1024 = Calibrate.group (Ppgr_group.Dl_group.dl_1024 ()) rng in
-  let dl2048 = Calibrate.group (Ppgr_group.Dl_group.dl_2048 ()) rng in
-  let dl3072 = Calibrate.group (Ppgr_group.Dl_group.dl_3072 ()) rng in
-  let ecc160 = Calibrate.group (Ppgr_group.Ec_group.ecc_160 ()) rng in
-  let ecc224 = Calibrate.group (Ppgr_group.Ec_group.ecc_224 ()) rng in
-  let ecc256 = Calibrate.group (Ppgr_group.Ec_group.ecc_256 ()) rng in
-  let field_cal = Calibrate.field_sec_per_mult rng in
+  let cals, field =
+    Calibrate.run
+      Ppgr_group.
+        [
+          Dl_group.dl_1024 ();
+          Dl_group.dl_2048 ();
+          Dl_group.dl_3072 ();
+          Ec_group.ecc_160 ();
+          Ec_group.ecc_224 ();
+          Ec_group.ecc_256 ();
+        ]
+      rng
+  in
+  let dl1024, dl2048, dl3072, ecc160, ecc224, ecc256 =
+    match cals with
+    | [ a; b; c; d; e; f ] -> (a, b, c, d, e, f)
+    | _ -> assert false
+  in
+  let field_cal = field.Calibrate.f_median in
   if want "calibrate" then begin
-    Printf.printf "\n== Calibration (measured on this machine) ==\n";
-    List.iter
-      (fun c -> Format.printf "%a@." Calibrate.pp_group_cal c)
-      [ dl1024; dl2048; dl3072; ecc160; ecc224; ecc256 ];
-    Printf.printf "Z_p field (192-bit): %.3g s/mult\n" field_cal
+    Printf.printf "\n== Calibration (measured on this machine; s/mult median of %d interleaved passes, min-max) ==\n"
+      Calibrate.passes;
+    List.iter (fun c -> Format.printf "%a@." Calibrate.pp_group_cal c) cals;
+    Printf.printf "Z_p field (192-bit): %.3g s/mult (%.3g-%.3g)\n" field_cal
+      field.Calibrate.f_min field.Calibrate.f_max
   end;
   if want "fig2" then Figures.fig2 ~dl:dl1024 ~ecc:ecc160 ~field_cal ();
   if want "fig3a" then

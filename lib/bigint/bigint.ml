@@ -323,15 +323,34 @@ module Mont = struct
       r
     end
 
+  (* Limb copies and fills as plain loops: [Array.blit] and [Array.fill]
+     are C calls, and a blit into an old (major-heap) int array runs
+     [caml_modify] on every limb.  One range check per call keeps them
+     safe; the loops themselves are unchecked. *)
+  let blit_limbs (src : int array) soff (dst : int array) doff len =
+    if soff < 0 || doff < 0 || len < 0
+       || soff + len > Array.length src
+       || doff + len > Array.length dst
+    then invalid_arg "Mont.blit_limbs";
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+    done
+
+  let fill_limbs (dst : int array) off len v =
+    if off < 0 || len < 0 || off + len > Array.length dst then invalid_arg "Mont.fill_limbs";
+    for i = off to off + len - 1 do
+      Array.unsafe_set dst i v
+    done
+
   let pad_into ctx (dst : int array) (a : int array) =
     let la = Array.length a in
-    Array.blit a 0 dst 0 la;
-    Array.fill dst la (ctx.w - la) 0
+    blit_limbs a 0 dst 0 la;
+    fill_limbs dst la (ctx.w - la) 0
 
-  (* Copy the final CIOS value into [dst], subtracting the modulus once
-     if the accumulator (read at [off]) reached it; [extra] is the
-     overflow limb above the top. *)
-  let finish ctx (dst : int array) (acc : int array) off extra =
+  (* Copy the final CIOS value into [dst] at limb [doff], subtracting
+     the modulus once if the accumulator (read at [off]) reached it;
+     [extra] is the overflow limb above the top. *)
+  let finish ctx (dst : int array) doff (acc : int array) off extra =
     let w = ctx.w and m = ctx.m in
     (* Closure-free comparison loop: this path must allocate nothing. *)
     let i = ref (w - 1) in
@@ -343,16 +362,25 @@ module Mont = struct
       let borrow = ref 0 in
       for i = 0 to w - 1 do
         let d = Array.unsafe_get acc (off + i) - Array.unsafe_get m i - !borrow in
-        Array.unsafe_set dst i (d land Mag.mask);
+        Array.unsafe_set dst (doff + i) (d land Mag.mask);
         borrow := (d lsr 61) land 1
       done
     end
-    else Array.blit acc off dst 0 w
+    else
+      for i = 0 to w - 1 do
+        Array.unsafe_set dst (doff + i) (Array.unsafe_get acc (off + i))
+      done
+
+  (* The kernels read and write w limbs of each operand from a limb
+     offset, so one flat array can hold many elements ({!Modring.Flat});
+     the operands are split into scratch first, so the offsets never
+     reach the O(w^2) loops.  Callers check the ranges. *)
 
   (* CIOS Montgomery multiplication: dst = a * b * R^{-1} mod m.
-     [a], [b] and [dst] are w-limb arrays; [dst] may alias either
-     operand (the result lands in scratch and is copied out last). *)
-  let mont_mul_into ctx (dst : int array) (a : int array) (b : int array) =
+     [a], [b] and [dst] are w-limb operands at limb offsets [aoff],
+     [boff] and [doff]; [dst] may alias either operand (the result lands
+     in scratch and is copied out last). *)
+  let mont_mul_at ctx (dst : int array) doff (a : int array) aoff (b : int array) boff =
     Ppgr_exec.Meter.incr mul_counter;
     let w = ctx.w and m' = ctx.m' in
     let s = Domain.DLS.get ctx.scratch in
@@ -360,13 +388,15 @@ module Mont = struct
     let mh0 = ctx.mh0 and mh1 = ctx.mh1 in
     let bh0 = s.h0 and bh1 = s.h1 in
     for j = 0 to w - 1 do
-      let bj = Array.unsafe_get b j in
+      let bj = Array.unsafe_get b (boff + j) in
       Array.unsafe_set bh0 j (bj land Mag.m31);
       Array.unsafe_set bh1 j (bj lsr 31)
     done;
-    Array.fill t 0 (w + 2) 0;
+    for j = 0 to w + 1 do
+      Array.unsafe_set t j 0
+    done;
     for i = 0 to w - 1 do
-      let ai = Array.unsafe_get a i in
+      let ai = Array.unsafe_get a (aoff + i) in
       let a0 = ai land Mag.m31 and a1 = ai lsr 31 in
       (* t += a_i * b *)
       let c = ref 0 in
@@ -415,15 +445,18 @@ module Mont = struct
       Array.unsafe_set t w (Array.unsafe_get t (w + 1) + (x lsr 61));
       Array.unsafe_set t (w + 1) 0
     done;
-    finish ctx dst t 0 t.(w)
+    finish ctx dst doff t 0 t.(w)
+
+  let mont_mul_into ctx (dst : int array) (a : int array) (b : int array) =
+    mont_mul_at ctx dst 0 a 0 b 0
 
   (* Montgomery squaring: dst = a^2 * R^{-1} mod m, computed SOS-style.
      The off-diagonal triangle is accumulated once and doubled with a
      single shift pass, then the diagonal squares land and the w
      reduction steps run over the double-width accumulator; roughly 25%
      fewer limb products than [mont_mul_into] on the same operand.
-     [dst] may alias [a]. *)
-  let mont_sqr_into ctx (dst : int array) (a : int array) =
+     [dst] may alias [a]; both at limb offsets as in {!mont_mul_at}. *)
+  let mont_sqr_at ctx (dst : int array) doff (a : int array) aoff =
     Ppgr_exec.Meter.incr mul_counter;
     let w = ctx.w and m' = ctx.m' in
     let s = Domain.DLS.get ctx.scratch in
@@ -431,11 +464,13 @@ module Mont = struct
     let mh0 = ctx.mh0 and mh1 = ctx.mh1 in
     let ah0 = s.h0 and ah1 = s.h1 in
     for j = 0 to w - 1 do
-      let aj = Array.unsafe_get a j in
+      let aj = Array.unsafe_get a (aoff + j) in
       Array.unsafe_set ah0 j (aj land Mag.m31);
       Array.unsafe_set ah1 j (aj lsr 31)
     done;
-    Array.fill t2 0 ((2 * w) + 2) 0;
+    for j = 0 to (2 * w) + 1 do
+      Array.unsafe_set t2 j 0
+    done;
     (* Off-diagonal triangle a_i * a_j, j > i. *)
     for i = 0 to w - 2 do
       let a0 = Array.unsafe_get ah0 i and a1 = Array.unsafe_get ah1 i in
@@ -508,7 +543,9 @@ module Mont = struct
         incr k
       done
     done;
-    finish ctx dst t2 w t2.(2 * w)
+    finish ctx dst doff t2 w t2.(2 * w)
+
+  let mont_sqr_into ctx (dst : int array) (a : int array) = mont_sqr_at ctx dst 0 a 0
 
   let mont_mul ctx (a : int array) (b : int array) =
     let dst = Array.make ctx.w 0 in
@@ -584,18 +621,18 @@ module Mont = struct
      to Montgomery scaling; two multiplications by R^2 rescale it to
      the Montgomery form of a^{-1}.
      @raise Division_by_zero if [a] is not invertible. *)
-  let inv_into ctx (dst : int array) (a : int array) =
+  let inv_at ctx (dst : int array) doff (a : int array) aoff =
     let w = ctx.w in
     let len = w + 1 in
     let s = Domain.DLS.get ctx.scratch in
     let u = s.iu and v = s.iv and x1 = s.ix1 and x2 = s.ix2 in
-    Array.blit a 0 u 0 w;
+    blit_limbs a aoff u 0 w;
     u.(w) <- 0;
-    Array.blit ctx.m 0 v 0 w;
+    blit_limbs ctx.m 0 v 0 w;
     v.(w) <- 0;
-    Array.fill x1 0 len 0;
+    fill_limbs x1 0 len 0;
     x1.(0) <- 1;
-    Array.fill x2 0 len 0;
+    fill_limbs x2 0 len 0;
     if buf_is_zero u len then raise Division_by_zero;
     while (not (buf_is_one u len)) && not (buf_is_one v len) do
       (* A common factor > 1 drives one value to zero without either
@@ -626,8 +663,10 @@ module Mont = struct
     (* r = (aR)^{-1} = a^{-1} R^{-1}; two R^2 rescalings land a^{-1} R.
        The kernels read exactly w limbs, so the (w+1)-limb buffer with
        its zero top limb is a valid operand. *)
-    mont_mul_into ctx dst r ctx.r2;
-    mont_mul_into ctx dst dst ctx.r2
+    mont_mul_at ctx dst doff r 0 ctx.r2 0;
+    mont_mul_at ctx dst doff dst doff ctx.r2 0
+
+  let inv_into ctx (dst : int array) (a : int array) = inv_at ctx dst 0 a 0
 
   let to_mont ctx a = mont_mul ctx (pad ctx a) ctx.r2
   let from_mont ctx a = Mag.normalize (mont_mul ctx a ctx.one_p)
@@ -636,13 +675,13 @@ module Mont = struct
      := bm^e for a Montgomery-form base [bm] of [w] limbs, which must
      not be [s.acc] or a window-table slot.  Allocation-free. *)
   let pow_window ctx s (bm : int array) (e : int array) =
-    Array.blit ctx.one_m 0 s.tbl.(0) 0 ctx.w;
+    blit_limbs ctx.one_m 0 s.tbl.(0) 0 ctx.w;
     for i = 1 to 15 do
       mont_mul_into ctx s.tbl.(i) s.tbl.(i - 1) bm
     done;
     let nwin = (Mag.numbits e + 3) / 4 in
     let acc = s.acc in
-    Array.blit ctx.one_m 0 acc 0 ctx.w;
+    blit_limbs ctx.one_m 0 acc 0 ctx.w;
     for wi = nwin - 1 downto 0 do
       for _ = 1 to 4 do
         mont_sqr_into ctx acc acc
@@ -810,12 +849,20 @@ module Modring = struct
   let of_int c v = enter c (of_int v)
 
   let copy_into (_ : ctx) (dst : elt) (src : elt) =
-    Array.blit src 0 dst 0 (Array.length src)
+    Mont.blit_limbs src 0 dst 0 (Array.length src)
 
-  let zero_into c (dst : elt) = Array.fill dst 0 c.mc.Mont.w 0
-  let one_into c (dst : elt) = Array.blit c.mc.Mont.one_m 0 dst 0 c.mc.Mont.w
+  let zero_into c (dst : elt) = Mont.fill_limbs dst 0 c.mc.Mont.w 0
+  let one_into c (dst : elt) = Mont.blit_limbs c.mc.Mont.one_m 0 dst 0 c.mc.Mont.w
 
-  let equal (_ : ctx) (a : elt) (b : elt) = a = b
+  (* Limb by limb: polymorphic [=] is a C call. *)
+  let equal c (a : elt) (b : elt) =
+    let w = c.mc.Mont.w in
+    if Array.length a < w || Array.length b < w then invalid_arg "Modring.equal";
+    let i = ref 0 in
+    while !i < w && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    !i = w
 
   let is_zero (_ : ctx) (a : elt) =
     (* Manual loop: [Array.for_all] closes over its arguments and this
@@ -852,62 +899,66 @@ module Modring = struct
     done;
     !i < 0
 
-  (* Compare a padded array against the modulus limbs, closure-free. *)
-  let ge_mod c (a : elt) =
+  (* Compare w limbs at [off] against the modulus limbs, closure-free. *)
+  let ge_mod_at c (a : int array) off =
     let m = c.mc.Mont.m in
     let i = ref (c.mc.Mont.w - 1) in
-    while !i >= 0 && a.(!i) = m.(!i) do
+    while !i >= 0 && a.(off + !i) = m.(!i) do
       decr i
     done;
-    !i < 0 || a.(!i) > m.(!i)
+    !i < 0 || a.(off + !i) > m.(!i)
 
-  let sub_mod_inplace c (a : elt) =
+  let sub_mod_at c (a : int array) off =
     let m = c.mc.Mont.m in
     let borrow = ref 0 in
     for i = 0 to c.mc.Mont.w - 1 do
-      let d = a.(i) - m.(i) - !borrow in
-      a.(i) <- d land Mag.mask;
+      let d = a.(off + i) - m.(i) - !borrow in
+      a.(off + i) <- d land Mag.mask;
       borrow := (d lsr 61) land 1
     done
 
   (* All the [_into] variants tolerate [dst] aliasing any operand: each
      limb of the operands is read before the same-index limb of [dst]
-     is written, and the range-restoring pass runs on [dst] alone. *)
+     is written, and the range-restoring pass runs on [dst] alone.  The
+     [_at] forms take limb offsets, for {!Flat}. *)
 
-  let add_into c (dst : elt) (a : elt) (b : elt) =
+  let add_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
     let w = c.mc.Mont.w in
     let carry = ref 0 in
     for i = 0 to w - 1 do
-      let s = a.(i) + b.(i) + !carry in
-      dst.(i) <- s land Mag.mask;
+      let s = a.(aoff + i) + b.(boff + i) + !carry in
+      dst.(doff + i) <- s land Mag.mask;
       carry := s lsr 61
     done;
     (* a + b < 2m; one conditional subtraction restores the range (a
        final borrow cancels against the dropped carry bit). *)
-    if !carry > 0 || ge_mod c dst then sub_mod_inplace c dst
+    if !carry > 0 || ge_mod_at c dst doff then sub_mod_at c dst doff
 
-  let sub_into c (dst : elt) (a : elt) (b : elt) =
+  let sub_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
     let w = c.mc.Mont.w in
     let m = c.mc.Mont.m in
     let borrow = ref 0 in
     for i = 0 to w - 1 do
-      let d = a.(i) - b.(i) - !borrow in
-      dst.(i) <- d land Mag.mask;
+      let d = a.(aoff + i) - b.(boff + i) - !borrow in
+      dst.(doff + i) <- d land Mag.mask;
       borrow := (d lsr 61) land 1
     done;
     if !borrow > 0 then begin
       let carry = ref 0 in
       for i = 0 to w - 1 do
-        let s = dst.(i) + m.(i) + !carry in
-        dst.(i) <- s land Mag.mask;
+        let s = dst.(doff + i) + m.(i) + !carry in
+        dst.(doff + i) <- s land Mag.mask;
         carry := s lsr 61
       done
     end
 
+  let add_into c (dst : elt) (a : elt) (b : elt) = add_at c dst 0 a 0 b 0
+  let sub_into c (dst : elt) (a : elt) (b : elt) = sub_at c dst 0 a 0 b 0
+
   let double_into c (dst : elt) (a : elt) = add_into c dst a a
 
   let neg_into c (dst : elt) (a : elt) =
-    if is_zero c a then Array.fill dst 0 c.mc.Mont.w 0
+    if is_zero c a then zero_into c dst
     else begin
       (* 0 < a < m, so m - a needs no final borrow. *)
       let m = c.mc.Mont.m in
@@ -970,4 +1021,43 @@ module Modring = struct
     let r = alloc c in
     inv_into c r a;
     r
+
+  module Flat = struct
+    type t = int array
+
+    let create c n : t = Array.make (n * c.mc.Mont.w) 0
+
+    (* The offset kernels do not check their ranges; every entry point
+       here does, once per operand. *)
+    let at c (v : t) i =
+      let w = c.mc.Mont.w in
+      if i < 0 || (i + 1) * w > Array.length v then invalid_arg "Modring.Flat: index";
+      i * w
+
+    let set c (v : t) i (x : elt) = Mont.blit_limbs x 0 v (at c v i) c.mc.Mont.w
+
+    let get c (v : t) i : elt =
+      let r = alloc c in
+      Mont.blit_limbs v (at c v i) r 0 c.mc.Mont.w;
+      r
+
+    let copy c (dst : t) i (src : t) j =
+      Mont.blit_limbs src (at c src j) dst (at c dst i) c.mc.Mont.w
+
+    let mul c (dst : t) i (a : t) j (b : t) k =
+      Mont.mont_mul_at c.mc dst (at c dst i) a (at c a j) b (at c b k)
+
+    let sqr c (dst : t) i (a : t) j = Mont.mont_sqr_at c.mc dst (at c dst i) a (at c a j)
+    let add c (dst : t) i (a : t) j (b : t) k = add_at c dst (at c dst i) a (at c a j) b (at c b k)
+    let sub c (dst : t) i (a : t) j (b : t) k = sub_at c dst (at c dst i) a (at c a j) b (at c b k)
+    let inv c (dst : t) i (a : t) j = Mont.inv_at c.mc dst (at c dst i) a (at c a j)
+
+    let is_zero c (v : t) i =
+      let off = at c v i and w = c.mc.Mont.w in
+      let k = ref 0 in
+      while !k < w && Array.unsafe_get v (off + !k) = 0 do
+        incr k
+      done;
+      !k = w
+  end
 end

@@ -233,4 +233,38 @@ module Modring : sig
   val double : ctx -> elt -> elt
   val mul_small : ctx -> elt -> int -> elt
   (** Multiply by a small non-negative integer constant. *)
+
+  (** {2 Flat element arrays}
+
+      Many elements in one limb array, element [i] at limbs
+      [[i*w, (i+1)*w)], for batch code that keeps a whole chunk of
+      state in a few flat arrays instead of one boxed array per
+      element.  The operations are the in-place ones above, addressed by
+      (array, index) pairs; [dst] may alias any operand, and an index
+      out of range raises [Invalid_argument]. *)
+  module Flat : sig
+    type ring := ctx
+    type t
+
+    val create : ring -> int -> t
+    (** [create c n]: [n] elements, all zero. *)
+
+    val set : ring -> t -> int -> elt -> unit
+    val get : ring -> t -> int -> elt
+    (** A fresh copy of element [i]. *)
+
+    val copy : ring -> t -> int -> t -> int -> unit
+    (** [copy c dst i src j]: element [j] of [src] into element [i] of
+        [dst]. *)
+
+    val mul : ring -> t -> int -> t -> int -> t -> int -> unit
+    val sqr : ring -> t -> int -> t -> int -> unit
+    val add : ring -> t -> int -> t -> int -> t -> int -> unit
+    val sub : ring -> t -> int -> t -> int -> t -> int -> unit
+
+    val inv : ring -> t -> int -> t -> int -> unit
+    (** @raise Division_by_zero if not invertible. *)
+
+    val is_zero : ring -> t -> int -> bool
+  end
 end

@@ -108,7 +108,14 @@ module type S = sig
       [exponent_blind rng (partial_decrypt x cph)] fused into two
       exponentiations instead of three: the blinded stripped component
       [(c / c'^x)^r = c^r * c'^(-x r)] is one simultaneous [pow2].  The
-      unit of work of the step-8 decryption ring. *)
+      one-element case of {!partial_decrypt_blind_batch}. *)
+
+  val partial_decrypt_blind_batch : Rng.t array -> seckey -> cipher array -> cipher array
+  (** [partial_decrypt_blind_batch rngs x cphs] is
+      [Array.map2 (fun rng c -> partial_decrypt_blind rng x c) rngs cphs]:
+      the same draws, ciphertexts and two ticked exponentiations per
+      element, as one {!G.pow2_pow_batch}.  The unit of work of a
+      step-8 ring hop. *)
 
   val is_zero_plaintext_power : G.element -> bool
 end
@@ -217,11 +224,17 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
     let r = G.random_scalar rng in
     { c = G.pow cph.c r; c' = G.pow cph.c' r }
 
-  let partial_decrypt_blind rng x cph =
+  let partial_decrypt_blind_batch rngs x cphs =
     (* (c / c'^x)^r = c^r * c'^(q - x r): one pow2 plus the c'^r leg —
        two logical exponentiations where strip-then-blind costs three. *)
-    Meter.tick_n 2;
-    let r = G.random_scalar rng in
-    let xr = Bigint.erem (Bigint.neg (Bigint.mul x r)) G.order in
-    { c = G.pow2 cph.c r cph.c' xr; c' = G.pow cph.c' r }
+    let k = Array.length cphs in
+    if Array.length rngs <> k then invalid_arg "Elgamal.partial_decrypt_blind_batch";
+    Meter.tick_n (2 * k);
+    let r = Array.map G.random_scalar rngs in
+    let xr = Array.map (fun r -> Bigint.erem (Bigint.neg (Bigint.mul x r)) G.order) r in
+    let c = Array.map (fun cph -> cph.c) cphs and c' = Array.map (fun cph -> cph.c') cphs in
+    G.pow2_pow_batch c r c' xr;
+    Array.init k (fun i -> { c = c.(i); c' = c'.(i) })
+
+  let partial_decrypt_blind rng x cph = (partial_decrypt_blind_batch [| rng |] x [| cph |]).(0)
 end

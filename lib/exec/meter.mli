@@ -19,6 +19,13 @@ type t
 
 val create : unit -> t
 
+val create_group : int -> t array
+(** [create_group k] is [k] meters (1 to 8) that share one padded lane
+    array: a domain's lane is one 64-byte line holding all [k] of its
+    counters, so a family of counters costs one allocation instead of
+    [k].  Each meter reads, resets and ticks exactly like one from
+    {!create}. *)
+
 val incr : t -> unit
 (** Add 1 to the calling domain's slot. *)
 
@@ -30,7 +37,8 @@ val read : t -> int
     (i.e. between {!Pool} batches, which is when all callers read). *)
 
 val reset : t -> unit
-(** Zero every slot.  Only call outside parallel regions. *)
+(** Zero every slot of this meter (not its group siblings).  Only call
+    outside parallel regions. *)
 
 type snapshot = int
 

@@ -71,10 +71,14 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
   let identity = Bigint.Modring.one ring
   let generator = Bigint.Modring.enter ring P.g
 
-  (* A mergeable per-domain meter: ticks arrive from pool workers during
+  (* Mergeable per-domain meters: ticks arrive from pool workers during
      parallel hot loops and the summed read equals the sequential
-     count. *)
-  let ops = Ppgr_exec.Meter.create ()
+     count.  [ops] counts group operations; [invs], the [field_invs]
+     probe, one per [inv] and one per [inv_batch].  Both share one lane
+     array. *)
+  let meters = Ppgr_exec.Meter.create_group 2
+  let ops = meters.(0)
+  let invs = meters.(1)
   let op_count () = Ppgr_exec.Meter.read ops
   let reset_op_count () = Ppgr_exec.Meter.reset ops
   let op_snapshot () = Ppgr_exec.Meter.snapshot ops
@@ -90,10 +94,6 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
 
   let is_identity x =
     Bigint.Modring.is_one ring x || Bigint.Modring.equal_neg ring x identity
-
-  (* Inversions, the [field_invs] probe: one per [inv] and one per
-     [inv_batch]. *)
-  let invs = Ppgr_exec.Meter.create ()
 
   let inv x =
     (* Binary extended gcd on the Montgomery residue; ticked as one op
@@ -316,6 +316,10 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
       done;
       escape s
     end
+
+  (* An exponentiation here inverts nothing, so a batch has nothing to
+     share: per element over the pool. *)
+  let pow2_pow_batch a e b f = Group_intf.pow2_pow_each ~pow2 ~pow a e b f
 
   (* Double-checked mutex memo: [Lazy.force] is unsafe under concurrent
      forcing from pool workers (it raises [Undefined]). *)

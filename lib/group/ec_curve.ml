@@ -42,6 +42,27 @@ type pscratch = {
   pdg2 : int array;
 }
 
+(* The state of one chunk of batched affine ladders ({!pow2_pow_batch},
+   DESIGN.md §5h), in flat limb arrays sized for the chunk.  Ladder [k]
+   owns points [10k .. 10k + 9]: a's odd multiples A, 3A, 5A, 7A, then
+   b's, then the two accumulators.  A pending step holds up to two
+   operations per ladder. *)
+type chunk_state = {
+  bx : Modring.Flat.t; (* point x-coordinates *)
+  by : Modring.Flat.t; (* point y-coordinates *)
+  pre : Modring.Flat.t; (* Montgomery's-trick prefix products, one per op *)
+  tmp : Modring.Flat.t; (* field temporaries, the [t_*] slots *)
+  odst : int array; (* per op: destination point *)
+  op1 : int array; (* first operand *)
+  op2 : int array; (* second operand, or -1 for a doubling of [op1] *)
+  oneg : Bytes.t; (* '\001' where the second operand enters negated *)
+  started : Bytes.t; (* per accumulator: '\001' once it left infinity *)
+  digits : Bytes.t;
+      (* wNAF-4 digit + 8, a nibble each: rows 2k (e) and 2k + 1 (f) *)
+  dlen : int; (* digit slots per row *)
+  dtmp : int array; (* one recoding *)
+}
+
 type curve = {
   prm : params;
   fp : Modring.ctx;
@@ -50,6 +71,8 @@ type curve = {
   a_is_minus3 : bool;
   ops : Ppgr_exec.Meter.t; (* point additions/doublings performed *)
   invs : Ppgr_exec.Meter.t; (* field inversions (normalization cost) *)
+  fallbacks : Ppgr_exec.Meter.t;
+      (* batch chunks recomputed by the per-element Jacobian ladders *)
   scratch : Modring.elt array Ppgr_exec.Slot_local.t;
       (* 13 per-domain field temporaries for the Jacobian formulas: the
          add/double hot paths run entirely in these via the Modring
@@ -59,6 +82,24 @@ type curve = {
   pscratch : pscratch Ppgr_exec.Slot_local.t;
 }
 
+(* Ladders per batch chunk, and the smallest batch worth running in
+   lockstep: on ECC-160 a strip-and-blind took about 520 us per element
+   against 530 us per ladder pair in a 32-ladder batch and 480 us in a
+   48-ladder one (DESIGN.md §5h). *)
+let batch_chunk = 128
+let batch_crossover = 40
+
+(* Temporaries of a batched step, slots of [chunk_state.tmp]. *)
+let t_inv = 0 (* running inverse of the remaining prefix *)
+let t_iv = 1 (* this operation's inverse denominator *)
+let t_den = 2
+let t_num = 3
+let t_lam = 4
+let t_x3 = 5
+let t_a = 6 (* the curve's a *)
+let t_zero = 7
+let n_tmp = 8
+
 let make_curve prm =
   let fp = Modring.ctx ~modulus:prm.p in
   let ca = Modring.enter fp prm.a in
@@ -66,14 +107,16 @@ let make_curve prm =
   let fresh_point () =
     { x = Modring.alloc fp; y = Modring.alloc fp; z = Modring.alloc fp }
   in
+  let meters = Ppgr_exec.Meter.create_group 3 in
   {
     prm;
     fp;
     ca;
     cb = Modring.enter fp prm.b;
     a_is_minus3 = Bigint.equal (Bigint.erem prm.a prm.p) (Bigint.sub prm.p (Bigint.of_int 3));
-    ops = Ppgr_exec.Meter.create ();
-    invs = Ppgr_exec.Meter.create ();
+    ops = meters.(0);
+    invs = meters.(1);
+    fallbacks = meters.(2);
     scratch = Ppgr_exec.Slot_local.make (fun () -> Array.init 13 (fun _ -> Modring.alloc fp));
     pscratch =
       Ppgr_exec.Slot_local.make (fun () ->
@@ -528,6 +571,314 @@ let scalar_mul2 cv p e q f =
       if db <> 0 then mix_digit_point cv s s.podd2 db
     done;
     escape_point cv s
+  end
+
+(* ---- Batched affine ladders (DESIGN.md §5h) ----
+
+   [pow2_pow_batch] runs one chunk of independent ladders in lockstep on
+   affine points.  An affine addition or doubling divides once; a step
+   applies one operation to many points and shares a single inversion
+   among all of them (Montgomery's trick), which leaves 6 field
+   multiplications per addition and 7 per doubling where the Jacobian
+   formulas spend 16 and 8.  Any zero denominator (an operand at
+   infinity, equal x-coordinates) abandons the chunk, which the
+   Jacobian ladders then recompute. *)
+
+(* The denominator of operation [i] into [t_den]: 2y or x2 - x1.  (A
+   top-level function: a local closure would allocate on every step.) *)
+let batch_den cv s i =
+  let p1 = Array.unsafe_get s.op1 i and p2 = Array.unsafe_get s.op2 i in
+  if p2 < 0 then Modring.Flat.add cv.fp s.tmp t_den s.by p1 s.by p1
+  else Modring.Flat.sub cv.fp s.tmp t_den s.bx p2 s.bx p1
+
+(* A chunk's state for [m] ladders, allocated per chunk: kept between
+   calls it would stay live for good, and in a session that raised the
+   peak heap more than the chunks' garbage does. *)
+let batch_state cv m =
+  let module F = Modring.Flat in
+  let fp = cv.fp and nb = Bigint.numbits cv.prm.n in
+  let tmp = F.create fp n_tmp in
+  F.set fp tmp t_a cv.ca;
+  let dlen = nb + 2 in
+  {
+    bx = F.create fp (10 * m);
+    by = F.create fp (10 * m);
+    pre = F.create fp (2 * m);
+    tmp;
+    odst = Array.make (2 * m) 0;
+    op1 = Array.make (2 * m) 0;
+    op2 = Array.make (2 * m) 0;
+    oneg = Bytes.make (2 * m) '\000';
+    started = Bytes.make (2 * m) '\000';
+    digits = Bytes.make (2 * m * ((dlen + 1) / 2)) '\000';
+    dlen;
+    dtmp = Array.make (nb + 8) 0;
+  }
+
+(* Apply the [np] pending operations of [s] with one shared inversion:
+   operation [i] writes to point [odst.(i)] the sum of points [op1.(i)]
+   and [op2.(i)] ([op2] negated where [oneg] is set), or the double of
+   [op1.(i)] where [op2.(i) < 0].  A destination is no other operation's
+   operand.  False, having written no point, if a denominator is
+   zero. *)
+let batch_step cv s np =
+  let module F = Modring.Flat in
+  let f = cv.fp and bx = s.bx and by = s.by and pre = s.pre and tmp = s.tmp in
+  let ok = ref true in
+  let i = ref 0 in
+  while !ok && !i < np do
+    batch_den cv s !i;
+    if F.is_zero f tmp t_den then ok := false
+    else if !i = 0 then F.copy f pre 0 tmp t_den
+    else F.mul f pre !i pre (!i - 1) tmp t_den;
+    incr i
+  done;
+  if !ok && np > 0 then begin
+    Ppgr_exec.Meter.incr cv.invs;
+    F.inv f tmp t_inv pre (np - 1);
+    for i = np - 1 downto 0 do
+      batch_den cv s i;
+      if i > 0 then begin
+        F.mul f tmp t_iv tmp t_inv pre (i - 1);
+        F.mul f tmp t_inv tmp t_inv tmp t_den
+      end
+      else F.copy f tmp t_iv tmp t_inv;
+      let d = Array.unsafe_get s.odst i
+      and p1 = Array.unsafe_get s.op1 i
+      and p2 = Array.unsafe_get s.op2 i in
+      let neg = Bytes.unsafe_get s.oneg i <> '\000' in
+      (* lambda = num / den; for a negated second operand num = y2 + y1
+         is minus the true numerator, so lambda^2 holds and y3 takes
+         x3 - x1 in place of x1 - x3. *)
+      if p2 < 0 then begin
+        F.sqr f tmp t_num bx p1;
+        F.add f tmp t_lam tmp t_num tmp t_num;
+        F.add f tmp t_num tmp t_lam tmp t_num;
+        F.add f tmp t_num tmp t_num tmp t_a
+      end
+      else if neg then F.add f tmp t_num by p2 by p1
+      else F.sub f tmp t_num by p2 by p1;
+      F.mul f tmp t_lam tmp t_num tmp t_iv;
+      (* x3 = lambda^2 - x1 - x2 (x2 = x1 for a doubling) *)
+      F.sqr f tmp t_x3 tmp t_lam;
+      F.sub f tmp t_x3 tmp t_x3 bx p1;
+      F.sub f tmp t_x3 tmp t_x3 bx (if p2 < 0 then p1 else p2);
+      (* y3 = lambda (x1 - x3) - y1 *)
+      if neg then F.sub f tmp t_num tmp t_x3 bx p1 else F.sub f tmp t_num bx p1 tmp t_x3;
+      F.mul f tmp t_num tmp t_lam tmp t_num;
+      F.sub f by d tmp t_num by p1;
+      F.copy f bx d tmp t_x3
+    done
+  end;
+  !ok
+
+(* Queue operation [np]: [d] := [p1] + (±)[p2], or 2 [p1] for [p2 = -1]. *)
+let batch_push s np d p1 p2 neg =
+  Array.unsafe_set s.odst np d;
+  Array.unsafe_set s.op1 np p1;
+  Array.unsafe_set s.op2 np p2;
+  Bytes.unsafe_set s.oneg np (if neg then '\001' else '\000')
+
+(* Ladder [k]'s points: table [0] (a) or [1] (b) entries, accumulators
+   [0] (a^e b^f) and [1] (b^e). *)
+let tbl_pt k t = (10 * k) + (4 * t)
+let acc_pt k r = (10 * k) + 8 + r
+
+(* Mix ladder digit [d] from table [tbl] into accumulator [r] of ladder
+   [k]: queue the addition of entry [|d|/2] (negated for d < 0), or,
+   while the accumulator is still at infinity, copy the entry in without
+   a tick, as the Jacobian ladder's first addition does.  Returns the
+   new queue length. *)
+let batch_digit cv s np k r tbl d =
+  if d = 0 then np
+  else begin
+    let src = tbl_pt k tbl + (abs d / 2) and acc = acc_pt k r and slot = (2 * k) + r in
+    if Bytes.unsafe_get s.started slot <> '\000' then begin
+      batch_push s np acc acc src (d < 0);
+      np + 1
+    end
+    else begin
+      let module F = Modring.Flat in
+      Bytes.unsafe_set s.started slot '\001';
+      F.copy cv.fp s.bx acc s.bx src;
+      if d < 0 then F.sub cv.fp s.by acc s.tmp t_zero s.by src
+      else F.copy cv.fp s.by acc s.by src;
+      np
+    end
+  end
+
+let digit s row j =
+  let b = Char.code (Bytes.unsafe_get s.digits ((row * ((s.dlen + 1) / 2)) + (j lsr 1))) in
+  ((if j land 1 = 0 then b else b lsr 4) land 15) - 8
+
+(* One chunk: ladders [lo, lo + m), their results written over [a] and
+   [b], or false (nothing written) if the chunk must fall back.  Ticks
+   [ops] only on success, exactly as the Jacobian [scalar_mul2]/
+   [scalar_mul] pair would minus b's shared table; every inversion it
+   performed is ticked. *)
+let batch_chunk_run cv s (a : point array) e (b : point array) f lo m =
+  let module F = Modring.Flat in
+  let fp = cv.fp in
+  let n = cv.prm.n in
+  let red x = if Bigint.in_range x n then x else Bigint.erem x n in
+  let ok = ref true and np = ref 0 and len = ref 0 in
+  (* Base [pt] into its table entry 0, its z parked in the accumulator's
+     x slot when it is not 1. *)
+  let load pt base z =
+    F.set fp s.bx base pt.x;
+    F.set fp s.by base pt.y;
+    if not (Modring.is_one fp pt.z) then begin
+      F.set fp s.bx z pt.z;
+      batch_push s !np base z 0 false;
+      incr np
+    end
+  in
+  let recode row x =
+    let l = Group_intf.wnaf4_into x s.dtmp in
+    let bytes = (s.dlen + 1) / 2 in
+    for i = 0 to bytes - 1 do
+      let lo = if 2 * i < l then s.dtmp.(2 * i) + 8 else 8
+      and hi = if (2 * i) + 1 < l then s.dtmp.((2 * i) + 1) + 8 else 8 in
+      Bytes.unsafe_set s.digits ((row * bytes) + i) (Char.unsafe_chr (lo lor (hi lsl 4)))
+    done;
+    if l > !len then len := l
+  in
+  (* A zero exponent or a base at infinity meets infinity: fall back. *)
+  let k = ref 0 in
+  while !ok && !k < m do
+    let i = lo + !k in
+    let ek = red e.(i) and fk = red f.(i) in
+    if Bigint.is_zero ek || Bigint.is_zero fk || is_infinity cv a.(i) || is_infinity cv b.(i)
+    then ok := false
+    else begin
+      load a.(i) (tbl_pt !k 0) (acc_pt !k 0);
+      load b.(i) (tbl_pt !k 1) (acc_pt !k 1);
+      recode (2 * !k) ek;
+      recode ((2 * !k) + 1) fk
+    end;
+    incr k
+  done;
+  (* Jacobian inputs: x/z^2, y/z^3 with one shared inversion of the z. *)
+  if !ok && !np > 0 then begin
+    let pre = s.pre and tmp = s.tmp in
+    let np = !np in
+    for i = 0 to np - 1 do
+      if i = 0 then F.copy fp pre 0 s.bx s.op1.(0)
+      else F.mul fp pre i pre (i - 1) s.bx s.op1.(i)
+    done;
+    Ppgr_exec.Meter.incr cv.invs;
+    F.inv fp tmp t_inv pre (np - 1);
+    for i = np - 1 downto 0 do
+      let d = s.odst.(i) and z = s.op1.(i) in
+      if i > 0 then begin
+        F.mul fp tmp t_iv tmp t_inv pre (i - 1);
+        F.mul fp tmp t_inv tmp t_inv s.bx z
+      end
+      else F.copy fp tmp t_iv tmp t_inv;
+      F.sqr fp tmp t_num tmp t_iv;
+      F.mul fp s.bx d s.bx d tmp t_num;
+      F.mul fp tmp t_num tmp t_num tmp t_iv;
+      F.mul fp s.by d s.by d tmp t_num
+    done
+  end;
+  let ticks = ref 0 in
+  let step np =
+    if !ok && np > 0 then
+      if batch_step cv s np then ticks := !ticks + np else ok := false
+  in
+  (* The odd multiples: 2A and 2B into the accumulators, then
+     3, 5, 7 times each, one step apiece. *)
+  if !ok then begin
+    for k = 0 to m - 1 do
+      for r = 0 to 1 do
+        batch_push s ((2 * k) + r) (acc_pt k r) (tbl_pt k r) (-1) false
+      done
+    done;
+    step (2 * m);
+    for t = 1 to 3 do
+      for k = 0 to m - 1 do
+        for r = 0 to 1 do
+          let d = tbl_pt k r + t in
+          batch_push s ((2 * k) + r) d (d - 1) (acc_pt k r) false
+        done
+      done;
+      step (2 * m)
+    done
+  end;
+  (* The ladders: acc1 = a^e b^f over rows e and f, acc2 = b^e over row
+     e, most significant digit first. *)
+  if !ok then begin
+    Bytes.fill s.started 0 (2 * m) '\000';
+    let j = ref (!len - 1) in
+    while !ok && !j >= 0 do
+      let np = ref 0 in
+      for k = 0 to m - 1 do
+        for r = 0 to 1 do
+          if Bytes.unsafe_get s.started ((2 * k) + r) <> '\000' then begin
+            batch_push s !np (acc_pt k r) (acc_pt k r) (-1) false;
+            incr np
+          end
+        done
+      done;
+      step !np;
+      let np = ref 0 in
+      for k = 0 to m - 1 do
+        let d = digit s (2 * k) !j in
+        np := batch_digit cv s !np k 0 0 d;
+        np := batch_digit cv s !np k 1 1 d
+      done;
+      step !np;
+      let np = ref 0 in
+      for k = 0 to m - 1 do
+        np := batch_digit cv s !np k 0 1 (digit s ((2 * k) + 1) !j)
+      done;
+      step !np;
+      decr j
+    done
+  end;
+  if !ok then begin
+    Ppgr_exec.Meter.add cv.ops !ticks;
+    let out acc = { x = F.get fp s.bx acc; y = F.get fp s.by acc; z = Modring.one fp } in
+    for k = 0 to m - 1 do
+      a.(lo + k) <- out (acc_pt k 0);
+      b.(lo + k) <- out (acc_pt k 1)
+    done
+  end;
+  !ok
+
+(** [pow2_pow_batch cv a e b f] replaces, for every [k], [a.(k)] by
+    [scalar_mul2 cv a.(k) e.(k) b.(k) f.(k)] and [b.(k)] by
+    [scalar_mul cv b.(k) e.(k)]: the two exponentiations of a
+    strip-and-blind decryption.  Batches below [batch_crossover] run
+    those per element over the domain pool.  Larger ones split into
+    equal chunks of at most [batch_chunk] ladders (boundaries depend on
+    the length alone) that fan out over the pool, each run as lockstep
+    affine ladders sharing b's odd multiples between its two outputs; a
+    chunk that meets infinity or equal x-coordinates is recomputed per
+    element.  Same elements either way, with z = 1 from the affine
+    path; [ops] ticks the Jacobian ladders' count less 4 per shared
+    table, [invs] one per lockstep step. *)
+let pow2_pow_batch cv (a : point array) e (b : point array) f =
+  let k = Array.length a in
+  if Array.length e <> k || Array.length b <> k || Array.length f <> k then
+    invalid_arg "Ec_curve.pow2_pow_batch: lengths differ";
+  if k > 0 && a == b then invalid_arg "Ec_curve.pow2_pow_batch: a and b are one array";
+  let each i =
+    let x = scalar_mul2 cv a.(i) e.(i) b.(i) f.(i) and y = scalar_mul cv b.(i) e.(i) in
+    a.(i) <- x;
+    b.(i) <- y
+  in
+  if k < batch_crossover then Ppgr_exec.Pool.parallel_for k each
+  else begin
+    let chunks = (k + batch_chunk - 1) / batch_chunk in
+    Ppgr_exec.Pool.parallel_for chunks (fun c ->
+        let lo = c * k / chunks and hi = (c + 1) * k / chunks in
+        if not (batch_chunk_run cv (batch_state cv (hi - lo)) a e b f lo (hi - lo)) then begin
+          Ppgr_exec.Meter.incr cv.fallbacks;
+          for i = lo to hi - 1 do
+            each i
+          done
+        end)
   end
 
 (* Equality in Jacobian coordinates: cross-multiplied comparison to avoid

@@ -28,6 +28,7 @@ end) : Group_intf.GROUP = struct
   let powtable pt = Ec_curve.make_powtable cv pt ~bits:order_bits
   let pow_table t e = Ec_curve.scalar_mul_table cv t e
   let pow2 a e b f = Ec_curve.scalar_mul2 cv a e b f
+  let pow2_pow_batch a e b f = Ec_curve.pow2_pow_batch cv a e b f
 
   (* Cached fixed-base table for the generator, built on first use.
      Double-checked mutex memo: [Lazy.force] is unsafe under concurrent

@@ -63,6 +63,20 @@ module type GROUP = sig
       (interleaved window recodings with a shared squaring chain): ~1.3x
       the cost of one exponentiation instead of 2x. *)
 
+  val pow2_pow_batch :
+    element array -> Bigint.t array -> element array -> Bigint.t array -> unit
+  (** [pow2_pow_batch a e b f] replaces, for every [k], [a.(k)] by
+      [pow2 a.(k) e.(k) b.(k) f.(k)] and [b.(k)] by [pow b.(k) e.(k)]
+      (four arrays of one length; [a] and [b] distinct): the two
+      exponentiations of a strip-and-blind decryption, for a whole ring
+      hop at once.  Results overwrite their inputs so that a batch
+      holds no second copy of the hop.  The DL family runs them per
+      element over the domain pool, since its exponentiation inverts
+      nothing and a batch would share nothing.  The EC family runs
+      chunks of lockstep affine ladders with one field inversion per
+      step across the chunk, and b's odd multiples serve both outputs
+      (DESIGN.md §5h). *)
+
   val equal : element -> element -> bool
   (** Group equality.  The DL family compares up to sign ([x] and
       [p - x] are one element); neither family allocates. *)
@@ -217,6 +231,18 @@ let wnaf4_pair_into e f (da : int array) (db : int array) : int =
   Array.fill db lb (len - lb) 0;
   len
 
+(** [pow2_pow_batch] as one [pow2] and one [pow] per element, fanned
+    out over the domain pool. *)
+let pow2_pow_each ~pow2 ~pow a e b f =
+  let k = Array.length a in
+  if Array.length e <> k || Array.length b <> k || Array.length f <> k then
+    invalid_arg "pow2_pow_batch: lengths differ";
+  if k > 0 && a == b then invalid_arg "pow2_pow_batch: a and b are one array";
+  Ppgr_exec.Pool.parallel_for k (fun i ->
+      let x = pow2 a.(i) e.(i) b.(i) f.(i) and y = pow b.(i) e.(i) in
+      a.(i) <- x;
+      b.(i) <- y)
+
 (** The window width shared by both families' fixed-base tables. *)
 let fixed_base_window = 4
 
@@ -231,8 +257,10 @@ let window_digits ~window (e : Bigint.t) : int array =
       Bigint.to_int_exn (Bigint.logand (Bigint.shift_right e (i * window)) mask))
 
 (** Strip a group of its fixed-base, simultaneous-exponentiation and
-    batch-inversion machinery: [pow_gen]/[pow_table]/[pow2] fall back
-    to plain variable-base [pow], [inv_batch] to one [inv] per element.
+    batch machinery: [pow_gen]/[pow_table]/[pow2] fall back to plain
+    variable-base [pow], [inv_batch] to one [inv] per element and
+    [pow2_pow_batch] to a product of two [pow]s and a [pow] per
+    element.
     The reference implementation for property tests. *)
 module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let name = G.name ^ "-naive"
@@ -254,6 +282,7 @@ module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let powtable x = x
   let pow_table x e = G.pow x e
   let pow2 a e b f = G.mul (G.pow a e) (G.pow b f)
+  let pow2_pow_batch a e b f = pow2_pow_each ~pow2 ~pow a e b f
   let equal = G.equal
   let is_identity = G.is_identity
   let to_bytes = G.to_bytes

@@ -193,55 +193,51 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
   (** Step 8, one hop: decode the full vector (n sets), partially
       decrypt + blind + permute every set but one's own, re-encode.
 
-      The [(owner set × slot)] pairs are flattened into one index space
-      so the hop saturates every domain instead of parallelizing only
-      within one owner's [l]-ish slots.  Determinism is unchanged: each
-      owner stream is a [split] of the party stream (splitting never
-      disturbs the parent, so the split order is immaterial), each slot
-      stream a split of its owner stream keyed by stable position, and
-      the closing per-owner shuffles draw from the owner streams the
-      splits left undisturbed — byte-identical transcripts to the
-      per-owner nested loops. *)
+      The foreign sets are decoded into one flat [(owner, slot)] vector
+      and handed to one {!E.partial_decrypt_blind_batch}, so the EC
+      family runs the whole hop's ladders in lockstep chunks (one field
+      inversion per step across a chunk) and the chunks, or the DL
+      family's elements, saturate every domain; no decoded set is kept
+      beside it, so the batch holds one copy of the hop.  Determinism
+      is unchanged: each owner stream is a [split] of the party stream
+      (splitting never disturbs the parent, so the split order is
+      immaterial), each slot stream a split of its owner stream keyed
+      by stable position, and the closing per-owner shuffles draw from
+      the owner streams the splits left undisturbed — byte-identical
+      transcripts to the per-owner nested loops. *)
   let ring_hop p ~(v_msgs : Bytes.t array) : Bytes.t array =
     let n = Array.length v_msgs in
-    let sets =
-      Array.init n (fun owner ->
-          if owner = p.index then [||]
-          else W.decode_cipher_batch v_msgs.(owner))
-    in
     let orngs =
       Array.init n (fun owner ->
           if owner = p.index then p.rng (* unused *)
           else Rng.split p.rng ~label:p.labels.lab_owner.(owner))
     in
-    (* Flat task index -> (owner, slot). *)
-    let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 sets in
-    let owner_of = Array.make (Stdlib.max total 1) 0 in
-    let slot_of = Array.make (Stdlib.max total 1) 0 in
-    let t = ref 0 in
-    Array.iteri
-      (fun owner set ->
-        Array.iteri
-          (fun c _ ->
-            owner_of.(!t) <- owner;
-            slot_of.(!t) <- c;
-            incr t)
-          set)
-      sets;
-    let slot_rngs =
-      Array.init total (fun t ->
-          Rng.split orngs.(owner_of.(t)) ~label:p.labels.lab_blind.(slot_of.(t)))
+    let flat, lens, slot_rngs =
+      let sets =
+        Array.init n (fun owner ->
+            if owner = p.index then [||] else W.decode_cipher_batch v_msgs.(owner))
+      in
+      ( Array.concat (Array.to_list sets),
+        Array.map Array.length sets,
+        Array.concat
+          (Array.to_list
+             (Array.mapi
+                (fun owner set ->
+                  Array.mapi
+                    (fun c _ -> Rng.split orngs.(owner) ~label:p.labels.lab_blind.(c))
+                    set)
+                sets)) )
     in
-    Ppgr_exec.Pool.parallel_for total (fun t ->
-        let set = sets.(owner_of.(t)) in
-        let c = slot_of.(t) in
-        set.(c) <- E.partial_decrypt_blind slot_rngs.(t) p.seckey set.(c));
+    let out = E.partial_decrypt_blind_batch slot_rngs p.seckey flat in
+    let base = ref 0 in
     Array.mapi
       (fun owner set_bytes ->
         if owner = p.index then set_bytes
         else begin
-          Rng.shuffle orngs.(owner) sets.(owner);
-          W.encode_cipher_batch sets.(owner)
+          let set = Array.sub out !base lens.(owner) in
+          base := !base + lens.(owner);
+          Rng.shuffle orngs.(owner) set;
+          W.encode_cipher_batch set
         end)
       v_msgs
 

@@ -164,6 +164,41 @@ let group_tests =
         ignore (E.scalar_mul_table cv ptbl se));
     check_exact "ECC-160 scalar_mul2 allocates result only" ec_words (fun () ->
         ignore (E.scalar_mul2 cv pt se qt sf));
+    Alcotest.test_case "ECC-160 128-ladder batch allocates results, not steps" `Quick
+      (fun () ->
+        (* One full chunk of lockstep ladders: a call allocates its
+           2 x 128 result points (written over its inputs, which the next
+           call reuses), the chunk's state (flat limb arrays, on the
+           major heap, so both heaps are counted as in the wire case
+           below) and a little bookkeeping, the same for 24-bit as for
+           full-width exponents: nothing per lockstep step. *)
+        let k = E.batch_chunk in
+        let sc () = Bigint.succ (Ppgr_rng.Rng.bigint_below rng (Bigint.pred n)) in
+        let pts () = Array.init k (fun _ -> E.scalar_mul cv (E.base_point cv) (sc ())) in
+        let a = pts () and b = pts () in
+        let words e f =
+          let total () =
+            let _, promoted, major = Gc.counters () in
+            Gc.minor_words () +. major -. promoted
+          in
+          E.pow2_pow_batch cv a e b f;
+          let before = total () in
+          for _ = 1 to 3 do
+            E.pow2_pow_batch cv a e b f
+          done;
+          (total () -. before) /. 3.
+        in
+        let full = words (Array.init k (fun _ -> sc ())) (Array.init k (fun _ -> sc ())) in
+        let short () = Bigint.succ (Ppgr_rng.Rng.bigint_below rng (Bigint.nth_bit_weight 24)) in
+        let short = words (Array.init k (fun _ -> short ())) (Array.init k (fun _ -> short ())) in
+        Alcotest.(check (float 0.5)) "independent of ladder length" full short;
+        (* The state per ladder: 10 points x 2 coordinates and 2 prefix
+           products of 3 limbs, 2 x 3 operation slots, and 2 x 2 flag
+           bytes with 2 rows of 82-byte nibble digits. *)
+        let results = float_of_int (2 * k * int_of_float ec_words) in
+        let state = float_of_int (k * (66 + 6 + ((4 + 164) / 8))) in
+        if full < results || full > results +. state +. 512. then
+          Alcotest.failf "%.0f words per batch: results %.0f, state about %.0f" full results state);
     Alcotest.test_case "DL pow allocation is independent of exponent size" `Quick
       (fun () ->
         let e_small = Bigint.of_int 3 in

@@ -117,6 +117,27 @@ let suite name (g : Group_intf.group) =
             c parties
         in
         Alcotest.(check bool) "zero survives ring" true (G.is_identity c.E.c));
+    Alcotest.test_case (name ^ ": strip-and-blind batch = per element") `Quick
+      (fun () ->
+        (* Same streams, same ciphertexts and two Opmeter ticks per
+           element, at 0, 1 and above the EC crossover; zero plaintexts
+           stay zero once every key is stripped. *)
+        let x, y = fresh_keys () in
+        List.iter
+          (fun k ->
+            let cs = Array.init k (fun i -> E.encrypt_exp_int rng y (i mod 3)) in
+            let streams tag = Array.init k (fun i -> Rng.split rng ~label:(Printf.sprintf "%s-%d" tag i)) in
+            let t0 = Ppgr_group.Opmeter.snapshot () in
+            let batch = E.partial_decrypt_blind_batch (streams "pdb") x cs in
+            Alcotest.(check int) "two exps per element" (2 * k) (Ppgr_group.Opmeter.since t0);
+            let each = Array.map2 (fun r c -> E.partial_decrypt_blind r x c) (streams "pdb") cs in
+            Array.iteri
+              (fun i c ->
+                Alcotest.(check bool) "c" true (G.equal c.E.c each.(i).E.c);
+                Alcotest.(check bool) "c'" true (G.equal c.E.c' each.(i).E.c');
+                Alcotest.(check bool) "zero iff zero" (i mod 3 = 0) (G.is_identity c.E.c))
+              batch)
+          [ 0; 1; Ec_curve.batch_crossover + 4 ]);
     Alcotest.test_case (name ^ ": joint_pubkey requires keys") `Quick (fun () ->
         Alcotest.check_raises "empty" (Invalid_argument "Elgamal.joint_pubkey: no keys")
           (fun () -> ignore (E.joint_pubkey [])));

@@ -100,6 +100,39 @@ let group_suite name (g : Group_intf.group) =
                   (G.is_identity (G.mul x inv.(i))))
               els)
           [ 0; 1; 2; 9 ]);
+    Alcotest.test_case (name ^ ": pow2_pow_batch = per-element pow2 and pow") `Quick
+      (fun () ->
+        (* Batch sizes 0 and 1, just below and at the EC crossover, and
+           one that splits into three EC chunks; some exponents above the
+           order.  Batches mix full-width exponents with shorter ones, so
+           ladders of different lengths run in lockstep (and DL-1024
+           stays quick).  The reference is the group's own per-element
+           pow2/pow, and the batch of Group_intf.Naive must agree too. *)
+        let module N = Group_intf.Naive (G) in
+        List.iter
+          (fun k ->
+            let a = Array.init k (fun _ -> random_elt ())
+            and b = Array.init k (fun _ -> random_elt ()) in
+            let scalar i =
+              if i mod 17 = 5 then Bigint.add G.order (G.random_scalar rng)
+              else if k <= 1 || i mod 8 = 0 then G.random_scalar rng
+              else Bigint.succ (Rng.bigint_below rng (Bigint.nth_bit_weight (8 + (i mod 40))))
+            in
+            let e = Array.init k scalar and f = Array.init k scalar in
+            let r1 = Array.copy a and r2 = Array.copy b in
+            G.pow2_pow_batch r1 e r2 f;
+            let n1 = Array.copy a and n2 = Array.copy b in
+            N.pow2_pow_batch n1 e n2 f;
+            Alcotest.(check (pair int int)) "lengths" (k, k) (Array.length r1, Array.length r2);
+            for i = 0 to k - 1 do
+              let p2 = G.pow2 a.(i) e.(i) b.(i) f.(i) and p = G.pow b.(i) e.(i) in
+              if not (G.equal r1.(i) p2 && G.equal r2.(i) p) then
+                Alcotest.failf "K = %d, ladder %d differs from pow2/pow" k i;
+              if not (G.equal n1.(i) p2 && G.equal n2.(i) p) then
+                Alcotest.failf "K = %d, ladder %d: naive batch differs" k i
+            done)
+          [ 0; 1; Ec_curve.batch_crossover - 1; Ec_curve.batch_crossover;
+            (2 * Ec_curve.batch_chunk) + 1 ]);
   ]
 
 let wnaf_tests =
@@ -127,6 +160,12 @@ let ec_structural_tests =
   let cv = Ec_curve.make_curve prm in
   let g = Ec_curve.base_point cv in
   let q = Bigint.to_int_exn prm.Ec_curve.n in
+  (* The batch on copies: it writes its results over a and b. *)
+  let batch a e b f =
+    let x = Array.copy a and y = Array.copy b in
+    Ec_curve.pow2_pow_batch cv x e y f;
+    (x, y)
+  in
   [
     Alcotest.test_case "tiny curve has prime order, cofactor 1" `Quick (fun () ->
         Alcotest.(check int) "cofactor" 1 prm.Ec_curve.h);
@@ -192,6 +231,78 @@ let ec_structural_tests =
                 (Array.to_list
                    (Ec_curve.to_affine_batch cv
                       (Array.make 4 (Ec_curve.infinity cv)))))));
+    Alcotest.test_case "batch ladders: every exponent, some fall back" `Quick
+      (fun () ->
+        (* Every e in [0, q) in batches of one chunk, against the
+           Jacobian scalar_mul2/scalar_mul.  On a curve this small equal
+           x-coordinates meet often, and e = 0 meets infinity, so chunks
+           fall back as well as finish affine. *)
+        let fb = Ppgr_exec.Meter.snapshot cv.Ec_curve.fallbacks in
+        let chunks = ref 0 in
+        let rec go lo =
+          if lo < q then begin
+            let k = min Ec_curve.batch_chunk (q - lo) in
+            let pt i = Ec_curve.scalar_mul cv g (Bigint.of_int (((i * 7919) mod (q - 1)) + 1)) in
+            let a = Array.init k (fun i -> pt (lo + i))
+            and b = Array.init k (fun i -> pt (lo + i + 101)) in
+            let e = Array.init k (fun i -> Bigint.of_int (lo + i))
+            and f = Array.init k (fun i -> Bigint.of_int ((((lo + i) * 31) + 1) mod q)) in
+            let r1, r2 = batch a e b f in
+            for i = 0 to k - 1 do
+              if not
+                   (Ec_curve.equal cv r1.(i) (Ec_curve.scalar_mul2 cv a.(i) e.(i) b.(i) f.(i))
+                   && Ec_curve.equal cv r2.(i) (Ec_curve.scalar_mul cv b.(i) e.(i)))
+              then Alcotest.failf "e = %d" (lo + i)
+            done;
+            incr chunks;
+            go (lo + k)
+          end
+        in
+        go 0;
+        let fell = Ppgr_exec.Meter.since cv.Ec_curve.fallbacks fb in
+        if fell = 0 || fell = !chunks then
+          Alcotest.failf "%d of %d chunks fell back: both paths must run" fell !chunks);
+    Alcotest.test_case "batch ladders: b = a, b = -a, identity, zero, e >= q" `Quick
+      (fun () ->
+        let k = Ec_curve.batch_crossover + 4 in
+        let pt i = Ec_curve.scalar_mul cv g (Bigint.of_int ((i * 389) + 17)) in
+        let check label ~falls a e b f =
+          let fb = Ppgr_exec.Meter.snapshot cv.Ec_curve.fallbacks in
+          let r1, r2 = batch a e b f in
+          Array.iteri
+            (fun i _ ->
+              if not
+                   (Ec_curve.equal cv r1.(i) (Ec_curve.scalar_mul2 cv a.(i) e.(i) b.(i) f.(i))
+                   && Ec_curve.equal cv r2.(i) (Ec_curve.scalar_mul cv b.(i) e.(i)))
+              then Alcotest.failf "%s: ladder %d" label i)
+            a;
+          if falls then
+            Alcotest.(check int) (label ^ ": fell back") 1
+              (Ppgr_exec.Meter.since cv.Ec_curve.fallbacks fb)
+        in
+        let a = Array.init k pt in
+        let e = Array.init k (fun i -> Bigint.of_int ((i * 577) + 3))
+        and f = Array.init k (fun i -> Bigint.of_int ((i * 811) + 5)) in
+        check "b = a" ~falls:false a e a f;
+        check "b = -a" ~falls:false a e (Array.map (Ec_curve.neg cv) a) f;
+        let with_at i v arr = Array.mapi (fun j x -> if j = i then v else x) arr in
+        check "identity base a" ~falls:true (with_at 5 (Ec_curve.infinity cv) a) e a f;
+        check "identity base b" ~falls:true a e (with_at 5 (Ec_curve.infinity cv) a) f;
+        check "zero exponent e" ~falls:true a (with_at 5 Bigint.zero e) a f;
+        check "zero exponent f" ~falls:true a e a (with_at 5 Bigint.zero f);
+        (* e + q reduces to e: the same chunk without the wrap. *)
+        let wrapped = Array.map (fun x -> Bigint.add x prm.Ec_curve.n) e in
+        let r1, r2 = batch a wrapped (Array.map (Ec_curve.neg cv) a) f
+        and s1, s2 = batch a e (Array.map (Ec_curve.neg cv) a) f in
+        Array.iteri
+          (fun i _ ->
+            Alcotest.(check bool) "e + q = e" true
+              (Ec_curve.equal cv r1.(i) s1.(i) && Ec_curve.equal cv r2.(i) s2.(i)))
+          a;
+        (* Results overwrite the inputs, so a and b must be two arrays. *)
+        Alcotest.check_raises "one array"
+          (Invalid_argument "Ec_curve.pow2_pow_batch: a and b are one array") (fun () ->
+            Ec_curve.pow2_pow_batch cv a e a f));
     Alcotest.test_case "P and -P = (x, p - y) are distinct elements" `Quick
       (fun () ->
         (* Unlike the DL family's x and p - x, a point and its negation

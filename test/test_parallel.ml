@@ -131,6 +131,22 @@ let pool_suite =
         Alcotest.(check int) "since snapshot" 1 (Meter.since m s);
         Meter.reset m;
         Alcotest.(check int) "reset" 0 (Meter.read m));
+    Alcotest.test_case "meters of one group count apart" `Quick (fun () ->
+        (* Three counters in one lane array: each merges its own lanes,
+           and a reset clears only itself. *)
+        Pool.set_jobs 4;
+        let g = Meter.create_group 3 in
+        Pool.parallel_for 600 (fun i -> Meter.add g.(i mod 3) (i mod 5));
+        Pool.set_jobs 1;
+        let expect r =
+          Array.fold_left ( + ) 0 (Array.init 600 (fun i -> if i mod 3 = r then i mod 5 else 0))
+        in
+        Array.iteri (fun r m -> Alcotest.(check int) "merged read" (expect r) (Meter.read m)) g;
+        Meter.reset g.(1);
+        Alcotest.(check (list int)) "reset one" [ expect 0; 0; expect 2 ]
+          (Array.to_list (Array.map Meter.read g));
+        Alcotest.check_raises "at most 8" (Invalid_argument "Meter.create_group: 1 to 8 counters")
+          (fun () -> ignore (Meter.create_group 9)));
     Alcotest.test_case "hashes on several domains at once" `Quick (fun () ->
         (* Rng.split and the transcript digest hash on whichever domain a
            session runs on, so SHA-256 may share no scratch state. *)

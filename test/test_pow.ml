@@ -278,22 +278,29 @@ let runtime_regression =
       (fun () ->
         (* Same protocol, same RNG stream, engine on vs off: identical
            ranks and an identical wire transcript prove the fused/table
-           paths change no group math. *)
-        let module G = (val Dl_group.dl_test_64 ()) in
-        let module NG = Group_intf.Naive (G) in
-        let module R = Runtime.Make (G) in
-        let module RN = Runtime.Make (NG) in
-        let l = 10 in
-        let mk_betas rng =
-          Array.init 5 (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
+           paths change no group math.  On ECC-160 at n = 3, l = 12
+           each hop is one 48-ladder batch, above the crossover, so the
+           lockstep affine ladders run against the naive pows. *)
+        let agree (g : Group_intf.group) ~n ~l =
+          let module G = (val g) in
+          let module NG = Group_intf.Naive (G) in
+          let module R = Runtime.Make (G) in
+          let module RN = Runtime.Make (NG) in
+          let mk_betas rng =
+            Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
+          in
+          let rng1 = Rng.create ~seed:"pow-phase2-vs-naive" in
+          let fast = R.run rng1 ~l ~betas:(mk_betas rng1) in
+          let rng2 = Rng.create ~seed:"pow-phase2-vs-naive" in
+          let naive = RN.run rng2 ~l ~betas:(mk_betas rng2) in
+          Alcotest.(check (array int)) (G.name ^ " ranks") naive.RN.ranks fast.R.ranks;
+          Alcotest.(check string) (G.name ^ " transcript digest") naive.RN.transcript_sha
+            fast.R.transcript_sha
         in
-        let rng1 = Rng.create ~seed:"pow-phase2-vs-naive" in
-        let fast = R.run rng1 ~l ~betas:(mk_betas rng1) in
-        let rng2 = Rng.create ~seed:"pow-phase2-vs-naive" in
-        let naive = RN.run rng2 ~l ~betas:(mk_betas rng2) in
-        Alcotest.(check (array int)) "ranks" naive.RN.ranks fast.R.ranks;
-        Alcotest.(check string) "transcript digest" naive.RN.transcript_sha
-          fast.R.transcript_sha);
+        agree (Dl_group.dl_test_64 ()) ~n:5 ~l:10;
+        let n = 3 and l = 12 in
+        assert ((n - 1) * (n - 1) * l > Ec_curve.batch_crossover);
+        agree (Ec_group.ecc_160 ()) ~n ~l);
   ]
 
 (* The ROADMAP batch-inversion closure: building a fixed-base table
@@ -361,6 +368,36 @@ let powtable_batch_normalization =
         let mid = probe () in
         Array.iter (fun x -> ignore (G.inv x)) els;
         Alcotest.(check int) "one per inv" 32 (probe () - mid));
+    Alcotest.test_case "ECC-160 batch ladders: ops, inversions, muls" `Quick
+      (fun () ->
+        (* One chunk above the crossover: the group ops are the
+           per-element pow2 + pow ladders' less b's shared table (4 per
+           ladder), each lockstep step inverts once (Jacobian inputs,
+           the table, at most 3 per digit position), and the field
+           multiplications fall by a quarter or more. *)
+        let module G = (val Ec_group.ecc_160 ()) in
+        let probe = List.assoc "field_invs" G.probes in
+        let k = Ec_curve.batch_crossover + 8 in
+        let el () = G.pow_gen (G.random_scalar rng) in
+        let a = Array.init k (fun _ -> el ()) and b = Array.init k (fun _ -> el ()) in
+        let e = Array.init k (fun _ -> G.random_scalar rng)
+        and f = Array.init k (fun _ -> G.random_scalar rng) in
+        let ops0 = G.op_snapshot () and muls0 = Bigint.mul_count () in
+        for i = 0 to k - 1 do
+          ignore (G.pow2 a.(i) e.(i) b.(i) f.(i));
+          ignore (G.pow b.(i) e.(i))
+        done;
+        let each_ops = G.ops_since ops0 and each_muls = Bigint.mul_count () - muls0 in
+        let ops1 = G.op_snapshot () and muls1 = Bigint.mul_count () and inv1 = probe () in
+        G.pow2_pow_batch (Array.copy a) e (Array.copy b) f;
+        Alcotest.(check int) "ops" (each_ops - (4 * k)) (G.ops_since ops1);
+        let invs = probe () - inv1 in
+        let positions = Bigint.numbits G.order + 1 in
+        if invs < 5 || invs > 5 + (3 * positions) then
+          Alcotest.failf "%d inversions for one chunk" invs;
+        let muls = Bigint.mul_count () - muls1 in
+        if 4 * muls > 3 * each_muls then
+          Alcotest.failf "%d field multiplications against %d per element" muls each_muls);
   ]
 
 let () =
