@@ -17,6 +17,13 @@ let primitive_tests () =
   let a = Rng.bigint_below rng m1024 and b = Rng.bigint_below rng m1024 in
   let ring = Bigint.Modring.ctx ~modulus:m1024 in
   let am = Bigint.Modring.enter ring a and bm = Bigint.Modring.enter ring b in
+  (* ECC-160's base field, three limbs: the in-place ops the curve
+     formulas run, one row each. *)
+  let p160 = Ec_params.secp160r1.Ec_curve.p in
+  let f160 = Bigint.Modring.ctx ~modulus:p160 in
+  let fx = Bigint.Modring.enter f160 (Rng.bigint_below rng p160) in
+  let fy = Bigint.Modring.enter f160 (Rng.bigint_below rng p160) in
+  let fd = Bigint.Modring.alloc f160 in
   let module Dl = (val Dl_group.dl_1024 ()) in
   let module Ec = (val Ec_group.ecc_160 ()) in
   let dl_x = Dl.pow_gen (Dl.random_scalar rng) in
@@ -33,6 +40,17 @@ let primitive_tests () =
     Test.make ~name:"bigint-mul-1024b" (Staged.stage (fun () -> ignore (Bigint.mul a b)));
     Test.make ~name:"montgomery-mult-1024b"
       (Staged.stage (fun () -> ignore (Bigint.Modring.mul ring am bm)));
+    Test.make ~name:"ecc160-field-mul"
+      (Staged.stage (fun () -> Bigint.Modring.mul_into f160 fd fx fy));
+    Test.make ~name:"ecc160-field-sqr" (Staged.stage (fun () -> Bigint.Modring.sqr_into f160 fd fx));
+    (* A hundred adds per sample: one costs about what Bechamel's own
+       per-call overhead does, which would otherwise set the number. *)
+    Test.make ~name:"ecc160-field-add-x100"
+      (Staged.stage (fun () ->
+           for _ = 1 to 100 do
+             Bigint.Modring.add_into f160 fd fx fy
+           done));
+    Test.make ~name:"ecc160-field-inv" (Staged.stage (fun () -> Bigint.Modring.inv_into f160 fd fx));
     Test.make ~name:"dl1024-group-mult" (Staged.stage (fun () -> ignore (Dl.mul dl_x dl_x)));
     Test.make ~name:"dl1024-exp" (Staged.stage (fun () -> ignore (Dl.pow dl_x dl_e)));
     Test.make ~name:"dl1024-exp-fixed-base"

@@ -10,6 +10,16 @@ type t = { sg : int; mg : int array }
 let mul_counter = Ppgr_exec.Meter.create ()
 let mul_count () = Ppgr_exec.Meter.read mul_counter
 
+(* {!Mag}'s limb constants, repeated as literals.  The dev profile
+   compiles with -opaque, which hides one module's definitions from
+   another: [Mag.mask] is then a load from Mag's module block at every
+   use, where a literal bound here is an immediate operand of the
+   instruction.  The assertion holds them equal to Mag's. *)
+let mask = 0x1FFF_FFFF_FFFF_FFFF (* 2^61 - 1 *)
+let m31 = 0x7FFF_FFFF (* 2^31 - 1 *)
+let m30 = 0x3FFF_FFFF (* 2^30 - 1 *)
+let () = assert (mask = Mag.mask && m31 = Mag.m31 && m30 = Mag.m30 && Mag.base_bits = 61)
+
 let make sg mg = if Mag.is_zero mg then { sg = 0; mg = Mag.zero } else { sg; mg }
 
 let zero = { sg = 0; mg = Mag.zero }
@@ -75,7 +85,7 @@ let mul_int a v =
   else begin
     let av = Stdlib.abs v in
     let sg = if v < 0 then -a.sg else a.sg in
-    if av >= 0 && av <= Mag.mask then make sg (Mag.mul_int a.mg av)
+    if av >= 0 && av <= mask then make sg (Mag.mul_int a.mg av)
     else make sg (Mag.mul a.mg (Mag.of_int av))
   end
 
@@ -265,9 +275,9 @@ module Mont = struct
     let x = ref v in
     (* x := x * (2 - v*x) doubles the number of correct bits. *)
     for _ = 1 to 6 do
-      x := !x * (2 - (v * !x)) land Mag.mask
+      x := !x * (2 - (v * !x)) land mask
     done;
-    !x land Mag.mask
+    !x land mask
 
   let create (m0 : int array) =
     assert ((not (Mag.is_zero m0)) && m0.(0) land 1 = 1);
@@ -278,7 +288,7 @@ module Mont = struct
       r
     in
     let m = Array.copy m0 in
-    let m' = Mag.mask land -inv_limb m.(0) in
+    let m' = mask land -inv_limb m.(0) in
     let r = Mag.shift_left (Mag.of_int 1) (Mag.base_bits * w) in
     let r2 = pad (Mag.rem (Mag.mul r r) m) in
     let one_m = pad (Mag.rem r m) in
@@ -304,7 +314,7 @@ module Mont = struct
       m;
       w;
       m';
-      mh0 = Array.map (fun v -> v land Mag.m31) m;
+      mh0 = Array.map (fun v -> v land m31) m;
       mh1 = Array.map (fun v -> v lsr 31) m;
       r2;
       one_m;
@@ -362,7 +372,7 @@ module Mont = struct
       let borrow = ref 0 in
       for i = 0 to w - 1 do
         let d = Array.unsafe_get acc (off + i) - Array.unsafe_get m i - !borrow in
-        Array.unsafe_set dst (doff + i) (d land Mag.mask);
+        Array.unsafe_set dst (doff + i) (d land mask);
         borrow := (d lsr 61) land 1
       done
     end
@@ -371,17 +381,267 @@ module Mont = struct
         Array.unsafe_set dst (doff + i) (Array.unsafe_get acc (off + i))
       done
 
+  (* ---- Straight-line kernels for 3-limb moduli (123 to 183 bits). ----
+
+     ECC-160's field and the 128-bit DL test group have exactly three
+     limbs.  At that width the loops below spend about half of each call
+     on overhead: the [Domain.DLS] scratch lookup, splitting an operand
+     into scratch, zeroing the accumulator and loop control.  These
+     kernels hold every limb, half and carry in local variables and
+     touch memory only to read the operands and the modulus and to write
+     [dst].  They run the loops' own schedules unrolled (CIOS for the
+     product, SOS for the square), so they produce the same values, and
+     [mont_mul_at], [mont_sqr_at] and [inv_at] select them by the
+     context's limb count: no caller and no counter sees a difference.
+     Each kernel reads the top limb of every operand, and writes that of
+     [dst], with a bounds check before the unchecked rest, so a short
+     array raises instead of being accessed past its end.
+
+     In the bodies, [p], [r] and [lo] are one limb product's half-split
+     partials exactly as in the loops, [c] is the running carry and the
+     accumulator limbs [t0], [t1], ... are rebound as they change. *)
+
+  (* [dst] at [doff] := t - m if t >= m, else t, for the value
+     t = t0 + t1 B + t2 B^2 + t3 B^3 (B = 2^61) with [t3] the overflow
+     limb, as {!finish}.  t < 2m, so when [t3] is set the three-limb
+     difference with its final borrow dropped is exact. *)
+  let finish3 (m : int array) (dst : int array) doff t0 t1 t2 t3 =
+    let d0 = t0 - Array.unsafe_get m 0 in
+    let d1 = t1 - Array.unsafe_get m 1 - ((d0 lsr 61) land 1) in
+    let d2 = t2 - Array.unsafe_get m 2 - ((d1 lsr 61) land 1) in
+    if t3 > 0 || d2 >= 0 then begin
+      dst.(doff + 2) <- d2 land mask;
+      Array.unsafe_set dst (doff + 1) (d1 land mask);
+      Array.unsafe_set dst doff (d0 land mask)
+    end
+    else begin
+      dst.(doff + 2) <- t2;
+      Array.unsafe_set dst (doff + 1) t1;
+      Array.unsafe_set dst doff t0
+    end
+
+  (* CIOS as in {!mont_mul_loop}: row i adds a_i b to t, then adds u m
+     for u = t0 m' mod B and drops the zero low limb.  t stays below 2m,
+     so [t3] holds at most one bit and [t4] the carry out of it. *)
+  let mont_mul3 ctx (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    let a2 = a.(aoff + 2) and b2 = b.(boff + 2) in
+    let a0 = Array.unsafe_get a aoff and a1 = Array.unsafe_get a (aoff + 1) in
+    let b0 = Array.unsafe_get b boff and b1 = Array.unsafe_get b (boff + 1) in
+    let m = ctx.m and q = ctx.m' in
+    let n0 = Array.unsafe_get m 0 and n1 = Array.unsafe_get m 1 and n2 = Array.unsafe_get m 2 in
+    let n0l = n0 land m31 and n0h = n0 lsr 31 and n1l = n1 land m31 and n1h = n1 lsr 31 in
+    let n2l = n2 land m31 and n2h = n2 lsr 31 and ql = q land m31 and qh = q lsr 31 in
+    let a0l = a0 land m31 and a0h = a0 lsr 31 and a1l = a1 land m31 and a1h = a1 lsr 31 in
+    let a2l = a2 land m31 and a2h = a2 lsr 31 and b0l = b0 land m31 and b0h = b0 lsr 31 in
+    let b1l = b1 land m31 and b1h = b1 lsr 31 and b2l = b2 land m31 and b2h = b2 lsr 31 in
+    (* Row 0: t += a0 * b, then t := (t + u * m) / 2^61. *)
+    let p = a0l * b0l and r = (a0l * b0h) + (a0h * b0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let t0 = lo land mask and c = ((a0h * b0h) lsl 1) + (r lsr 30) + (lo lsr 61) in
+    let p = a0l * b1l and r = (a0l * b1h) + (a0h * b1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = (lo land mask) + c in
+    let t1 = s land mask and c = ((a0h * b1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a0l * b2l and r = (a0l * b2h) + (a0h * b2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = (lo land mask) + c in
+    let t2 = s land mask and c = ((a0h * b2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let t3 = c and t4 = 0 in
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t2 = x land mask and t3 = t4 + (x lsr 61) in
+    (* Row 1: t += a1 * b, then t := (t + u * m) / 2^61. *)
+    let p = a1l * b0l and r = (a1l * b0h) + (a1h * b0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let t0 = s land mask and c = ((a1h * b0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a1l * b1l and r = (a1l * b1h) + (a1h * b1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t1 = s land mask and c = ((a1h * b1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a1l * b2l and r = (a1l * b2h) + (a1h * b2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t2 = s land mask and c = ((a1h * b2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t3 = x land mask and t4 = x lsr 61 in
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t2 = x land mask and t3 = t4 + (x lsr 61) in
+    (* Row 2: t += a2 * b, then t := (t + u * m) / 2^61. *)
+    let p = a2l * b0l and r = (a2l * b0h) + (a2h * b0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let t0 = s land mask and c = ((a2h * b0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a2l * b1l and r = (a2l * b1h) + (a2h * b1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t1 = s land mask and c = ((a2h * b1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a2l * b2l and r = (a2l * b2h) + (a2h * b2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t2 = s land mask and c = ((a2h * b2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t3 = x land mask and t4 = x lsr 61 in
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t2 = x land mask and t3 = t4 + (x lsr 61) in
+    finish3 m dst doff t0 t1 t2 t3
+
+  (* SOS as in {!mont_sqr_loop}: the off-diagonal triangle once, doubled,
+     the diagonal squares, then three reduction steps.  Each step drops
+     the zero low limb by renaming, so [t0] is always the next limb to
+     clear. *)
+  let mont_sqr3 ctx (dst : int array) doff (a : int array) aoff =
+    let a2 = a.(aoff + 2) in
+    let a0 = Array.unsafe_get a aoff and a1 = Array.unsafe_get a (aoff + 1) in
+    let m = ctx.m and q = ctx.m' in
+    let n0 = Array.unsafe_get m 0 and n1 = Array.unsafe_get m 1 and n2 = Array.unsafe_get m 2 in
+    let n0l = n0 land m31 and n0h = n0 lsr 31 and n1l = n1 land m31 and n1h = n1 lsr 31 in
+    let n2l = n2 land m31 and n2h = n2 lsr 31 and ql = q land m31 and qh = q lsr 31 in
+    let a0l = a0 land m31 and a0h = a0 lsr 31 and a1l = a1 land m31 and a1h = a1 lsr 31 in
+    let a2l = a2 land m31 and a2h = a2 lsr 31 in
+    (* Off-diagonal triangle a0a1 + a0a2 B + a1a2 B^2, from limb 1. *)
+    let p = a0l * a1l and r = (a0l * a1h) + (a0h * a1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let t1 = lo land mask and c = ((a0h * a1h) lsl 1) + (r lsr 30) + (lo lsr 61) in
+    let p = a0l * a2l and r = (a0l * a2h) + (a0h * a2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = (lo land mask) + c in
+    let t2 = s land mask and t3 = ((a0h * a2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = a1l * a2l and r = (a1l * a2h) + (a1h * a2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t3 + (lo land mask) in
+    let t3 = s land mask and t4 = ((a1h * a2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    (* Doubled, plus the diagonal squares. *)
+    let d1 = (t1 lsl 1) land mask and d2 = ((t2 lsl 1) land mask) lor (t1 lsr 60) in
+    let d3 = ((t3 lsl 1) land mask) lor (t2 lsr 60) in
+    let d4 = ((t4 lsl 1) land mask) lor (t3 lsr 60) and d5 = t4 lsr 60 in
+    let p = a0l * a0l and r = (a0l * a0h) lsl 1 in
+    let lo = p + ((r land m30) lsl 31) in
+    let t0 = lo land mask and h = ((a0h * a0h) lsl 1) + (r lsr 30) + (lo lsr 61) in
+    let s = d1 + h in
+    let t1 = s land mask and c = s lsr 61 in
+    let p = a1l * a1l and r = (a1l * a1h) lsl 1 in
+    let lo = p + ((r land m30) lsl 31) in
+    let l = lo land mask and h = ((a1h * a1h) lsl 1) + (r lsr 30) + (lo lsr 61) in
+    let s = d2 + l + c in
+    let t2 = s land mask and s = d3 + h + (s lsr 61) in
+    let t3 = s land mask and c = s lsr 61 in
+    let p = a2l * a2l and r = (a2l * a2h) lsl 1 in
+    let lo = p + ((r land m30) lsl 31) in
+    let l = lo land mask and h = ((a2h * a2h) lsl 1) + (r lsr 30) + (lo lsr 61) in
+    let s = d4 + l + c in
+    let t4 = s land mask and t5 = (d5 + h + (s lsr 61)) land mask in
+    (* Reduction 0: t := (t + u * m) / 2^61; the carry out of the top
+       limb waits in [k] for the next step. *)
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c in
+    let t2 = x land mask and k = x lsr 61 and t3 = t4 and t4 = t5 in
+    (* Reduction 1: t := (t + u * m) / 2^61; the carry out of the top
+       limb waits in [k]. *)
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c + k in
+    let t2 = x land mask and k = x lsr 61 and t3 = t4 in
+    (* Reduction 2: t := (t + u * m) / 2^61; the carry out of the top
+       limb waits in [k]. *)
+    let tl = t0 land m31 and th = t0 lsr 31 in
+    let u = ((tl * ql) + ((((tl * qh) + (th * ql)) land m30) lsl 31)) land mask in
+    let ul = u land m31 and uh = u lsr 31 in
+    let p = ul * n0l and r = (ul * n0h) + (uh * n0l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t0 + (lo land mask) in
+    let c = ((uh * n0h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n1l and r = (ul * n1h) + (uh * n1l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t1 + (lo land mask) + c in
+    let t0 = s land mask and c = ((uh * n1h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let p = ul * n2l and r = (ul * n2h) + (uh * n2l) in
+    let lo = p + ((r land m30) lsl 31) in
+    let s = t2 + (lo land mask) + c in
+    let t1 = s land mask and c = ((uh * n2h) lsl 1) + (r lsr 30) + (lo lsr 61) + (s lsr 61) in
+    let x = t3 + c + k in
+    let t2 = x land mask and k = x lsr 61 in
+    finish3 m dst doff t0 t1 t2 k
+
   (* The kernels read and write w limbs of each operand from a limb
      offset, so one flat array can hold many elements ({!Modring.Flat});
      the operands are split into scratch first, so the offsets never
      reach the O(w^2) loops.  Callers check the ranges. *)
 
-  (* CIOS Montgomery multiplication: dst = a * b * R^{-1} mod m.
-     [a], [b] and [dst] are w-limb operands at limb offsets [aoff],
-     [boff] and [doff]; [dst] may alias either operand (the result lands
-     in scratch and is copied out last). *)
-  let mont_mul_at ctx (dst : int array) doff (a : int array) aoff (b : int array) boff =
-    Ppgr_exec.Meter.incr mul_counter;
+  (* CIOS Montgomery multiplication at any width, into scratch: the
+     result is copied out last, so [dst] may alias either operand. *)
+  let mont_mul_loop ctx (dst : int array) doff (a : int array) aoff (b : int array) boff =
     let w = ctx.w and m' = ctx.m' in
     let s = Domain.DLS.get ctx.scratch in
     let t = s.t in
@@ -389,7 +649,7 @@ module Mont = struct
     let bh0 = s.h0 and bh1 = s.h1 in
     for j = 0 to w - 1 do
       let bj = Array.unsafe_get b (boff + j) in
-      Array.unsafe_set bh0 j (bj land Mag.m31);
+      Array.unsafe_set bh0 j (bj land m31);
       Array.unsafe_set bh1 j (bj lsr 31)
     done;
     for j = 0 to w + 1 do
@@ -397,55 +657,64 @@ module Mont = struct
     done;
     for i = 0 to w - 1 do
       let ai = Array.unsafe_get a (aoff + i) in
-      let a0 = ai land Mag.m31 and a1 = ai lsr 31 in
+      let a0 = ai land m31 and a1 = ai lsr 31 in
       (* t += a_i * b *)
       let c = ref 0 in
       for j = 0 to w - 1 do
         let b0 = Array.unsafe_get bh0 j and b1 = Array.unsafe_get bh1 j in
         let p00 = a0 * b0 and p11 = a1 * b1 in
         let mid = (a0 * b1) + (a1 * b0) in
-        let lop = p00 + ((mid land Mag.m30) lsl 31) in
-        let s = Array.unsafe_get t j + (lop land Mag.mask) + !c in
-        Array.unsafe_set t j (s land Mag.mask);
+        let lop = p00 + ((mid land m30) lsl 31) in
+        let s = Array.unsafe_get t j + (lop land mask) + !c in
+        Array.unsafe_set t j (s land mask);
         c := (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) + (s lsr 61)
       done;
       let x = Array.unsafe_get t w + !c in
-      Array.unsafe_set t w (x land Mag.mask);
+      Array.unsafe_set t w (x land mask);
       Array.unsafe_set t (w + 1) (Array.unsafe_get t (w + 1) + (x lsr 61));
       (* Interleaved reduction step: t := (t + u*m) / 2^61. *)
       let t0 = Array.unsafe_get t 0 in
       let u =
-        let u0 = t0 land Mag.m31 and u1 = t0 lsr 31 in
-        let q0 = m' land Mag.m31 and q1 = m' lsr 31 in
+        let u0 = t0 land m31 and u1 = t0 lsr 31 in
+        let q0 = m' land m31 and q1 = m' lsr 31 in
         let p00 = u0 * q0 in
         let mid = (u0 * q1) + (u1 * q0) in
-        (p00 + ((mid land Mag.m30) lsl 31)) land Mag.mask
+        (p00 + ((mid land m30) lsl 31)) land mask
       in
-      let u0 = u land Mag.m31 and u1 = u lsr 31 in
+      let u0 = u land m31 and u1 = u lsr 31 in
       let c =
         ref
           (let b0 = Array.unsafe_get mh0 0 and b1 = Array.unsafe_get mh1 0 in
            let p00 = u0 * b0 and p11 = u1 * b1 in
            let mid = (u0 * b1) + (u1 * b0) in
-           let lop = p00 + ((mid land Mag.m30) lsl 31) in
-           let s = t0 + (lop land Mag.mask) in
+           let lop = p00 + ((mid land m30) lsl 31) in
+           let s = t0 + (lop land mask) in
            (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) + (s lsr 61))
       in
       for j = 1 to w - 1 do
         let b0 = Array.unsafe_get mh0 j and b1 = Array.unsafe_get mh1 j in
         let p00 = u0 * b0 and p11 = u1 * b1 in
         let mid = (u0 * b1) + (u1 * b0) in
-        let lop = p00 + ((mid land Mag.m30) lsl 31) in
-        let s = Array.unsafe_get t j + (lop land Mag.mask) + !c in
-        Array.unsafe_set t (j - 1) (s land Mag.mask);
+        let lop = p00 + ((mid land m30) lsl 31) in
+        let s = Array.unsafe_get t j + (lop land mask) + !c in
+        Array.unsafe_set t (j - 1) (s land mask);
         c := (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) + (s lsr 61)
       done;
       let x = Array.unsafe_get t w + !c in
-      Array.unsafe_set t (w - 1) (x land Mag.mask);
+      Array.unsafe_set t (w - 1) (x land mask);
       Array.unsafe_set t w (Array.unsafe_get t (w + 1) + (x lsr 61));
       Array.unsafe_set t (w + 1) 0
     done;
     finish ctx dst doff t 0 t.(w)
+
+  (* Montgomery multiplication: dst = a * b * R^{-1} mod m.  [a], [b]
+     and [dst] are w-limb operands at limb offsets [aoff], [boff] and
+     [doff]; [dst] may alias either operand.  One [mul_counter] tick
+     whichever kernel runs. *)
+  let mont_mul_at ctx (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    Ppgr_exec.Meter.incr mul_counter;
+    if ctx.w = 3 then mont_mul3 ctx dst doff a aoff b boff
+    else mont_mul_loop ctx dst doff a aoff b boff
 
   let mont_mul_into ctx (dst : int array) (a : int array) (b : int array) =
     mont_mul_at ctx dst 0 a 0 b 0
@@ -456,8 +725,7 @@ module Mont = struct
      reduction steps run over the double-width accumulator; roughly 25%
      fewer limb products than [mont_mul_into] on the same operand.
      [dst] may alias [a]; both at limb offsets as in {!mont_mul_at}. *)
-  let mont_sqr_at ctx (dst : int array) doff (a : int array) aoff =
-    Ppgr_exec.Meter.incr mul_counter;
+  let mont_sqr_loop ctx (dst : int array) doff (a : int array) aoff =
     let w = ctx.w and m' = ctx.m' in
     let s = Domain.DLS.get ctx.scratch in
     let t2 = s.t2 in
@@ -465,7 +733,7 @@ module Mont = struct
     let ah0 = s.h0 and ah1 = s.h1 in
     for j = 0 to w - 1 do
       let aj = Array.unsafe_get a (aoff + j) in
-      Array.unsafe_set ah0 j (aj land Mag.m31);
+      Array.unsafe_set ah0 j (aj land m31);
       Array.unsafe_set ah1 j (aj lsr 31)
     done;
     for j = 0 to (2 * w) + 1 do
@@ -479,15 +747,15 @@ module Mont = struct
         let b0 = Array.unsafe_get ah0 j and b1 = Array.unsafe_get ah1 j in
         let p00 = a0 * b0 and p11 = a1 * b1 in
         let mid = (a0 * b1) + (a1 * b0) in
-        let lop = p00 + ((mid land Mag.m30) lsl 31) in
+        let lop = p00 + ((mid land m30) lsl 31) in
         let k = i + j in
-        let s = Array.unsafe_get t2 k + (lop land Mag.mask) + !c in
-        Array.unsafe_set t2 k (s land Mag.mask);
+        let s = Array.unsafe_get t2 k + (lop land mask) + !c in
+        Array.unsafe_set t2 k (s land mask);
         c := (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) + (s lsr 61)
       done;
       let k = i + w in
       let s = Array.unsafe_get t2 k + !c in
-      Array.unsafe_set t2 k (s land Mag.mask);
+      Array.unsafe_set t2 k (s land mask);
       if s lsr 61 <> 0 then
         Array.unsafe_set t2 (k + 1) (Array.unsafe_get t2 (k + 1) + (s lsr 61))
     done;
@@ -495,7 +763,7 @@ module Mont = struct
     let carry = ref 0 in
     for k = 0 to (2 * w) - 1 do
       let v = Array.unsafe_get t2 k in
-      Array.unsafe_set t2 k (((v lsl 1) land Mag.mask) lor !carry);
+      Array.unsafe_set t2 k (((v lsl 1) land mask) lor !carry);
       carry := v lsr 60
     done;
     (* Diagonal squares. *)
@@ -504,46 +772,50 @@ module Mont = struct
       let a0 = Array.unsafe_get ah0 i and a1 = Array.unsafe_get ah1 i in
       let p00 = a0 * a0 and p11 = a1 * a1 in
       let mid = (a0 * a1) lsl 1 in
-      let lop = p00 + ((mid land Mag.m30) lsl 31) in
+      let lop = p00 + ((mid land m30) lsl 31) in
       let hi = (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) in
-      let s = Array.unsafe_get t2 (2 * i) + (lop land Mag.mask) + !cb in
-      Array.unsafe_set t2 (2 * i) (s land Mag.mask);
+      let s = Array.unsafe_get t2 (2 * i) + (lop land mask) + !cb in
+      Array.unsafe_set t2 (2 * i) (s land mask);
       let s2 = Array.unsafe_get t2 ((2 * i) + 1) + hi + (s lsr 61) in
-      Array.unsafe_set t2 ((2 * i) + 1) (s2 land Mag.mask);
+      Array.unsafe_set t2 ((2 * i) + 1) (s2 land mask);
       cb := s2 lsr 61
     done;
     (* w Montgomery reduction steps over the double-width value. *)
     for i = 0 to w - 1 do
       let ti = Array.unsafe_get t2 i in
       let u =
-        let u0 = ti land Mag.m31 and u1 = ti lsr 31 in
-        let q0 = m' land Mag.m31 and q1 = m' lsr 31 in
+        let u0 = ti land m31 and u1 = ti lsr 31 in
+        let q0 = m' land m31 and q1 = m' lsr 31 in
         let p00 = u0 * q0 in
         let mid = (u0 * q1) + (u1 * q0) in
-        (p00 + ((mid land Mag.m30) lsl 31)) land Mag.mask
+        (p00 + ((mid land m30) lsl 31)) land mask
       in
-      let u0 = u land Mag.m31 and u1 = u lsr 31 in
+      let u0 = u land m31 and u1 = u lsr 31 in
       let c = ref 0 in
       for j = 0 to w - 1 do
         let b0 = Array.unsafe_get mh0 j and b1 = Array.unsafe_get mh1 j in
         let p00 = u0 * b0 and p11 = u1 * b1 in
         let mid = (u0 * b1) + (u1 * b0) in
-        let lop = p00 + ((mid land Mag.m30) lsl 31) in
+        let lop = p00 + ((mid land m30) lsl 31) in
         let k = i + j in
-        let s = Array.unsafe_get t2 k + (lop land Mag.mask) + !c in
-        Array.unsafe_set t2 k (s land Mag.mask);
+        let s = Array.unsafe_get t2 k + (lop land mask) + !c in
+        Array.unsafe_set t2 k (s land mask);
         c := (p11 lsl 1) + (mid lsr 30) + (lop lsr 61) + (s lsr 61)
       done;
       let k = ref (i + w) in
       let c = ref !c in
       while !c <> 0 do
         let s = Array.unsafe_get t2 !k + !c in
-        Array.unsafe_set t2 !k (s land Mag.mask);
+        Array.unsafe_set t2 !k (s land mask);
         c := s lsr 61;
         incr k
       done
     done;
     finish ctx dst doff t2 w t2.(2 * w)
+
+  let mont_sqr_at ctx (dst : int array) doff (a : int array) aoff =
+    Ppgr_exec.Meter.incr mul_counter;
+    if ctx.w = 3 then mont_sqr3 ctx dst doff a aoff else mont_sqr_loop ctx dst doff a aoff
 
   let mont_sqr_into ctx (dst : int array) (a : int array) = mont_sqr_at ctx dst 0 a 0
 
@@ -586,7 +858,7 @@ module Mont = struct
     for i = 0 to len - 2 do
       Array.unsafe_set a i
         ((Array.unsafe_get a i lsr 1)
-        lor ((Array.unsafe_get a (i + 1) land 1) lsl (Mag.base_bits - 1)))
+        lor ((Array.unsafe_get a (i + 1) land 1) lsl 60))
     done;
     a.(len - 1) <- a.(len - 1) lsr 1
 
@@ -602,8 +874,8 @@ module Mont = struct
     let carry = ref 0 in
     for i = 0 to len - 1 do
       let s = Array.unsafe_get a i + Array.unsafe_get b i + !carry in
-      Array.unsafe_set a i (s land Mag.mask);
-      carry := s lsr Mag.base_bits
+      Array.unsafe_set a i (s land mask);
+      carry := s lsr 61
     done
 
   (* a -= b; the caller guarantees a >= b. *)
@@ -611,8 +883,8 @@ module Mont = struct
     let borrow = ref 0 in
     for i = 0 to len - 1 do
       let d = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
-      Array.unsafe_set a i (d land Mag.mask);
-      borrow := (d lsr Mag.base_bits) land 1
+      Array.unsafe_set a i (d land mask);
+      borrow := (d lsr 61) land 1
     done
 
   (* dst := a^{-1} in the Montgomery domain ([a] and [dst] are
@@ -621,7 +893,7 @@ module Mont = struct
      to Montgomery scaling; two multiplications by R^2 rescale it to
      the Montgomery form of a^{-1}.
      @raise Division_by_zero if [a] is not invertible. *)
-  let inv_at ctx (dst : int array) doff (a : int array) aoff =
+  let inv_loop ctx (dst : int array) doff (a : int array) aoff =
     let w = ctx.w in
     let len = w + 1 in
     let s = Domain.DLS.get ctx.scratch in
@@ -665,6 +937,98 @@ module Mont = struct
        its zero top limb is a valid operand. *)
     mont_mul_at ctx dst doff r 0 ctx.r2 0;
     mont_mul_at ctx dst doff dst doff ctx.r2 0
+
+  (* The same xgcd on three limbs: u, v and their cofactors x and y
+     live in refs that no closure captures, so they stay unboxed and
+     nothing is allocated.  Every value is below m < 2^183 except a
+     cofactor plus m before its halving, whose carry bit the shift
+     takes back down.  The odd-cofactor addition and the modular
+     correction after a subtraction add m under a mask (all ones or
+     zero) instead of branching. *)
+  let inv3 ctx (dst : int array) doff (a : int array) aoff =
+    let m = ctx.m in
+    let m0 = Array.unsafe_get m 0 and m1 = Array.unsafe_get m 1 and m2 = Array.unsafe_get m 2 in
+    let u2 = ref a.(aoff + 2) in
+    let u0 = ref (Array.unsafe_get a aoff) and u1 = ref (Array.unsafe_get a (aoff + 1)) in
+    let v0 = ref m0 and v1 = ref m1 and v2 = ref m2 in
+    let x0 = ref 1 and x1 = ref 0 and x2 = ref 0 in
+    let y0 = ref 0 and y1 = ref 0 and y2 = ref 0 in
+    if !u0 lor !u1 lor !u2 = 0 then raise Division_by_zero;
+    while not ((!u0 = 1 && !u1 lor !u2 = 0) || (!v0 = 1 && !v1 lor !v2 = 0)) do
+      if !u0 lor !u1 lor !u2 = 0 || !v0 lor !v1 lor !v2 = 0 then raise Division_by_zero;
+      while !u0 land 1 = 0 do
+        u0 := (!u0 lsr 1) lor ((!u1 land 1) lsl 60);
+        u1 := (!u1 lsr 1) lor ((!u2 land 1) lsl 60);
+        u2 := !u2 lsr 1;
+        let k = - (!x0 land 1) in
+        let s0 = !x0 + (m0 land k) in
+        let s1 = !x1 + (m1 land k) + (s0 lsr 61) in
+        let s2 = !x2 + (m2 land k) + (s1 lsr 61) in
+        x0 := ((s0 land mask) lsr 1) lor ((s1 land 1) lsl 60);
+        x1 := ((s1 land mask) lsr 1) lor ((s2 land 1) lsl 60);
+        x2 := s2 lsr 1
+      done;
+      while !v0 land 1 = 0 do
+        v0 := (!v0 lsr 1) lor ((!v1 land 1) lsl 60);
+        v1 := (!v1 lsr 1) lor ((!v2 land 1) lsl 60);
+        v2 := !v2 lsr 1;
+        let k = - (!y0 land 1) in
+        let s0 = !y0 + (m0 land k) in
+        let s1 = !y1 + (m1 land k) + (s0 lsr 61) in
+        let s2 = !y2 + (m2 land k) + (s1 lsr 61) in
+        y0 := ((s0 land mask) lsr 1) lor ((s1 land 1) lsl 60);
+        y1 := ((s1 land mask) lsr 1) lor ((s2 land 1) lsl 60);
+        y2 := s2 lsr 1
+      done;
+      let d0 = !u0 - !v0 in
+      let d1 = !u1 - !v1 - ((d0 lsr 61) land 1) in
+      let d2 = !u2 - !v2 - ((d1 lsr 61) land 1) in
+      if d2 >= 0 then begin
+        (* u >= v: u -= v, x := x - y mod m. *)
+        u0 := d0 land mask;
+        u1 := d1 land mask;
+        u2 := d2;
+        let e0 = !x0 - !y0 in
+        let e1 = !x1 - !y1 - ((e0 lsr 61) land 1) in
+        let e2 = !x2 - !y2 - ((e1 lsr 61) land 1) in
+        let k = e2 asr 62 in
+        let s0 = (e0 land mask) + (m0 land k) in
+        let s1 = (e1 land mask) + (m1 land k) + (s0 lsr 61) in
+        x0 := s0 land mask;
+        x1 := s1 land mask;
+        x2 := ((e2 land mask) + (m2 land k) + (s1 lsr 61)) land mask
+      end
+      else begin
+        (* v > u: v -= u, y := y - x mod m. *)
+        let d0 = !v0 - !u0 in
+        let d1 = !v1 - !u1 - ((d0 lsr 61) land 1) in
+        v0 := d0 land mask;
+        v1 := d1 land mask;
+        v2 := !v2 - !u2 - ((d1 lsr 61) land 1);
+        let e0 = !y0 - !x0 in
+        let e1 = !y1 - !x1 - ((e0 lsr 61) land 1) in
+        let e2 = !y2 - !x2 - ((e1 lsr 61) land 1) in
+        let k = e2 asr 62 in
+        let s0 = (e0 land mask) + (m0 land k) in
+        let s1 = (e1 land mask) + (m1 land k) + (s0 lsr 61) in
+        y0 := s0 land mask;
+        y1 := s1 land mask;
+        y2 := ((e2 land mask) + (m2 land k) + (s1 lsr 61)) land mask
+      end
+    done;
+    (* The cofactor of whichever reached one, as in {!inv_loop}: write
+       it to [dst] and rescale there by R^2 twice. *)
+    let one_u = !u0 = 1 && !u1 lor !u2 = 0 in
+    dst.(doff + 2) <- (if one_u then !x2 else !y2);
+    Array.unsafe_set dst (doff + 1) (if one_u then !x1 else !y1);
+    Array.unsafe_set dst doff (if one_u then !x0 else !y0);
+    mont_mul_at ctx dst doff dst doff ctx.r2 0;
+    mont_mul_at ctx dst doff dst doff ctx.r2 0
+
+  (* dst := a^{-1} as above, by {!inv3} on three limbs.  Both run the
+     same steps, raise alike and tick [mul_counter] twice. *)
+  let inv_at ctx (dst : int array) doff (a : int array) aoff =
+    if ctx.w = 3 then inv3 ctx dst doff a aoff else inv_loop ctx dst doff a aoff
 
   let inv_into ctx (dst : int array) (a : int array) = inv_at ctx dst 0 a 0
 
@@ -885,7 +1249,7 @@ module Modring = struct
       &&
       let s = a.(!i) + b.(!i) + !carry in
       carry := s lsr 61;
-      s land Mag.mask = m.(!i)
+      s land mask = m.(!i)
     do
       incr i
     done;
@@ -913,7 +1277,7 @@ module Modring = struct
     let borrow = ref 0 in
     for i = 0 to c.mc.Mont.w - 1 do
       let d = a.(off + i) - m.(i) - !borrow in
-      a.(off + i) <- d land Mag.mask;
+      a.(off + i) <- d land mask;
       borrow := (d lsr 61) land 1
     done
 
@@ -922,42 +1286,37 @@ module Modring = struct
      is written, and the range-restoring pass runs on [dst] alone.  The
      [_at] forms take limb offsets, for {!Flat}. *)
 
-  let add_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
+  let add_loop c (dst : int array) doff (a : int array) aoff (b : int array) boff =
     let w = c.mc.Mont.w in
     let carry = ref 0 in
     for i = 0 to w - 1 do
       let s = a.(aoff + i) + b.(boff + i) + !carry in
-      dst.(doff + i) <- s land Mag.mask;
+      dst.(doff + i) <- s land mask;
       carry := s lsr 61
     done;
     (* a + b < 2m; one conditional subtraction restores the range (a
        final borrow cancels against the dropped carry bit). *)
     if !carry > 0 || ge_mod_at c dst doff then sub_mod_at c dst doff
 
-  let sub_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
+  let sub_loop c (dst : int array) doff (a : int array) aoff (b : int array) boff =
     let w = c.mc.Mont.w in
     let m = c.mc.Mont.m in
     let borrow = ref 0 in
     for i = 0 to w - 1 do
       let d = a.(aoff + i) - b.(boff + i) - !borrow in
-      dst.(doff + i) <- d land Mag.mask;
+      dst.(doff + i) <- d land mask;
       borrow := (d lsr 61) land 1
     done;
     if !borrow > 0 then begin
       let carry = ref 0 in
       for i = 0 to w - 1 do
         let s = dst.(doff + i) + m.(i) + !carry in
-        dst.(doff + i) <- s land Mag.mask;
+        dst.(doff + i) <- s land mask;
         carry := s lsr 61
       done
     end
 
-  let add_into c (dst : elt) (a : elt) (b : elt) = add_at c dst 0 a 0 b 0
-  let sub_into c (dst : elt) (a : elt) (b : elt) = sub_at c dst 0 a 0 b 0
-
-  let double_into c (dst : elt) (a : elt) = add_into c dst a a
-
-  let neg_into c (dst : elt) (a : elt) =
+  let neg_loop c (dst : elt) (a : elt) =
     if is_zero c a then zero_into c dst
     else begin
       (* 0 < a < m, so m - a needs no final borrow. *)
@@ -965,10 +1324,75 @@ module Modring = struct
       let borrow = ref 0 in
       for i = 0 to c.mc.Mont.w - 1 do
         let d = m.(i) - a.(i) - !borrow in
-        dst.(i) <- d land Mag.mask;
+        dst.(i) <- d land mask;
         borrow := (d lsr 61) land 1
       done
     end
+
+  (* The same three operations on a 3-limb modulus, straight-line on
+     locals like {!Mont.mont_mul3}.  A sum or difference is as likely
+     out of range as not, so the correction by m is applied under a
+     mask [k] (all ones or zero) rather than behind a branch. *)
+  let add3 (m : int array) (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    let s2 = a.(aoff + 2) + b.(boff + 2) in
+    let s0 = Array.unsafe_get a aoff + Array.unsafe_get b boff in
+    let s1 = Array.unsafe_get a (aoff + 1) + Array.unsafe_get b (boff + 1) + (s0 lsr 61) in
+    let s2 = s2 + (s1 lsr 61) in
+    let s0 = s0 land mask and s1 = s1 land mask in
+    let d0 = s0 - Array.unsafe_get m 0 in
+    let d1 = s1 - Array.unsafe_get m 1 - ((d0 lsr 61) land 1) in
+    let d2 = (s2 land mask) - Array.unsafe_get m 2 - ((d1 lsr 61) land 1) in
+    (* Keep the sum (k = -1) when it is below m: no carry out of it and
+       a borrow out of the difference. *)
+    let k = (d2 asr 62) land ((s2 lsr 61) - 1) in
+    dst.(doff + 2) <- (d2 land mask land lnot k) lor (s2 land k);
+    Array.unsafe_set dst (doff + 1) ((d1 land mask land lnot k) lor (s1 land k));
+    Array.unsafe_set dst doff ((d0 land mask land lnot k) lor (s0 land k))
+
+  let sub3 (m : int array) (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    let d2 = a.(aoff + 2) - b.(boff + 2) in
+    let d0 = Array.unsafe_get a aoff - Array.unsafe_get b boff in
+    let d1 = Array.unsafe_get a (aoff + 1) - Array.unsafe_get b (boff + 1) - ((d0 lsr 61) land 1) in
+    let d2 = d2 - ((d1 lsr 61) land 1) in
+    (* Add m back after a borrow (k = -1); the carry out is dropped. *)
+    let k = d2 asr 62 in
+    let s0 = (d0 land mask) + (Array.unsafe_get m 0 land k) in
+    let s1 = (d1 land mask) + (Array.unsafe_get m 1 land k) + (s0 lsr 61) in
+    dst.(doff + 2) <- ((d2 land mask) + (Array.unsafe_get m 2 land k) + (s1 lsr 61)) land mask;
+    Array.unsafe_set dst (doff + 1) (s1 land mask);
+    Array.unsafe_set dst doff (s0 land mask)
+
+  let neg3 (m : int array) (dst : int array) (a : int array) =
+    let a2 = a.(2) in
+    let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1 in
+    if a0 lor a1 lor a2 = 0 then begin
+      dst.(2) <- 0;
+      Array.unsafe_set dst 1 0;
+      Array.unsafe_set dst 0 0
+    end
+    else begin
+      let d0 = Array.unsafe_get m 0 - a0 in
+      let d1 = Array.unsafe_get m 1 - a1 - ((d0 lsr 61) land 1) in
+      dst.(2) <- Array.unsafe_get m 2 - a2 - ((d1 lsr 61) land 1);
+      Array.unsafe_set dst 1 (d1 land mask);
+      Array.unsafe_set dst 0 (d0 land mask)
+    end
+
+  let add_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    if c.mc.Mont.w = 3 then add3 c.mc.Mont.m dst doff a aoff b boff
+    else add_loop c dst doff a aoff b boff
+
+  let sub_at c (dst : int array) doff (a : int array) aoff (b : int array) boff =
+    if c.mc.Mont.w = 3 then sub3 c.mc.Mont.m dst doff a aoff b boff
+    else sub_loop c dst doff a aoff b boff
+
+  let add_into c (dst : elt) (a : elt) (b : elt) = add_at c dst 0 a 0 b 0
+  let sub_into c (dst : elt) (a : elt) (b : elt) = sub_at c dst 0 a 0 b 0
+
+  let double_into c (dst : elt) (a : elt) = add_into c dst a a
+
+  let neg_into c (dst : elt) (a : elt) =
+    if c.mc.Mont.w = 3 then neg3 c.mc.Mont.m dst a else neg_loop c dst a
 
   let mul_into c (dst : elt) (a : elt) (b : elt) = Mont.mont_mul_into c.mc dst a b
   let sqr_into c (dst : elt) (a : elt) = Mont.mont_sqr_into c.mc dst a

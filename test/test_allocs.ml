@@ -41,15 +41,9 @@ let zero_alloc_tests =
          if not (Bigint.Modring.equal_neg c x nx) then failwith "x <> -(-x)"));
   ]
 
-(* The same pins at the MPC engine's width: the shard-merge field is the
-   64-bit test prime, two 61-bit limbs, and every share operation of the
-   engine runs on these kernels. *)
-let zero_alloc_64_tests =
-  let p64 = Ppgr_group.Modp_params.test_64 in
-  let c = Bigint.Modring.ctx ~modulus:p64 in
-  let v = Bigint.sub p64 (Bigint.of_int 123456789) in
-  let x = Bigint.Modring.enter c (Bigint.of_string "0xfeedfacecafebeef") in
-  let y = Bigint.Modring.enter c v in
+(* The in-place ring ops at the narrow widths, where each is a handful
+   of limb operations and a single boxed word would show. *)
+let into_pins c x y =
   let d = Bigint.Modring.alloc c in
   [
     check_zero "mont mul_into is allocation-free" (fun () -> Bigint.Modring.mul_into c d x y);
@@ -60,6 +54,20 @@ let zero_alloc_64_tests =
     check_zero "double_into is allocation-free" (fun () -> Bigint.Modring.double_into c d y);
     check_zero "copy_into is allocation-free" (fun () -> Bigint.Modring.copy_into c d x);
     check_zero "mont inv_into is allocation-free" (fun () -> Bigint.Modring.inv_into c d x);
+  ]
+
+(* The same pins at the MPC engine's width: the shard-merge field is the
+   64-bit test prime, two 61-bit limbs, and every share operation of the
+   engine runs on these kernels. *)
+let zero_alloc_64_tests =
+  let p64 = Ppgr_group.Modp_params.test_64 in
+  let c = Bigint.Modring.ctx ~modulus:p64 in
+  let v = Bigint.sub p64 (Bigint.of_int 123456789) in
+  let x = Bigint.Modring.enter c (Bigint.of_string "0xfeedfacecafebeef") in
+  let y = Bigint.Modring.enter c v in
+  let d = Bigint.Modring.alloc c in
+  into_pins c x y
+  @ [
     check_zero "enter_into of a canonical value is allocation-free" (fun () ->
         Bigint.Modring.enter_into c d v);
     Alcotest.test_case "Modring.pow allocates its result only" `Quick (fun () ->
@@ -71,6 +79,30 @@ let zero_alloc_64_tests =
               (Printf.sprintf "words/call at a %d-bit exponent" (Bigint.numbits e))
               3.0 s.Allocs.words_per_iter)
           [ Bigint.of_int 3; Bigint.shift_right (Bigint.succ p64) 2 ]);
+  ]
+
+(* And at ECC-160's field prime, three limbs: the width with its own
+   straight-line kernels, whose working values live in locals and
+   unboxed refs — no scratch, no fresh arrays, no local closures. *)
+let zero_alloc_160_tests =
+  let p160 = Ppgr_group.Ec_params.secp160r1.Ppgr_group.Ec_curve.p in
+  let c = Bigint.Modring.ctx ~modulus:p160 in
+  let x = Bigint.Modring.enter c (Bigint.of_string "0xfeedfacecafebeef00112233445566778899") in
+  let y = Bigint.Modring.enter c (Bigint.sub p160 (Bigint.of_int 987654321)) in
+  let module F = Bigint.Modring.Flat in
+  let fl = F.create c 4 in
+  F.set c fl 1 x;
+  F.set c fl 2 y;
+  into_pins c x y
+  @ [
+    check_zero "Flat.mul is allocation-free" (fun () -> F.mul c fl 3 fl 1 fl 2);
+    check_zero "Flat.sqr is allocation-free" (fun () -> F.sqr c fl 3 fl 1);
+    check_zero "Flat.add is allocation-free" (fun () -> F.add c fl 3 fl 1 fl 2);
+    check_zero "Flat.sub is allocation-free" (fun () -> F.sub c fl 3 fl 1 fl 2);
+    check_zero "Flat.inv is allocation-free" (fun () -> F.inv c fl 3 fl 1);
+    check_zero "Flat.copy is allocation-free" (fun () -> F.copy c fl 3 fl 1);
+    check_zero "Flat.is_zero is allocation-free" (fun () ->
+        if F.is_zero c fl 1 then failwith "x = 0");
   ]
 
 (* powmod allocates only its escaping result: the per-call figure must
@@ -314,6 +346,7 @@ let () =
     [
       ("zero-alloc", zero_alloc_tests);
       ("zero-alloc-64", zero_alloc_64_tests);
+      ("zero-alloc-160", zero_alloc_160_tests);
       ("powmod", powmod_tests);
       ("group-alloc", group_tests);
       ("group-retention", retention_tests);

@@ -270,10 +270,146 @@ let modring_tests =
             Modring.inv_into c3 d3 (Modring.enter c3 p)));
   ]
 
+(* ---- Field kernels at the limb-width boundaries ----
+
+   Every in-place ring op against plain [Bigint] arithmetic, on 0, 1,
+   m - 1, m - 2, R mod m, two values with single-limb Montgomery forms
+   and 200 random residues, with [dst] fresh and
+   aliasing each operand, and the [Flat] forms at non-zero offsets.
+   Three limbs is the width with its own straight-line kernels; the two
+   moduli above 2^182 (m > R/2) are the only 3-limb ones whose
+   Montgomery accumulator can carry into a fourth limb.  The 2- and
+   4-limb moduli run the width-generic loops on either side.  The
+   composites name a factor, a non-unit that [inv] must reject. *)
+let boundary_moduli =
+  let open Bigint in
+  let pow2 = nth_bit_weight in
+  let rng = Ppgr_rng.Rng.create ~seed:"limbs-boundary" in
+  let r183 = logor (add (pow2 182) (Ppgr_rng.Rng.bigint_below rng (pow2 182))) one in
+  [
+    ("ecc160 p", Ppgr_group.Ec_params.secp160r1.Ppgr_group.Ec_curve.p, None);
+    ("dl-test-128 p", Ppgr_group.Modp_params.test_128, None);
+    ("2^183 - 1", pred (pow2 183), Some (of_int 7));
+    ("random odd 183-bit", r183, None);
+    ("dl-test-64 p (2 limbs)", Ppgr_group.Modp_params.test_64, None);
+    ("2^122 - 1 (2 limbs)", pred (pow2 122), Some (of_int 3));
+    ("secp224r1 p (4 limbs)", Ppgr_group.Ec_params.secp224r1.Ppgr_group.Ec_curve.p, None);
+    ("2^244 - 1 (4 limbs)", pred (pow2 244), Some (of_int 3));
+  ]
+
+let boundary_case (name, m, nonunit) =
+  Alcotest.test_case name `Quick (fun () ->
+      let open Bigint in
+      let module F = Modring.Flat in
+      let c = Modring.ctx ~modulus:m in
+      let limbs = (numbits m + 60) / 61 in
+      let rng = Ppgr_rng.Rng.create ~seed:("limbs-boundary-" ^ name) in
+      (* R mod m, and the values whose Montgomery forms are the limb
+         vectors 1 and B^(w-1): one non-zero limb, at the bottom or top. *)
+      let r_inv = invmod (nth_bit_weight (61 * limbs)) m in
+      let edges =
+        [ zero; one; pred m; sub m two; erem (nth_bit_weight (61 * limbs)) m; r_inv;
+          erem (mul r_inv (nth_bit_weight (61 * (limbs - 1)))) m ]
+      in
+      let randoms = Array.init 200 (fun _ -> Ppgr_rng.Rng.bigint_below rng m) in
+      let values = edges @ Array.to_list randoms @ Option.to_list nonunit in
+      let pairs =
+        List.concat_map (fun a -> List.map (fun b -> (a, b)) edges) edges
+        @ List.init 200 (fun i -> (randoms.(i), randoms.((i + 1) mod 200)))
+      in
+      let d = Modring.alloc c and fl = F.create c 4 in
+      (* Limb for limb against the canonical Montgomery form: [leave]
+         reduces modulo m, so it would pass a limb left out of range. *)
+      let expect what args want got =
+        if not (Modring.equal c (Modring.enter c want) got) then
+          Alcotest.failf "%s %s: got %s, want %s" what
+            (String.concat ", " (List.map to_string args))
+            (to_string (Modring.leave c got)) (to_string want)
+      in
+      (* [op] through [_into] with dst fresh and aliasing each operand,
+         then through [Flat] with the operands at elements 1 and 2. *)
+      let binary what into flat a b want =
+        let ea = Modring.enter c a and eb = Modring.enter c b in
+        let check how = expect (what ^ " " ^ how) [ a; b ] want in
+        Modring.zero_into c d;
+        into c d ea eb;
+        check "dst fresh" d;
+        Modring.copy_into c d ea;
+        into c d d eb;
+        check "dst = a" d;
+        Modring.copy_into c d eb;
+        into c d ea d;
+        check "dst = b" d;
+        if equal a b then begin
+          Modring.copy_into c d ea;
+          into c d d d;
+          check "dst = a = b" d
+        end;
+        List.iter
+          (fun (dst, how) ->
+            F.set c fl 1 ea;
+            F.set c fl 2 eb;
+            flat c fl dst fl 1 fl 2;
+            check how (F.get c fl dst))
+          [ (3, "Flat"); (1, "Flat dst = a"); (2, "Flat dst = b") ]
+      in
+      let unary what into a want =
+        let ea = Modring.enter c a in
+        let check how = expect (what ^ " " ^ how) [ a ] want in
+        Modring.zero_into c d;
+        into c d ea;
+        check "dst fresh" d;
+        Modring.copy_into c d ea;
+        into c d d;
+        check "dst = a" d
+      in
+      let unary_flat what flat a want =
+        List.iter
+          (fun (dst, how) ->
+            F.set c fl 1 (Modring.enter c a);
+            flat c fl dst fl 1;
+            expect (what ^ " " ^ how) [ a ] want (F.get c fl dst))
+          [ (2, "Flat"); (1, "Flat dst = a") ]
+      in
+      List.iter
+        (fun (a, b) ->
+          binary "mul" Modring.mul_into F.mul a b (erem (mul a b) m);
+          binary "add" Modring.add_into F.add a b (erem (add a b) m);
+          binary "sub" Modring.sub_into F.sub a b (erem (sub a b) m))
+        pairs;
+      List.iter
+        (fun a ->
+          let sq = erem (mul a a) m in
+          unary "sqr" Modring.sqr_into a sq;
+          unary_flat "sqr" F.sqr a sq;
+          unary "double" Modring.double_into a (erem (add a a) m);
+          unary "neg" Modring.neg_into a (erem (neg a) m);
+          match invmod a m with
+          | ia ->
+              unary "inv" Modring.inv_into a ia;
+              unary_flat "inv" F.inv a ia
+          | exception Division_by_zero ->
+              let ea = Modring.enter c a in
+              Alcotest.check_raises ("inv_into " ^ to_string a) Division_by_zero (fun () ->
+                  Modring.inv_into c d ea);
+              F.set c fl 1 ea;
+              Alcotest.check_raises ("Flat.inv " ^ to_string a) Division_by_zero (fun () ->
+                  F.inv c fl 2 fl 1))
+        values;
+      (* The raising cases by name: 0 always, and the known factor of a
+         composite modulus. *)
+      List.iter
+        (fun v ->
+          Alcotest.check_raises ("inv " ^ to_string v) Division_by_zero (fun () ->
+              Modring.inv_into c d (Modring.enter c v)))
+        (zero :: Option.to_list nonunit))
+
+let boundary_tests = List.map boundary_case boundary_moduli
+
 let () =
   Alcotest.run "limbs"
     [
       ("differential", diff_props);
       ("edges", edge_tests);
-      ("modring-into", modring_tests);
+      ("modring-into", modring_tests @ boundary_tests);
     ]
