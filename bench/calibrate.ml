@@ -62,11 +62,11 @@ let group_probe (g : Group_intf.group) rng =
        figure. *)
     let samples = 30 in
     ignore (G.pow_gen (G.random_scalar rng));
-    let s = G.op_snapshot () in
+    let s = G.op_count () in
     for _ = 1 to samples do
       ignore (G.pow_gen (G.random_scalar rng))
     done;
-    float_of_int (G.ops_since s) /. float_of_int samples
+    float_of_int (G.op_count () - s) /. float_of_int samples
   in
   let finish samples =
     let med, lo, hi = spread samples in

@@ -246,14 +246,14 @@ let ablations () =
       let tbl = RT.E.keytable (snd (RT.E.keygen rng)) in
       let enc = Array.map (Array.map (RT.E.encrypt_exp_int_with rng tbl)) bits in
       let circuit_ops naive_omega =
-        let s = G.op_snapshot () in
+        let s = G.op_count () in
         Array.iteri
           (fun j own_bits ->
             Array.iteri
               (fun i e -> if i <> j then ignore (RT.compare_circuit ~naive_omega ~l ~own_bits e))
               enc)
           bits;
-        float_of_int (G.ops_since s)
+        float_of_int (G.op_count () - s)
       in
       let fast = circuit_ops false and naive = circuit_ops true in
       row (Printf.sprintf "l=%d" l)
@@ -289,11 +289,11 @@ let ablations () =
   header "Ablation: ECC-160 scalar mult, wNAF-4 vs double-and-add" [ "point ops" ];
   let module E160 = (val Ec_group.ecc_160 ()) in
   let x = E160.pow_gen (E160.random_scalar rng) in
-  let s = E160.op_snapshot () in
+  let s = E160.op_count () in
   for _ = 1 to 20 do
     ignore (E160.pow x (E160.random_scalar rng))
   done;
-  let wnaf_ops = float_of_int (E160.ops_since s) /. 20. in
+  let wnaf_ops = float_of_int (E160.op_count () - s) /. 20. in
   (* Binary double-and-add through the group interface. *)
   let binary_pow e =
     let open Ppgr_bigint in
@@ -304,10 +304,10 @@ let ablations () =
     done;
     !acc
   in
-  let s = E160.op_snapshot () in
+  let s = E160.op_count () in
   for _ = 1 to 20 do
     ignore (binary_pow (E160.random_scalar rng))
   done;
-  let bin_ops = float_of_int (E160.ops_since s) /. 20. in
+  let bin_ops = float_of_int (E160.op_count () - s) /. 20. in
   row "wNAF-4" [ wnaf_ops ];
   row "binary" [ bin_ops ]

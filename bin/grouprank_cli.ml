@@ -235,20 +235,19 @@ let run_cmd group_name n k seed spec h verbose jobs trace metrics faults window
     if observing then Ppgr_obs.Trace.capture go else (go (), [])
   in
   let dt = Unix.gettimeofday () -. t0 in
-  let write_traces flows =
+  let write_traces () =
     match trace with
     | Some path ->
-        Ppgr_obs.Export.write_chrome ~flows path spans;
-        Printf.printf
-          "\ntrace: %d spans + %d causal arrows -> %s (load in https://ui.perfetto.dev)\n"
-          (List.length spans) (List.length flows) path
+        Ppgr_obs.Export.write_chrome path spans;
+        Printf.printf "\ntrace: %d spans -> %s (load in https://ui.perfetto.dev)\n"
+          (List.length spans) path
     | None -> ()
   in
   let out, rc =
     match result with
     | Ok r -> r
     | Error f ->
-        write_traces [];
+        write_traces ();
         print_abort f;
         exit 3
   in
@@ -283,7 +282,7 @@ let run_cmd group_name n k seed spec h verbose jobs trace metrics faults window
       (Cost.total_bytes c.Framework.schedule)
       c.Framework.wire_bytes
   end;
-  write_traces (Transport.flows_to_export st.F.RT.flows);
+  write_traces ();
   if metrics then begin
     let rows = Ppgr_obs.Summary.rows spans in
     Printf.printf "\nper-phase x per-party metrics:\n%s"

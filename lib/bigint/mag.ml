@@ -192,7 +192,7 @@ let mul_schoolbook (a : int array) (b : int array) =
     normalize r
   end
 
-let karatsuba_cutoff = ref 24
+let karatsuba_cutoff = 24
 
 (* Split [a] at limb [k] into (low, high). *)
 let split_at (a : int array) k =
@@ -212,7 +212,7 @@ let shift_limbs (a : int array) k =
 let rec mul (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
-  else if min la lb < !karatsuba_cutoff then mul_schoolbook a b
+  else if min la lb < karatsuba_cutoff then mul_schoolbook a b
   else begin
     let k = (max la lb + 1) / 2 in
     let a0, a1 = split_at a k in

@@ -25,11 +25,6 @@ module type S = sig
   type cipher = { c : G.element; c' : G.element }
 
   val keygen : Rng.t -> seckey * pubkey
-  val pubkey_of : seckey -> pubkey
-
-  val cipher_bytes : int
-  (** Serialized ciphertext size (the [S_c] of the paper's §VI-B). *)
-
   val encrypt : Rng.t -> pubkey -> G.element -> cipher
   val decrypt : seckey -> cipher -> G.element
 
@@ -44,16 +39,11 @@ module type S = sig
       subsequent exponentiation. *)
 
   type keytable
-  (** A public key together with its precomputed fixed-base table. *)
+  (** A public key's precomputed fixed-base table. *)
 
   val keytable : pubkey -> keytable
   (** Build the table; costs a few exponentiations' worth of group
       multiplications (ticked on the group op counter). *)
-
-  val keytable_pubkey : keytable -> pubkey
-
-  val encrypt_with : Rng.t -> keytable -> G.element -> cipher
-  val rerandomize_with : Rng.t -> keytable -> cipher -> cipher
 
   (** {1 Modified (exponential, additively homomorphic) mode} *)
 
@@ -134,25 +124,14 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
     let x = G.random_scalar rng in
     (x, G.pow_gen x)
 
-  let pubkey_of x =
-    Meter.tick ();
-    G.pow_gen x
-  let cipher_bytes = 2 * G.element_bytes
+  type keytable = G.powtable
 
-  type keytable = { kt_pub : pubkey; kt_tbl : G.powtable }
-
-  let keytable y = { kt_pub = y; kt_tbl = G.powtable y }
-  let keytable_pubkey kt = kt.kt_pub
+  let keytable y = G.powtable y
 
   let encrypt rng y m =
     Meter.tick_n 2;
     let r = G.random_scalar rng in
     { c = G.mul m (G.pow y r); c' = G.pow_gen r }
-
-  let encrypt_with rng kt m =
-    Meter.tick_n 2;
-    let r = G.random_scalar rng in
-    { c = G.mul m (G.pow_table kt.kt_tbl r); c' = G.pow_gen r }
 
   let decrypt x { c; c' } =
     Meter.tick ();
@@ -168,7 +147,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
   let encrypt_exp_with rng kt m =
     Meter.tick_n 2;
     let r = G.random_scalar rng in
-    { c = G.mul (G.pow_gen m) (G.pow_table kt.kt_tbl r); c' = G.pow_gen r }
+    { c = G.mul (G.pow_gen m) (G.pow_table kt r); c' = G.pow_gen r }
 
   let encrypt_exp_int rng y m = encrypt_exp rng y (Bigint.of_int m)
   let encrypt_exp_int_with rng kt m = encrypt_exp_with rng kt (Bigint.of_int m)
@@ -205,11 +184,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
     Meter.tick_n 2;
     let r = G.random_scalar rng in
     { c = G.mul a.c (G.pow y r); c' = G.mul a.c' (G.pow_gen r) }
-
-  let rerandomize_with rng kt a =
-    Meter.tick_n 2;
-    let r = G.random_scalar rng in
-    { c = G.mul a.c (G.pow_table kt.kt_tbl r); c' = G.mul a.c' (G.pow_gen r) }
 
   let joint_pubkey = function
     | [] -> invalid_arg "Elgamal.joint_pubkey: no keys"

@@ -37,8 +37,3 @@ let reset t =
   for s = 0 to max_slot do
     t.lanes.((s * stride) + t.off) <- 0
   done
-
-type snapshot = int
-
-let snapshot = read
-let since t s = read t - s

@@ -34,20 +34,13 @@ val add : t -> int -> unit
 
 val read : t -> int
 (** Sum of all slots.  Exact when no parallel region is in flight
-    (i.e. between {!Pool} batches, which is when all callers read). *)
+    (i.e. between {!Pool} batches, which is when all callers read).
+    The operations between two reads, those run on pool workers
+    included, are the difference of the two. *)
 
 val reset : t -> unit
 (** Zero every slot of this meter (not its group siblings).  Only call
     outside parallel regions. *)
-
-type snapshot = int
-
-val snapshot : t -> snapshot
-(** A watermark for before/after accounting: [since m (snapshot m)]
-    spans exactly the operations performed in between, including those
-    executed on pool workers. *)
-
-val since : t -> snapshot -> int
 
 (**/**)
 

@@ -80,9 +80,6 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
   let ops = meters.(0)
   let invs = meters.(1)
   let op_count () = Ppgr_exec.Meter.read ops
-  let reset_op_count () = Ppgr_exec.Meter.reset ops
-  let op_snapshot () = Ppgr_exec.Meter.snapshot ops
-  let ops_since s = Ppgr_exec.Meter.since ops s
 
   let mul a b =
     Ppgr_exec.Meter.incr ops;

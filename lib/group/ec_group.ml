@@ -112,9 +112,6 @@ end) : Group_intf.GROUP = struct
 
   let random_scalar rng = Bigint.succ (Rng.bigint_below rng (Bigint.pred order))
   let op_count () = Ppgr_exec.Meter.read cv.Ec_curve.ops
-  let reset_op_count () = Ppgr_exec.Meter.reset cv.Ec_curve.ops
-  let op_snapshot () = Ppgr_exec.Meter.snapshot cv.Ec_curve.ops
-  let ops_since s = Ppgr_exec.Meter.since cv.Ec_curve.ops s
 
   let probes =
     [ ("field_invs", fun () -> Ppgr_exec.Meter.read cv.Ec_curve.invs) ]

@@ -108,17 +108,8 @@ module type GROUP = sig
   (** Uniform in [[1, q-1]]. *)
 
   val op_count : unit -> int
-  (** Group multiplications performed since the last reset. *)
-
-  val reset_op_count : unit -> unit
-
-  val op_snapshot : unit -> int
-  (** Current absolute multiplication count, for delta accounting that
-      must not disturb concurrent readers the way a reset would. *)
-
-  val ops_since : int -> int
-  (** [ops_since s] is the multiplications performed since the
-      {!op_snapshot} that returned [s]. *)
+  (** Group multiplications performed so far, on every domain; the
+      operations between two reads are their difference. *)
 
   val probes : (string * (unit -> int)) list
   (** Family-specific cost counters beyond group multiplications, as
@@ -246,16 +237,6 @@ let pow2_pow_each ~pow2 ~pow a e b f =
 (** The window width shared by both families' fixed-base tables. *)
 let fixed_base_window = 4
 
-(** Little-endian base-2^[window] digit decomposition of a non-negative
-    exponent (the addressing scheme of the fixed-base tables). *)
-let window_digits ~window (e : Bigint.t) : int array =
-  if Bigint.sign e < 0 then invalid_arg "window_digits: negative exponent";
-  let nb = Bigint.numbits e in
-  let n = Stdlib.max 1 ((nb + window - 1) / window) in
-  let mask = Bigint.of_int ((1 lsl window) - 1) in
-  Array.init n (fun i ->
-      Bigint.to_int_exn (Bigint.logand (Bigint.shift_right e (i * window)) mask))
-
 (** Strip a group of its fixed-base, simultaneous-exponentiation and
     batch machinery: [pow_gen]/[pow_table]/[pow2] fall back to plain
     variable-base [pow], [inv_batch] to one [inv] per element and
@@ -292,8 +273,5 @@ module Naive (G : GROUP) : GROUP with type element = G.element = struct
   let pp = G.pp
   let random_scalar = G.random_scalar
   let op_count = G.op_count
-  let reset_op_count = G.reset_op_count
-  let op_snapshot = G.op_snapshot
-  let ops_since = G.ops_since
   let probes = G.probes
 end

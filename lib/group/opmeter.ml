@@ -28,9 +28,3 @@ let full_exps = Ppgr_exec.Meter.create ()
 let tick () = Ppgr_exec.Meter.incr full_exps
 let tick_n k = Ppgr_exec.Meter.add full_exps k
 let count () = Ppgr_exec.Meter.read full_exps
-let reset () = Ppgr_exec.Meter.reset full_exps
-
-type snapshot = Ppgr_exec.Meter.snapshot
-
-let snapshot () = Ppgr_exec.Meter.snapshot full_exps
-let since s = Ppgr_exec.Meter.since full_exps s

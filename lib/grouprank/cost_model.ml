@@ -82,11 +82,11 @@ module He_model = struct
   let measure_mpe (g : Ppgr_group.Group_intf.group) ~samples rng =
     let module G = (val g) in
     let x = G.pow_gen (G.random_scalar rng) in
-    let s = G.op_snapshot () in
+    let s = G.op_count () in
     for _ = 1 to samples do
       ignore (G.pow x (G.random_scalar rng))
     done;
-    float_of_int (G.ops_since s) /. float_of_int samples
+    float_of_int (G.op_count () - s) /. float_of_int samples
 
   (* Each session's critical ops per step, read off its n+4 rounds: 0
      announce, 1 encrypt, 2 compare, 3..n+2 the hops (averaged), n+3

@@ -285,8 +285,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     net_rounds : Ppgr_mpcnet.Netsim.schedule;
         (* physical traffic per protocol step, replayable on a topology *)
     links : Transport.link list; (* per-directed-link physical traffic *)
-    flows : Transport.flow list;
-        (* causal ledger (empty unless tracing was on) *)
     flight : Ppgr_obs.Flightrec.t; (* recent-wire-event ring, per party *)
     per_party_ops : int array; (* group operations in each party's spans *)
     per_party_exps : int array; (* full-size exponentiations, likewise *)
@@ -474,11 +472,11 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         ~attrs:((("party", Trace.Int j) :: attrs) @ shard_attrs)
         ("runtime." ^ step)
         (fun () ->
-          let ops0 = G.op_snapshot () and exps0 = Ppgr_group.Opmeter.snapshot () in
+          let ops0 = G.op_count () and exps0 = Ppgr_group.Opmeter.count () in
           let r = f () in
-          let d = G.ops_since ops0 in
+          let d = G.op_count () - ops0 in
           ops.(j) <- ops.(j) + d;
-          exps.(j) <- exps.(j) + Ppgr_group.Opmeter.since exps0;
+          exps.(j) <- exps.(j) + Ppgr_group.Opmeter.count () - exps0;
           step_ops.(k) <- Stdlib.max step_ops.(k) d;
           r)
     in
@@ -655,7 +653,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       transcript_sha = Transport.transcript_sha tr;
       net_rounds;
       links = Transport.links tr;
-      flows = Transport.flows tr;
       flight = Transport.flight tr;
       per_party_ops = ops;
       per_party_exps = exps;

@@ -319,7 +319,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
           let size = Array.length ms in
           let shard_rng = Rng.split rng ~label:("shard-" ^ string_of_int i) in
           let t0 = Unix.gettimeofday () in
-          let ops0 = G.op_snapshot () in
+          let ops0 = G.op_count () in
           let sha, bytes =
             if size = 1 then begin
               (* A singleton shard needs no ring: its member ranks
@@ -336,7 +336,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
               (st.R.transcript_sha, st.R.bytes_on_wire)
             end
           in
-          let ops = G.ops_since ops0 in
+          let ops = G.op_count () - ops0 in
           group_ops := !group_ops + ops;
           let wall = Unix.gettimeofday () -. t0 in
           Sha256.feed_string ctx sha;

@@ -132,27 +132,6 @@ let winspec_of_string s =
 
 let winspec_to_string ws = Printf.sprintf "window=%d,rto=%d" ws.ws_window ws.ws_rto
 
-(** One entry of the causal ledger: a delivered message's identity
-    [(src, dst, seq)] with the wall-clock times, open span ids and
-    domain slots of its send and accept.  Kept strictly {e off the
-    wire} — never serialized, hashed, or consulted by protocol logic —
-    so recording flows cannot perturb transcript digests or RNG
-    splitting.  Populated only while tracing is enabled; the exporters
-    turn it into Perfetto flow arrows. *)
-type flow = {
-  fl_src : int;
-  fl_dst : int;
-  fl_seq : int;
-  fl_step : string;
-  fl_bytes : int; (* payload bytes (logical) *)
-  fl_send_us : float;
-  fl_recv_us : float;
-  fl_send_span : int;
-  fl_recv_span : int;
-  fl_send_slot : int;
-  fl_recv_slot : int;
-}
-
 (** Physical traffic of one directed link. *)
 type link = {
   lk_src : int;
@@ -162,17 +141,13 @@ type link = {
   lk_retrans : int;
 }
 
-(* One posted message awaiting flush, with the causal-ledger send
-   endpoint captured at post (only while tracing). *)
+(* One posted message awaiting flush. *)
 type pending = {
   pd_ticket : int;
   pd_src : int;
   pd_dst : int;
   pd_seq : int;
   pd_payload : Bytes.t;
-  pd_send_us : float;
-  pd_send_span : int;
-  pd_send_slot : int;
 }
 
 type t = {
@@ -195,7 +170,6 @@ type t = {
   retrans_by_src : int array; (* retransmissions charged to the sender *)
   env_by_src : int array; (* envelope-overhead bytes, per sender *)
   flight : Flightrec.t; (* always-on recent-event ring, per party *)
-  mutable flows_rev : flow list; (* causal ledger; tracing-gated *)
   mutable step : string;
   mutable round_rev : Netsim.message list; (* current step's attempts *)
   mutable rounds_rev : (string * Netsim.message list) list;
@@ -238,7 +212,6 @@ let create ?faults ?(retry_budget = 8) ?(flight_cap = Flightrec.default_capacity
     retrans_by_src = Array.make n 0;
     env_by_src = Array.make n 0;
     flight = Flightrec.create ~parties:n ~capacity:flight_cap ();
-    flows_rev = [];
     step = "init";
     round_rev = [];
     rounds_rev = [];
@@ -252,34 +225,6 @@ let retrans_by_src t = Array.copy t.retrans_by_src
 let env_bytes_by_src t = Array.copy t.env_by_src
 let flight t = t.flight
 let transcript_sha t = Sha256.hex_of_digest t.digest
-
-(** The causal ledger in accept order (empty unless tracing was enabled
-    during the run). *)
-let flows t = List.rev t.flows_rev
-
-(** Render ledger entries as exporter flow arrows (ids are positions in
-    the list — unique within one trace). *)
-let flows_to_export (fls : flow list) : Ppgr_obs.Export.flow list =
-  List.mapi
-    (fun i fl ->
-      {
-        Ppgr_obs.Export.flow_name = "msg." ^ fl.fl_step;
-        flow_id = i;
-        flow_src_slot = fl.fl_send_slot;
-        flow_dst_slot = fl.fl_recv_slot;
-        flow_send_us = fl.fl_send_us;
-        flow_recv_us = fl.fl_recv_us;
-        flow_args =
-          [
-            ("src", Trace.Int fl.fl_src);
-            ("dst", Trace.Int fl.fl_dst);
-            ("seq", Trace.Int fl.fl_seq);
-            ("bytes", Trace.Int fl.fl_bytes);
-            ("send_span", Trace.Int fl.fl_send_span);
-            ("recv_span", Trace.Int fl.fl_recv_span);
-          ];
-      })
-    fls
 
 (** Per-directed-link physical traffic, links that carried anything,
     row-major.  Sums to [stats]' [phys_messages]/[phys_bytes] — a
@@ -301,8 +246,6 @@ let links t =
     done
   done;
   !out
-
-let now_us () = Unix.gettimeofday () *. 1e6
 
 (** Close the current step's physical round.  Called by the runtime at
     every protocol-step boundary so the schedule mirrors the protocol
@@ -405,21 +348,16 @@ let post t ~src ~dst (payload : Bytes.t) =
   t.posted_n <- t.posted_n + 1;
   let seq = t.send_seq.(src).(dst) in
   t.send_seq.(src).(dst) <- seq + 1;
-  (* Causal-ledger send endpoint, captured where the protocol decided
-     to send.  Tracing off → no clock reads. *)
-  let tracing = Trace.enabled () in
   t.posted <-
-    {
-      pd_ticket = ticket;
-      pd_src = src;
-      pd_dst = dst;
-      pd_seq = seq;
-      pd_payload = payload;
-      pd_send_us = (if tracing then now_us () else 0.);
-      pd_send_span = (if tracing then Trace.current_span_id () else -1);
-      pd_send_slot = (if tracing then Ppgr_exec.Meter.slot () else 0);
-    }
+    { pd_ticket = ticket; pd_src = src; pd_dst = dst; pd_seq = seq; pd_payload = payload }
     :: t.posted;
+  (* The tail of the message's trace arrow, where the protocol decided
+     to send; the exporter pairs it with the accept by (src, dst, seq)
+     (DESIGN.md §5i). *)
+  if Trace.enabled () then
+    Trace.instant
+      ~attrs:[ ("src", Trace.Int src); ("dst", Trace.Int dst); ("seq", Trace.Int seq) ]
+      "msg.send";
   ticket
 
 (* Deliver one posted message: attempt after attempt until the receiver
@@ -466,25 +404,20 @@ let deliver t (p : pending) =
     t.recv_seq.(src).(dst) <- seq + 1;
     Flightrec.record t.flight ~party:dst Flightrec.Receive ~src ~dst ~seq
       ~info:(Bytes.length payload);
-    (* Causal-ledger accept endpoint: after every retransmission the
-       fault schedule demanded, so the arrow's extent is the message's
-       true delivery latency. *)
+    (* The arrow's head: after every retransmission the fault schedule
+       demanded, so the arrow spans the message's true delivery
+       latency. *)
     if Trace.enabled () then
-      t.flows_rev <-
-        {
-          fl_src = src;
-          fl_dst = dst;
-          fl_seq = seq;
-          fl_step = t.step;
-          fl_bytes = Bytes.length payload;
-          fl_send_us = p.pd_send_us;
-          fl_recv_us = now_us ();
-          fl_send_span = p.pd_send_span;
-          fl_recv_span = Trace.current_span_id ();
-          fl_send_slot = p.pd_send_slot;
-          fl_recv_slot = Ppgr_exec.Meter.slot ();
-        }
-        :: t.flows_rev;
+      Trace.instant
+        ~attrs:
+          [
+            ("src", Trace.Int src);
+            ("dst", Trace.Int dst);
+            ("seq", Trace.Int seq);
+            ("step", Trace.Str t.step);
+            ("bytes", Trace.Int (Bytes.length payload));
+          ]
+        "msg.accept";
     let ack =
       Wire.encode_ack { Wire.ack_src = dst; ack_dst = src; ack_cum = seq + 1 }
     in

@@ -8,7 +8,8 @@
     JSON dependency — and is deliberately minimal: complete events
     ([ph:"X"]) on one process, one thread id per domain slot, span
     attributes in [args].  Cross-party causality is rendered as
-    flow events ([ph:"s"]/[ph:"f"]): Perfetto draws an arrow from the
+    flow events ([ph:"s"]/[ph:"f"]) paired from the transport's
+    [msg.send]/[msg.accept] instants: Perfetto draws an arrow from the
     sender's slice to the receiver's, binding each endpoint to the
     slice enclosing its (pid, tid, ts) coordinate. *)
 
@@ -47,32 +48,44 @@ let buf_add_attrs b attrs =
 
 (** {1 Chrome trace-event format} *)
 
-(** One causal arrow: drawn from the sender's open slice at
-    [flow_send_us] on lane [flow_src_slot] to the receiver's at
-    [flow_recv_us] on lane [flow_dst_slot].  The transport builds these
-    from its off-wire ledger ([Transport.flows]); the ids only need to
-    be unique within one trace. *)
-type flow = {
-  flow_name : string;
-  flow_id : int;
-  flow_src_slot : int;
-  flow_dst_slot : int;
-  flow_send_us : float;
-  flow_recv_us : float;
-  flow_args : (string * Trace.attr) list;
-}
+(* Message arrows.  The transport marks each logical message with a
+   [msg.send] instant where it is posted and a [msg.accept] instant where
+   its receiver accepts a copy, both keyed by (src, dst, seq).  Each
+   accept pairs with the latest unpaired send of its key earlier in the
+   list: a resumed attempt re-posts a killed message under the same key,
+   and a re-elected session restarts every seq at 0.  A send left
+   unpaired, the message a crash stopped, draws no arrow. *)
+let int_attr (sp : Trace.span) k =
+  match List.assoc_opt k sp.attrs with Some (Trace.Int v) -> v | _ -> -1
 
-let flow_event b f ~finish =
+let message_pairs (spans : Trace.span list) =
+  let key sp = (int_attr sp "src", int_attr sp "dst", int_attr sp "seq") in
+  let sends = Hashtbl.create 64 in
+  List.filter_map
+    (fun (sp : Trace.span) ->
+      match sp.name with
+      | "msg.send" ->
+          Hashtbl.add sends (key sp) sp;
+          None
+      | "msg.accept" ->
+          Option.map
+            (fun send ->
+              Hashtbl.remove sends (key sp);
+              (send, sp))
+            (Hashtbl.find_opt sends (key sp))
+      | _ -> None)
+    spans
+
+(* One end of arrow [id], at its instant's lane and time. *)
+let flow_event b ~id ~name ~args (sp : Trace.span) ~finish =
   Buffer.add_string b "{\"name\":";
-  buf_add_json_string b f.flow_name;
+  buf_add_json_string b name;
   Buffer.add_string b ",\"cat\":\"ppgr.flow\",\"ph\":";
   Buffer.add_string b (if finish then "\"f\",\"bp\":\"e\"" else "\"s\"");
-  Buffer.add_string b (Printf.sprintf ",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":" f.flow_id
-                         (if finish then f.flow_dst_slot else f.flow_src_slot));
   Buffer.add_string b
-    (Printf.sprintf "%.1f" (if finish then f.flow_recv_us else f.flow_send_us));
-  Buffer.add_string b ",\"args\":";
-  buf_add_attrs b f.flow_args;
+    (Printf.sprintf ",\"id\":%d,\"pid\":0,\"tid\":%d,\"ts\":%.1f,\"args\":" id
+       sp.slot sp.start_us);
+  buf_add_attrs b args;
   Buffer.add_char b '}'
 
 let chrome_event b (sp : Trace.span) =
@@ -86,7 +99,7 @@ let chrome_event b (sp : Trace.span) =
   buf_add_attrs b (("span_id", Trace.Int sp.id) :: ("parent", Trace.Int sp.parent) :: sp.attrs);
   Buffer.add_char b '}'
 
-let chrome_string ?(flows = []) (spans : Trace.span list) =
+let chrome_string (spans : Trace.span list) =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   (* Name the per-slot tracks so Perfetto shows "main" / "worker k". *)
@@ -104,17 +117,28 @@ let chrome_string ?(flows = []) (spans : Trace.span list) =
       Buffer.add_string b ",\n";
       chrome_event b sp)
     spans;
-  List.iter
-    (fun f ->
+  List.iteri
+    (fun id ((send : Trace.span), (accept : Trace.span)) ->
+      let name =
+        match List.assoc_opt "step" accept.attrs with
+        | Some (Trace.Str step) -> "msg." ^ step
+        | _ -> "msg"
+      in
+      let args =
+        List.map
+          (fun k -> (k, Trace.Int (int_attr accept k)))
+          [ "src"; "dst"; "seq"; "bytes" ]
+        @ [ ("send_span", Trace.Int send.parent); ("recv_span", Trace.Int accept.parent) ]
+      in
       Buffer.add_string b ",\n";
-      flow_event b f ~finish:false;
+      flow_event b ~id ~name ~args send ~finish:false;
       Buffer.add_string b ",\n";
-      flow_event b f ~finish:true)
-    flows;
+      flow_event b ~id ~name ~args accept ~finish:true)
+    (message_pairs spans);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_chrome ?flows path spans =
+let write_chrome path spans =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (chrome_string ?flows spans))
+      output_string oc (chrome_string spans))

@@ -94,11 +94,6 @@ let current_parent () =
   | sp :: _ -> sp.id
   | [] -> if Ppgr_exec.Pool.in_parallel_task () then !batch_parent else -1
 
-(* The innermost open span of the calling domain (batch parent inside a
-   pool task, -1 outside any span) — the anchor the causal flow ledger
-   records so exported flow arrows bind to the enclosing slice. *)
-let current_span_id = current_parent
-
 let on_main_domain () =
   Ppgr_exec.Meter.slot () = 0 && not (Ppgr_exec.Pool.in_parallel_task ())
 

@@ -42,12 +42,6 @@ val spans : unit -> span list
 (** All recorded spans in deterministic (slot, open-order) order.  Call
     on the main domain outside parallel regions. *)
 
-val current_span_id : unit -> int
-(** Id of the innermost open span of the calling domain (the batch
-    parent inside a pool task with no local span, -1 outside any
-    span) — the anchor the transport's causal flow ledger records so
-    exported flow arrows bind to the enclosing slice. *)
-
 val capture : (unit -> 'a) -> 'a * span list
 (** [capture f] runs [f] with tracing enabled on a fresh buffer and
     returns its result with the recorded spans; previous enabled state

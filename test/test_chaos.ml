@@ -324,8 +324,8 @@ module Invariant (G : Group_intf.GROUP) = struct
   module RT = Runtime.Make (G)
 
   (* Telemetry on is everything the CLI's observability flags switch
-     on: span tracing with probe sampling and the causal flow ledger.
-     Returns the run and its spans. *)
+     on: span tracing with probe sampling, the message instants
+     included.  Returns the run and its spans. *)
   let with_telemetry f =
     let probes =
       ("exps", Opmeter.count) :: ("group_mults", G.op_count) :: G.probes
@@ -381,11 +381,14 @@ module Invariant (G : Group_intf.GROUP) = struct
                                 (fun (sp : Trace.span) ->
                                   sp.Trace.name = "runtime.ring")
                                 spans));
-                      (* The causal ledger: one flow per logical
-                         message when traced, none otherwise. *)
+                      (* The arrow heads: one msg.accept instant per
+                         logical message when traced, none otherwise. *)
                       Alcotest.(check int) (what ^ ": flows")
                         (if telemetry then st.RT.messages else 0)
-                        (List.length st.RT.flows))
+                        (List.length
+                           (List.filter
+                              (fun (sp : Trace.span) -> sp.Trace.name = "msg.accept")
+                              spans)))
                     [ false; true ])
                 [
                   ("stop-and-wait", None);

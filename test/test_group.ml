@@ -61,7 +61,6 @@ let group_suite name (g : Group_intf.group) =
             (Bigint.compare x Bigint.zero > 0 && Bigint.compare x G.order < 0)
         done);
     Alcotest.test_case (name ^ ": op counter moves") `Quick (fun () ->
-        G.reset_op_count ();
         let a = random_elt () in
         let before = G.op_count () in
         ignore (G.mul a a);
@@ -237,7 +236,7 @@ let ec_structural_tests =
            Jacobian scalar_mul2/scalar_mul.  On a curve this small equal
            x-coordinates meet often, and e = 0 meets infinity, so chunks
            fall back as well as finish affine. *)
-        let fb = Ppgr_exec.Meter.snapshot cv.Ec_curve.fallbacks in
+        let fb = Ppgr_exec.Meter.read cv.Ec_curve.fallbacks in
         let chunks = ref 0 in
         let rec go lo =
           if lo < q then begin
@@ -259,7 +258,7 @@ let ec_structural_tests =
           end
         in
         go 0;
-        let fell = Ppgr_exec.Meter.since cv.Ec_curve.fallbacks fb in
+        let fell = Ppgr_exec.Meter.read cv.Ec_curve.fallbacks - fb in
         if fell = 0 || fell = !chunks then
           Alcotest.failf "%d of %d chunks fell back: both paths must run" fell !chunks);
     Alcotest.test_case "batch ladders: b = a, b = -a, identity, zero, e >= q" `Quick
@@ -267,7 +266,7 @@ let ec_structural_tests =
         let k = Ec_curve.batch_crossover + 4 in
         let pt i = Ec_curve.scalar_mul cv g (Bigint.of_int ((i * 389) + 17)) in
         let check label ~falls a e b f =
-          let fb = Ppgr_exec.Meter.snapshot cv.Ec_curve.fallbacks in
+          let fb = Ppgr_exec.Meter.read cv.Ec_curve.fallbacks in
           let r1, r2 = batch a e b f in
           Array.iteri
             (fun i _ ->
@@ -278,7 +277,7 @@ let ec_structural_tests =
             a;
           if falls then
             Alcotest.(check int) (label ^ ": fell back") 1
-              (Ppgr_exec.Meter.since cv.Ec_curve.fallbacks fb)
+              (Ppgr_exec.Meter.read cv.Ec_curve.fallbacks - fb)
         in
         let a = Array.init k pt in
         let e = Array.init k (fun i -> Bigint.of_int ((i * 577) + 3))

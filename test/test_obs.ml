@@ -384,13 +384,13 @@ let faults_suite =
           s.R.phys_messages);
   ]
 
-(* ---- Telemetry: flow arrows, and the proof that switching telemetry
-   on cannot change the protocol ---- *)
+(* ---- Telemetry: flow arrows paired from the message instants, and
+   the proof that switching telemetry on cannot change the protocol ---- *)
 
 let obsv2_spec = "drop=0.1,corrupt=0.1,dup=0.1,delay=0.2,maxdelay=4,seed=obsv2"
 
 (* One faulty run, telemetry on or off.  [on] means the full stack:
-   span capture and the causal ledger. *)
+   span capture with the message instants. *)
 let run_obsv2 ~telemetry () =
   let rng = Rng.create ~seed:"obsv2-inv" in
   let betas = Array.map Bigint.of_int [| 3; 9; 1; 14 |] in
@@ -398,38 +398,123 @@ let run_obsv2 ~telemetry () =
   let go () = R.run ~faults rng ~l:6 ~betas in
   if telemetry then fst (Trace.capture go) else go ()
 
+(* [f] on the obsv2 inputs, traced: its result and spans. *)
+let traced_obsv2 f =
+  let rng = Rng.create ~seed:"obsv2-inv" in
+  let betas = Array.map Bigint.of_int [| 3; 9; 1; 14 |] in
+  let faults = Ppgr_mpcnet.Faultplan.spec_of_string obsv2_spec in
+  Trace.capture (fun () -> f ~faults rng ~betas)
+
+(* The ppgr.flow events of a rendered trace, as (ph, id, ts). *)
+let flow_events doc =
+  let after line key =
+    let n = String.length key in
+    let rec at i =
+      if i + n > String.length line then None
+      else if String.sub line i n = key then Some (i + n)
+      else at (i + 1)
+    in
+    at 0
+  in
+  let field line key =
+    match after line key with
+    | Some i -> String.sub line i (String.index_from line i ',' - i)
+    | None -> Alcotest.failf "no %s in %s" key line
+  in
+  List.filter_map
+    (fun line ->
+      match after line "\"cat\":\"ppgr.flow\"" with
+      | None -> None
+      | Some _ ->
+          Some
+            ( field line "\"ph\":",
+              int_of_string (field line "\"id\":"),
+              float_of_string (field line "\"ts\":") ))
+    (String.split_on_char '\n' doc)
+
+(* A traced run's arrows: its rendered trace holds one ph:"s" and one
+   ph:"f" ppgr.flow event per msg.accept instant, so every accept
+   paired with an earlier send, and each arrow's send is no later than
+   its accept.  Returns the number of accepts. *)
+let check_arrows what spans =
+  let accepts =
+    List.length
+      (List.filter (fun (sp : Trace.span) -> sp.Trace.name = "msg.accept") spans)
+  in
+  let evs = flow_events (Export.chrome_string spans) in
+  let phase ph = List.filter (fun (p, _, _) -> p = ph) evs in
+  let starts = phase "\"s\"" and finishes = phase "\"f\"" in
+  Alcotest.(check int) (what ^ ": every accept pairs, one ph:s each") accepts
+    (List.length starts);
+  Alcotest.(check int) (what ^ ": one ph:f per accept") accepts
+    (List.length finishes);
+  List.iter
+    (fun (_, id, sent) ->
+      match List.find_opt (fun (_, id', _) -> id' = id) finishes with
+      | Some (_, _, accepted) when sent <= accepted -> ()
+      | _ -> Alcotest.failf "%s: arrow %d sent at %.1f has no later accept" what id sent)
+    starts;
+  accepts
+
+(* The msg.send instants whose (src, dst, seq) key, which is all a
+   send carries, an earlier send already had. *)
+let repeated_sends spans =
+  let keys =
+    List.filter_map
+      (fun (sp : Trace.span) ->
+        if sp.Trace.name = "msg.send" then Some sp.Trace.attrs else None)
+      spans
+  in
+  List.length keys - List.length (List.sort_uniq compare keys)
+
 let obsv2_suite =
   [
     Alcotest.test_case "chrome flow arrows extend the golden exactly" `Quick
       (fun () ->
         let spans = golden_spans () in
-        let flow =
-          {
-            Export.flow_name = "msg.compare";
-            flow_id = 3;
-            flow_src_slot = 0;
-            flow_dst_slot = 1;
-            flow_send_us = 101.;
-            flow_recv_us = 106.5;
-            flow_args = [ ("src", Trace.Int 0) ];
-          }
-        in
+        let outer = (List.hd spans).Trace.id in
         let base = Export.chrome_string spans in
-        let tail = "\n]}\n" in
-        let trunk = String.sub base 0 (String.length base - String.length tail) in
-        let expect =
-          trunk
-          ^ ",\n\
-             {\"name\":\"msg.compare\",\"cat\":\"ppgr.flow\",\"ph\":\"s\",\"id\":3,\"pid\":0,\"tid\":0,\"ts\":101.0,\"args\":{\"src\":0}},\n\
-             {\"name\":\"msg.compare\",\"cat\":\"ppgr.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":3,\"pid\":0,\"tid\":1,\"ts\":106.5,\"args\":{\"src\":0}}"
-          ^ tail
+        (* The golden's two span events, verbatim. *)
+        let golden_events =
+          match String.split_on_char '\n' base with
+          | [ _; _; outer_ev; inner_ev; _; _ ] -> outer_ev ^ "\n" ^ inner_ev
+          | _ -> Alcotest.fail "unexpected golden shape"
         in
-        Alcotest.(check string) "chrome + flows"
-          expect
-          (Export.chrome_string ~flows:[ flow ] spans);
-        (* No flows — byte-identical to the PR 4 exporter. *)
-        Alcotest.(check string) "empty flows is the old golden" base
-          (Export.chrome_string ~flows:[] spans));
+        let instant name ~id ~parent ~slot ~us attrs =
+          { Trace.id; parent; name; slot; seq = id; start_us = us; dur_us = 0.; attrs }
+        in
+        let key = [ ("src", Trace.Int 0); ("dst", Trace.Int 1); ("seq", Trace.Int 3) ] in
+        let send = instant "msg.send" ~id:900 ~parent:outer ~slot:0 ~us:101. key in
+        let accept =
+          instant "msg.accept" ~id:901 ~parent:7 ~slot:1 ~us:106.5
+            (key @ [ ("step", Trace.Str "compare"); ("bytes", Trace.Int 42) ])
+        in
+        let expect =
+          Printf.sprintf
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"main\"}},\n\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"args\":{\"name\":\"worker-1\"}},\n\
+             %s,\n\
+             {\"name\":\"msg.send\",\"cat\":\"ppgr\",\"ph\":\"X\",\"ts\":101.0,\"dur\":0.0,\"pid\":0,\"tid\":0,\"args\":{\"span_id\":900,\"parent\":%d,\"src\":0,\"dst\":1,\"seq\":3}},\n\
+             {\"name\":\"msg.accept\",\"cat\":\"ppgr\",\"ph\":\"X\",\"ts\":106.5,\"dur\":0.0,\"pid\":0,\"tid\":1,\"args\":{\"span_id\":901,\"parent\":7,\"src\":0,\"dst\":1,\"seq\":3,\"step\":\"compare\",\"bytes\":42}},\n\
+             {\"name\":\"msg.compare\",\"cat\":\"ppgr.flow\",\"ph\":\"s\",\"id\":0,\"pid\":0,\"tid\":0,\"ts\":101.0,\"args\":{\"src\":0,\"dst\":1,\"seq\":3,\"bytes\":42,\"send_span\":%d,\"recv_span\":7}},\n\
+             {\"name\":\"msg.compare\",\"cat\":\"ppgr.flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":0,\"pid\":0,\"tid\":1,\"ts\":106.5,\"args\":{\"src\":0,\"dst\":1,\"seq\":3,\"bytes\":42,\"send_span\":%d,\"recv_span\":7}}\n\
+             ]}\n"
+            golden_events outer outer outer
+        in
+        Alcotest.(check string) "chrome + one arrow" expect
+          (Export.chrome_string (spans @ [ send; accept ]));
+        (* A send without a later accept draws nothing, and an accept
+           pairs with the latest unpaired send of its key. *)
+        let arrows extra = flow_events (Export.chrome_string (spans @ extra)) in
+        Alcotest.(check int) "unpaired send" 0 (List.length (arrows [ send ]));
+        Alcotest.(check int) "accept before its send" 0
+          (List.length (arrows [ accept; send ]));
+        let resent = { send with Trace.id = 902; start_us = 103. } in
+        Alcotest.(check (list (triple string int (float 0.))))
+          "latest send wins"
+          [ ("\"s\"", 0, 103.); ("\"f\"", 0, 106.5) ]
+          (arrows [ send; resent; accept ]));
     Alcotest.test_case "telemetry leaves the transcript untouched" `Quick
       (fun () ->
         let off = run_obsv2 ~telemetry:false () in
@@ -439,22 +524,33 @@ let obsv2_suite =
         Alcotest.(check (array int)) "same ranks" off.R.ranks on.R.ranks;
         Alcotest.(check int) "same retransmits" off.R.retransmits
           on.R.retransmits);
-    Alcotest.test_case "causal ledger is complete and causal" `Quick
-      (fun () ->
-        let off = run_obsv2 ~telemetry:false () in
-        Alcotest.(check int) "no tracing, no ledger" 0
-          (List.length off.R.flows);
-        let on = run_obsv2 ~telemetry:true () in
-        Alcotest.(check int) "one flow per logical message" on.R.messages
-          (List.length on.R.flows);
-        List.iter
-          (fun (f : Transport.flow) ->
-            if f.Transport.fl_recv_us < f.Transport.fl_send_us then
-              Alcotest.failf "flow %s seq=%d received before sent"
-                f.Transport.fl_step f.Transport.fl_seq;
-            if f.Transport.fl_step = "" then
-              Alcotest.fail "flow missing its protocol step")
-          on.R.flows);
+    Alcotest.test_case "message arrows pair every accept" `Quick (fun () ->
+        let st, spans =
+          traced_obsv2 (fun ~faults rng ~betas -> R.run ~faults rng ~l:6 ~betas)
+        in
+        Alcotest.(check int) "one msg.accept per logical message" st.R.messages
+          (check_arrows "obsv2" spans));
+    Alcotest.test_case "arrows pair across a resume" `Quick (fun () ->
+        (* The resumed attempt re-posts the killed step's messages under
+           the same (src, dst, seq). *)
+        let rc, spans =
+          traced_obsv2 (fun ~faults rng ~betas ->
+              R.run_with_restart ~faults ~max_restarts:1 ~kill_after:30 rng ~l:6
+                ~betas)
+        in
+        Alcotest.(check int) "resumed once" 1 rc.R.rec_resumes;
+        Alcotest.(check bool) "a key repeats" true (repeated_sends spans > 0);
+        ignore (check_arrows "resume" spans));
+    Alcotest.test_case "arrows pair across a re-election" `Quick (fun () ->
+        (* The re-elected session restarts every seq at 0. *)
+        let rc, spans =
+          traced_obsv2 (fun ~faults rng ~betas ->
+              R.run_with_restart ~faults ~max_restarts:0 ~kill_after:30 rng ~l:6
+                ~betas)
+        in
+        Alcotest.(check bool) "re-elected" true (rc.R.rec_reelected <> None);
+        Alcotest.(check bool) "a key repeats" true (repeated_sends spans > 0);
+        ignore (check_arrows "re-election" spans));
     Alcotest.test_case "summary table carries env_bytes and retransmits"
       `Quick (fun () ->
         (* Satellite of §5i: the per-phase table's physical columns tile

@@ -91,7 +91,6 @@ let engine_suite name (g : Group_intf.group) =
         Alcotest.(check bool) "identity right leg" true
           (G.equal (G.pow2 a e G.identity f) (N.pow a e)));
     Alcotest.test_case (name ^ ": table ops are counted") `Quick (fun () ->
-        G.reset_op_count ();
         let x = random_elt () in
         let before = G.op_count () in
         let tbl = G.powtable x in
@@ -106,12 +105,12 @@ let engine_suite name (g : Group_intf.group) =
         let x = random_elt () in
         let tbl = G.powtable x in
         let e = G.random_scalar rng in
-        G.reset_op_count ();
+        let ops0 = G.op_count () in
         ignore (G.pow_table tbl e);
-        let fixed = G.op_count () in
-        G.reset_op_count ();
+        let fixed = G.op_count () - ops0 in
+        let ops1 = G.op_count () in
         ignore (G.pow x e);
-        let variable = G.op_count () in
+        let variable = G.op_count () - ops1 in
         Alcotest.(check bool)
           (Printf.sprintf "fixed %d < variable %d" fixed variable)
           true (fixed < variable));
@@ -361,10 +360,10 @@ let powtable_batch_normalization =
         let module G = (val Dl_group.dl_1024 ()) in
         let probe = List.assoc "field_invs" G.probes in
         let els = Array.init 32 (fun _ -> G.pow_gen (G.random_scalar rng)) in
-        let before = probe () and ops0 = G.op_snapshot () in
+        let before = probe () and ops0 = G.op_count () in
         ignore (G.inv_batch els);
         Alcotest.(check int) "one inversion" 1 (probe () - before);
-        Alcotest.(check int) "ops" ((3 * 31) + 1) (G.ops_since ops0);
+        Alcotest.(check int) "ops" ((3 * 31) + 1) (G.op_count () - ops0);
         let mid = probe () in
         Array.iter (fun x -> ignore (G.inv x)) els;
         Alcotest.(check int) "one per inv" 32 (probe () - mid));
@@ -382,15 +381,15 @@ let powtable_batch_normalization =
         let a = Array.init k (fun _ -> el ()) and b = Array.init k (fun _ -> el ()) in
         let e = Array.init k (fun _ -> G.random_scalar rng)
         and f = Array.init k (fun _ -> G.random_scalar rng) in
-        let ops0 = G.op_snapshot () and muls0 = Bigint.mul_count () in
+        let ops0 = G.op_count () and muls0 = Bigint.mul_count () in
         for i = 0 to k - 1 do
           ignore (G.pow2 a.(i) e.(i) b.(i) f.(i));
           ignore (G.pow b.(i) e.(i))
         done;
-        let each_ops = G.ops_since ops0 and each_muls = Bigint.mul_count () - muls0 in
-        let ops1 = G.op_snapshot () and muls1 = Bigint.mul_count () and inv1 = probe () in
+        let each_ops = G.op_count () - ops0 and each_muls = Bigint.mul_count () - muls0 in
+        let ops1 = G.op_count () and muls1 = Bigint.mul_count () and inv1 = probe () in
         G.pow2_pow_batch (Array.copy a) e (Array.copy b) f;
-        Alcotest.(check int) "ops" (each_ops - (4 * k)) (G.ops_since ops1);
+        Alcotest.(check int) "ops" (each_ops - (4 * k)) (G.op_count () - ops1);
         let invs = probe () - inv1 in
         let positions = Bigint.numbits G.order + 1 in
         if invs < 5 || invs > 5 + (3 * positions) then

@@ -197,7 +197,7 @@ module Battery (G : Group_intf.GROUP) = struct
         in
         List.iter
           (fun (what, field, frame) ->
-            let ops0 = G.op_snapshot () in
+            let ops0 = G.op_count () in
             match RT.run ~resume:frame (Rng.create ~seed) ~l ~betas with
             | _ -> Alcotest.fail (what ^ ": expected Wire.Malformed")
             | exception Wire.Malformed msg ->
@@ -206,7 +206,7 @@ module Battery (G : Group_intf.GROUP) = struct
                   true
                   (String.starts_with ~prefix:("checkpoint " ^ field ^ " ") msg);
                 Alcotest.(check int) (what ^ ": no group op before refusal") 0
-                  (G.ops_since ops0))
+                  (G.op_count () - ops0))
           [
             ( "step-3 frame, ck_step = n+4", "ck_step",
               mutate 2 (fun c -> { c with Wire.ck_step = n + 4 }) );
@@ -394,9 +394,9 @@ let dl_above_q_cases =
         let ck_v = Array.copy c.Wire.ck_v in
         ck_v.(1) <- flip_first ck_v.(1);
         let frame = Wire.encode_checkpoint { c with Wire.ck_v } in
-        let ops0 = G_dl.op_snapshot () in
+        let ops0 = G_dl.op_count () in
         refused (fun () -> Dl.RT.run ~resume:frame (Rng.create ~seed) ~l ~betas);
-        Alcotest.(check int) "no group op before refusal" 0 (G_dl.ops_since ops0));
+        Alcotest.(check int) "no group op before refusal" 0 (G_dl.op_count () - ops0));
     Alcotest.test_case "DL hop frame with an element above q refused" `Quick
       (fun () ->
         let _, cks = Lazy.force Dl.golden in

@@ -27,9 +27,9 @@ let suite (name, g) =
     let own_bits = bits () in
     let enc_bits = Array.map (RT.E.encrypt_exp_int_with rng tbl) (bits ()) in
     let run naive_omega =
-      let s = G.op_snapshot () in
+      let s = G.op_count () in
       let c = RT.compare_circuit ~naive_omega ~l ~own_bits enc_bits in
-      (c, G.ops_since s)
+      (c, G.op_count () - s)
     in
     (run false, run true)
   in
@@ -141,12 +141,12 @@ let suite (name, g) =
             let betas =
               Array.init n (fun _ -> Rng.bigint_below rng (Bigint.nth_bit_weight l))
             in
-            let before = Opmeter.snapshot () in
+            let before = Opmeter.count () in
             ignore (RT.run rng ~l ~betas);
             Alcotest.(check int)
               (Printf.sprintf "n=%d l=%d" n l)
               (n * Cost_model.He_model.analytic_exps ~n ~l)
-              (Opmeter.since before))
+              (Opmeter.count () - before))
           [ 3; 4; 5 ]);
     Alcotest.test_case (name ^ ": rejects out-of-range beta") `Quick (fun () ->
         Alcotest.(check bool) "raises" true
