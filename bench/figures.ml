@@ -191,7 +191,6 @@ let fig3b ~dl ~ecc ~field_cal () =
         let sm = ss_net_model ~l in
         let sched =
           Cost_model.Ss_model.schedule ~faithful sm ~n ~field_bytes:12
-            ~sec_per_field_mult:field_cal ~sec_per_op:field_cal
         in
         let placement = Netsim.place_parties topo ~parties:n in
         (Netsim.run topo ~placement (Cost.to_netsim ~seconds_per_op:field_cal sched))

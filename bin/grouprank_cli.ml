@@ -149,21 +149,28 @@ let restart_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel hot loops (0 = all recommended \
-     cores).  Defaults to the PPGR_JOBS environment variable, else 1.  \
-     Results are identical at any job count; only wall time changes."
+     cores).  Defaults to the PPGR_JOBS environment variable (a \
+     positive integer, 0 or auto), else 1.  Results are identical at \
+     any job count; only wall time changes."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"K" ~doc)
 
-let apply_jobs = function
-  | None -> () (* leave PPGR_JOBS (or the default of 1) in charge *)
-  | Some k -> Ppgr_exec.Pool.set_jobs k
-
-(* Range checks across flags.  The first failing one is a usage error
-   (exit 124), reported before any protocol work. *)
-let usage_checked checks run =
+(* Range checks across flags, then the job count: [--jobs] overrides
+   PPGR_JOBS without reading it, and without the flag a malformed
+   PPGR_JOBS fails like a malformed flag.  The first failing check is a
+   usage error (exit 124), reported before any protocol work. *)
+let usage_checked ~jobs checks run =
+  let env_jobs () =
+    match Ppgr_exec.Pool.jobs () with
+    | _ -> (true, "")
+    | exception Invalid_argument msg -> (false, msg)
+  in
+  let checks = if jobs = None then checks @ [ env_jobs () ] else checks in
   match List.find_opt (fun (ok, _) -> not ok) checks with
   | Some (_, msg) -> `Error (true, msg)
-  | None -> `Ok (run ())
+  | None ->
+      Option.iter Ppgr_exec.Pool.set_jobs jobs;
+      `Ok (run ())
 
 (* [run] and [simulate] execute phase 2, whose ring needs two parties;
    [rank] seats a singleton shard without one. *)
@@ -193,14 +200,13 @@ let print_abort (f : Transport.forensics) =
 
 let run_cmd group_name n k seed spec h verbose jobs trace metrics faults window
     restart =
-  usage_checked
+  usage_checked ~jobs
     (count_checks ~min_n:2 ~n ~k
     @ [
         (h >= 1, "-h must be at least 1");
         (restart >= 0, "--restart must be at least 0");
       ])
   @@ fun () ->
-  apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
@@ -404,7 +410,7 @@ let rank_cmd group_name n k seed spec jobs shards shard_size committee
   (* The fan-in simulation seats the committee on the coordinator, the
      shard aggregators and then the leaves of its two-level tree. *)
   let tree_nodes = 1 + ((n + shard_size - 1) / Stdlib.max 2 shard_size) + n in
-  usage_checked
+  usage_checked ~jobs
     (count_checks ~min_n:1 ~n ~k
     @ [
         (exclusive, "--shards and --shard-size are mutually exclusive");
@@ -419,7 +425,6 @@ let rank_cmd group_name n k seed spec jobs shards shard_size committee
             tree_nodes );
       ])
   @@ fun () ->
-  apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let criterion = Attrs.random_criterion rng spec in
   let infos = Array.init n (fun _ -> Attrs.random_info rng spec) in
@@ -495,7 +500,7 @@ let simulate_cmd group_name n k seed nodes edges jobs metrics =
   (* The participants and the initiator each take a node of a connected
      simple graph. *)
   let max_edges = nodes * (nodes - 1) / 2 in
-  usage_checked
+  usage_checked ~jobs
     (count_checks ~min_n:2 ~n ~k
     @ [
         ( nodes >= n + 1,
@@ -505,7 +510,6 @@ let simulate_cmd group_name n k seed nodes edges jobs metrics =
             (nodes - 1) max_edges nodes );
       ])
   @@ fun () ->
-  apply_jobs jobs;
   let rng = Ppgr_rng.Rng.create ~seed in
   let spec = default_spec in
   let criterion = Attrs.random_criterion rng spec in

@@ -3,36 +3,34 @@ let max_jobs = Meter.max_slot
 (* ---- Job-count resolution ---- *)
 
 let clamp j = if j < 1 then 1 else if j > max_jobs then max_jobs else j
+let auto () = clamp (Domain.recommended_domain_count ())
 
 let env_jobs =
   lazy
     (match Sys.getenv_opt "PPGR_JOBS" with
     | None | Some "" -> 1
-    | Some ("0" | "auto") -> clamp (Domain.recommended_domain_count ())
+    | Some ("0" | "auto") -> auto ()
     | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some 0 -> clamp (Domain.recommended_domain_count ())
-        | Some k -> clamp k
-        | None -> 1))
+        match int_of_string_opt s with
+        | Some k when k > 0 && String.for_all (fun c -> c >= '0' && c <= '9') s ->
+            clamp k
+        | _ ->
+            invalid_arg
+              (Printf.sprintf
+                 "PPGR_JOBS=%S: expected a positive integer, 0 or auto" s)))
 
 let override = ref None
 let jobs () = match !override with Some j -> j | None -> Lazy.force env_jobs
 
-(* ---- Jobs and the work-stealing pool ----
+(* ---- The one-batch pool ----
 
    A job is a batch of [total] independent tasks sharing one atomic
    index dispenser ([next]) and one atomic completion counter
-   ([remaining]).  Any domain may claim indices from any live job, so a
-   nested combinator call no longer degrades to sequential: the nesting
-   task publishes its job on its domain's deque, drains it itself, and
-   idle domains steal from it concurrently.
-
-   Scheduling is cooperative under one pool mutex: tasks themselves are
-   coarse (group exponentiations), so per-claim locking is noise.  The
-   deques are tiny lists (live jobs = nesting depth x submitting
-   domains), newest job first; an owner prefers its own newest job
-   (deepest nesting, finishes its joiner soonest), a thief takes the
-   oldest job of another deque (classic steal-from-the-top). *)
+   ([remaining]).  Only the main domain submits, one job at a time: it
+   publishes the job, drains it beside the workers, and sleeps until
+   the last task completes.  A combinator called inside a task runs the
+   sequential loop on that task's domain, so there is never a second
+   live job. *)
 
 type job = {
   run : int -> unit;
@@ -45,11 +43,10 @@ type job = {
 type pool = {
   m : Mutex.t;
   cv : Condition.t;
-      (* broadcast when a job is published, a job fully completes, or
-         the pool stops; both workers and joining submitters wait on
-         it. *)
-  deques : job list array; (* slot-indexed; head = newest *)
-  mutable njobs : int; (* jobs currently queued across all deques *)
+      (* broadcast when a job is published, its last task completes, or
+         the pool stops; both workers and the submitter wait on it. *)
+  mutable job : job option; (* the live batch, [None] between batches *)
+  mutable gen : int; (* jobs published so far *)
   mutable stop : bool;
   mutable workers : unit Domain.t array;
 }
@@ -67,93 +64,47 @@ let record_failure failure i e bt =
   in
   go ()
 
-let reraise_min failure =
-  match Atomic.get failure with
-  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-(* Run task [i] of [j].  Never raises: failures go into the job's
-   failure cell.  The completion decrement is in the [finally] so a
-   joiner can never wait on a task that already unwound. *)
-let exec_task p j i =
-  let prev = Domain.DLS.get in_task_key in
-  Domain.DLS.set in_task_key true;
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.DLS.set in_task_key prev;
+(* Claim and run tasks of [j] until its indices are exhausted.  Never
+   raises: failures go into the job's failure cell, and the task that
+   completes the job wakes the submitter. *)
+let drain p j =
+  let rec go () =
+    let i = Atomic.fetch_and_add j.next 1 in
+    if i < j.total then begin
+      Domain.DLS.set in_task_key true;
+      (try j.run i
+       with e -> record_failure j.failure i e (Printexc.get_raw_backtrace ()));
+      Domain.DLS.set in_task_key false;
       if Atomic.fetch_and_add j.remaining (-1) = 1 then begin
         Mutex.lock p.m;
         Condition.broadcast p.cv;
         Mutex.unlock p.m
-      end)
-    (fun () ->
-      try j.run i
-      with e -> record_failure j.failure i e (Printexc.get_raw_backtrace ()))
-
-(* Claim one task index with [p.m] held.  Scans the caller's own deque
-   newest-first, then the other deques oldest-first; exhausted jobs
-   (every index claimed) are pruned as they are met, so [p.njobs] only
-   counts jobs that may still have unclaimed indices. *)
-let claim_locked p ~slot =
-  let nslots = Array.length p.deques in
-  let claim j =
-    let i = Atomic.fetch_and_add j.next 1 in
-    if i < j.total then Some (j, i) else None
-  in
-  let rec own = function
-    | [] -> ([], None)
-    | j :: rest -> (
-        match claim j with
-        | Some _ as hit -> (j :: rest, hit)
-        | None ->
-            p.njobs <- p.njobs - 1;
-            own rest)
-  in
-  let deque, hit = own p.deques.(slot) in
-  p.deques.(slot) <- deque;
-  match hit with
-  | Some _ -> hit
-  | None ->
-      let rec steal k =
-        if k >= nslots then None
-        else begin
-          let s = (slot + k) mod nslots in
-          (* Oldest job first: reverse, then prune/claim. *)
-          let rec from_back = function
-            | [] -> ([], None)
-            | j :: rest -> (
-                match claim j with
-                | Some _ as hit -> (j :: rest, hit)
-                | None ->
-                    p.njobs <- p.njobs - 1;
-                    from_back rest)
-          in
-          let rev, hit = from_back (List.rev p.deques.(s)) in
-          p.deques.(s) <- List.rev rev;
-          match hit with Some _ -> hit | None -> steal (k + 1)
-        end
-      in
-      steal 1
-
-let worker p slot () =
-  Meter.set_slot slot;
-  let rec loop () =
-    Mutex.lock p.m;
-    while (not p.stop) && p.njobs = 0 do
-      Condition.wait p.cv p.m
-    done;
-    if p.stop then Mutex.unlock p.m
-    else begin
-      let c = claim_locked p ~slot in
-      Mutex.unlock p.m;
-      (match c with Some (j, i) -> exec_task p j i | None -> ());
-      loop ()
+      end;
+      go ()
     end
   in
-  loop ()
+  go ()
+
+(* A worker drains each published job once, then sleeps until the next
+   one is published; a job it meets after its last index went is a
+   no-op. *)
+let worker p slot () =
+  Meter.set_slot slot;
+  let rec loop seen =
+    Mutex.lock p.m;
+    while (not p.stop) && p.gen = seen do
+      Condition.wait p.cv p.m
+    done;
+    let stop = p.stop and gen = p.gen and job = p.job in
+    Mutex.unlock p.m;
+    if not stop then begin
+      Option.iter (drain p) job;
+      loop gen
+    end
+  in
+  loop 0
 
 let the_pool = ref None
-let exit_hook = ref false
 
 let teardown () =
   match !the_pool with
@@ -166,11 +117,11 @@ let teardown () =
       Array.iter Domain.join p.workers;
       the_pool := None
 
+let () = at_exit teardown
+
+(* A live pool always has [jobs () - 1] workers: [set_jobs] tears down
+   a pool of any other size. *)
 let get_pool () =
-  let needed = jobs () - 1 in
-  (match !the_pool with
-  | Some p when Array.length p.workers <> needed -> teardown ()
-  | _ -> ());
   match !the_pool with
   | Some p -> p
   | None ->
@@ -178,101 +129,56 @@ let get_pool () =
         {
           m = Mutex.create ();
           cv = Condition.create ();
-          deques = Array.make (needed + 1) [];
-          njobs = 0;
+          job = None;
+          gen = 0;
           stop = false;
           workers = [||];
         }
       in
-      p.workers <- Array.init needed (fun k -> Domain.spawn (worker p (k + 1)));
+      p.workers <- Array.init (jobs () - 1) (fun k -> Domain.spawn (worker p (k + 1)));
       the_pool := Some p;
-      if not !exit_hook then begin
-        exit_hook := true;
-        at_exit teardown
-      end;
       p
 
+(* Sets the override without reading PPGR_JOBS, so a malformed variable
+   never fails an explicit job count. *)
 let set_jobs j =
-  let j = if j <= 0 then clamp (Domain.recommended_domain_count ()) else clamp j in
-  if jobs () <> j then teardown ();
+  let j = if j <= 0 then auto () else clamp j in
+  (match !the_pool with
+  | Some p when Array.length p.workers <> j - 1 -> teardown ()
+  | _ -> ());
   override := Some j
 
-(* ---- Submit / join ---- *)
-
-(* Publish [j], drain it on the submitting domain, then join: while
-   tasks of [j] still run elsewhere, help with any live job rather than
-   blocking, and only sleep when there is nothing claimable anywhere.
-
-   Deadlock-freedom: the submitter's own drain alone completes every
-   index nobody else claimed, and a thief runs a claimed task to
-   completion before claiming again, so by induction on the (finite)
-   nesting depth every join terminates.  Helping while joining is a
-   throughput refinement, not a liveness requirement. *)
-let run_job p j =
-  let slot = Meter.slot () in
+let run_tasks ~total ~run =
+  let p = get_pool () in
+  let j =
+    { run; next = Atomic.make 0; total; remaining = Atomic.make total; failure = Atomic.make None }
+  in
   Mutex.lock p.m;
-  p.deques.(slot) <- j :: p.deques.(slot);
-  p.njobs <- p.njobs + 1;
+  p.job <- Some j;
+  p.gen <- p.gen + 1;
   Condition.broadcast p.cv;
   Mutex.unlock p.m;
-  let rec drain () =
-    let i = Atomic.fetch_and_add j.next 1 in
-    if i < j.total then begin
-      exec_task p j i;
-      drain ()
-    end
-  in
-  drain ();
-  (* Our indices are exhausted; prune [j] from our deque if a thief has
-     not already done so. *)
+  drain p j;
   Mutex.lock p.m;
-  if List.memq j p.deques.(slot) then begin
-    p.deques.(slot) <- List.filter (fun j' -> j' != j) p.deques.(slot);
-    p.njobs <- p.njobs - 1
-  end;
+  while Atomic.get j.remaining > 0 do
+    Condition.wait p.cv p.m
+  done;
+  p.job <- None;
   Mutex.unlock p.m;
-  let rec join () =
-    if Atomic.get j.remaining > 0 then begin
-      Mutex.lock p.m;
-      let c = claim_locked p ~slot in
-      (match c with
-      | None ->
-          (* [claim_locked] returning [None] under the lock implies
-             every deque is empty, so the wait predicate is
-             consistent. *)
-          while Atomic.get j.remaining > 0 && p.njobs = 0 do
-            Condition.wait p.cv p.m
-          done
-      | Some _ -> ());
-      Mutex.unlock p.m;
-      (match c with Some (j', i) -> exec_task p j' i | None -> ());
-      join ()
-    end
-  in
-  join ()
-
-let submit_pool () =
-  if in_parallel_task () then
-    (* A task implies a live pool; reuse it without the resize check,
-       which only the main domain may perform. *)
-    match !the_pool with Some p -> p | None -> assert false
-  else get_pool ()
-
-let run_tasks ~total ~run =
-  let failure = Atomic.make None in
-  let j =
-    { run; next = Atomic.make 0; total; remaining = Atomic.make total; failure }
-  in
-  run_job (submit_pool ()) j;
-  reraise_min failure
+  match Atomic.get j.failure with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 (* ---- Combinators ---- *)
+
+(* The exact sequential loop: at jobs = 1, and inside a pool task. *)
+let sequential n = jobs () = 1 || n = 1 || in_parallel_task ()
 
 let parallel_init n f =
   if n < 0 then invalid_arg "Pool.parallel_init: negative length";
   if n = 0 then [||]
-  else if jobs () = 1 || n = 1 then begin
-    (* Exact sequential path, ascending order. *)
+  else if sequential n then begin
+    (* Ascending order, as Array.init. *)
     let r0 = f 0 in
     let out = Array.make n r0 in
     for i = 1 to n - 1 do
@@ -291,7 +197,7 @@ let parallel_map f a = parallel_init (Array.length a) (fun i -> f a.(i))
 let parallel_for n f =
   if n < 0 then invalid_arg "Pool.parallel_for: negative length";
   if n = 0 then ()
-  else if jobs () = 1 || n = 1 then
+  else if sequential n then
     for i = 0 to n - 1 do
       f i
     done

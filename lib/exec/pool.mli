@@ -1,10 +1,12 @@
-(** A fixed-size work-stealing domain pool with deterministic parallel
-    loops.
+(** A fixed-size domain pool that runs one batch at a time, with
+    deterministic parallel loops.
 
-    The pool runs [jobs () - 1] worker domains plus the calling domain;
+    The pool runs [jobs () - 1] worker domains plus the main domain;
     with [jobs () = 1] (the default) every combinator degenerates to the
     exact sequential loop and no domain is ever spawned, so existing
-    single-threaded behaviour is byte-for-byte unchanged.
+    single-threaded behaviour is byte-for-byte unchanged.  Otherwise a
+    combinator called on the main domain publishes its batch, drains it
+    beside the workers, and returns when the last task completes.
 
     {b Determinism contract.}  Results are written into slot [i] of the
     output array by task [i] regardless of which domain ran it, and all
@@ -16,15 +18,11 @@
     this repository follows that rule, which is what makes [jobs=k]
     transcripts identical to [jobs=1] transcripts.
 
-    {b Nesting.}  A task may itself invoke a [parallel_*] combinator:
-    the nested batch is published on the submitting domain's deque,
-    drained by the submitter, and stolen from by idle domains, so inner
-    loops (per-pair comparison circuits, [runtime.count]) exploit domains
-    left idle by an outer loop's tail.  The submitter's own drain alone
-    completes every task nobody stole, so joins terminate by induction
-    on the nesting depth — work stealing is a throughput refinement,
-    never a liveness requirement.  Top-level combinator calls must still
-    come from the main domain (or from pool tasks); never from
+    {b Nesting.}  A combinator called inside a pool task runs the
+    sequential loop on that task's own domain, the path [jobs () = 1]
+    takes, so there is never a second live batch, and spans opened by
+    the inner tasks parent under the task's own span.  Top-level
+    combinator calls must come from the main domain; never from
     independently spawned domains.
 
     Exceptions raised by tasks are re-raised in the submitter after the
@@ -38,17 +36,21 @@
 val max_jobs : int
 
 val jobs : unit -> int
-(** Effective parallelism: the {!set_jobs} override if any, else the
-    [PPGR_JOBS] environment variable ([0] or ["auto"] meaning
-    [Domain.recommended_domain_count ()]), else [1]. *)
+(** Effective parallelism, clamped to [1 .. max_jobs]: the {!set_jobs}
+    override if any, else the [PPGR_JOBS] environment variable (a
+    positive integer, or [0] or ["auto"] meaning
+    [Domain.recommended_domain_count ()]; unset or empty means [1]).
+    @raise Invalid_argument naming the variable and its value when
+    [PPGR_JOBS] is anything else and no override is set. *)
 
 val set_jobs : int -> unit
-(** Override the job count ([0] = all recommended cores); tears down a
-    live pool so the next parallel call respawns at the new size. *)
+(** Override the job count ([0] = all recommended cores) without reading
+    [PPGR_JOBS]; tears down a live pool of another size, so the next
+    parallel call respawns at the new size. *)
 
 val in_parallel_task : unit -> bool
-(** True while the calling domain is executing a pool task (at any
-    nesting depth). *)
+(** True while the calling domain is executing a pool task, nested
+    combinator calls included. *)
 
 val parallel_init : int -> (int -> 'a) -> 'a array
 (** Like [Array.init], tasks distributed over the pool. *)

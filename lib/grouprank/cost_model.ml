@@ -249,22 +249,18 @@ module Ss_model = struct
 
   (** SS schedule for the network simulation: the ledger's rounds as
       identical all-to-all exchanges, each carrying an equal share of
-      its elements and of a party's field multiplications. *)
-  let schedule ?faithful m ~n ~field_bytes ~sec_per_field_mult ~sec_per_op :
-      Cost.schedule =
+      its elements and of a party's field multiplications (a round's
+      [critical_ops], priced per field multiplication). *)
+  let schedule ?faithful m ~n ~field_bytes : Cost.schedule =
     let open Ppgr_mpcnet in
     let c = ledger ?faithful m ~n in
     let rounds = c.Engine.c_rounds in
     let per_pair_bytes =
       Stdlib.max 1 (c.Engine.c_elements / (rounds * n * (n - 1)) * field_bytes)
     in
-    (* Express compute in "ops" of the consumer's unit via the ratio of
-       the two measured costs. *)
     let ops_per_round =
       int_of_float
-        (float_of_int (Engine.field_mults_per_party ~n c)
-        /. float_of_int rounds
-        *. (sec_per_field_mult /. sec_per_op))
+        (float_of_int (Engine.field_mults_per_party ~n c) /. float_of_int rounds)
     in
     List.init rounds (fun _ ->
         {

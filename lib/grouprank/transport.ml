@@ -72,7 +72,7 @@ type stats = {
   mutable backoff_ticks : int; (* retransmit-timer ticks: rto per retransmit *)
   mutable phys_messages : int; (* everything that touched the wire *)
   mutable phys_bytes : int;
-  mutable acks_sent : int; (* control plane: one ack frame per accept *)
+  mutable acks_sent : int; (* control plane: one ack per accept *)
   mutable ack_bytes : int;
   mutable sim_ticks : int;
       (* simulated link clock: each flush is charged its slowest link,
@@ -339,7 +339,8 @@ let retry_span ~kind ~src ~dst ~seq =
     accumulates.
 
     Acks are control-plane traffic on a clean reverse channel: counted
-    in [acks_sent]/[ack_bytes], never faulted, and kept off the data
+    in [acks_sent]/[ack_bytes] at {!Wire.ack_overhead} bytes each but
+    never encoded, never faulted, and kept off the data
     transcript digest and the per-link physical tallies (so the
     [retransmits = injected faults] and tiling invariants hold). *)
 
@@ -418,11 +419,8 @@ let deliver t (p : pending) =
             ("bytes", Trace.Int (Bytes.length payload));
           ]
         "msg.accept";
-    let ack =
-      Wire.encode_ack { Wire.ack_src = dst; ack_dst = src; ack_cum = seq + 1 }
-    in
     t.st.acks_sent <- t.st.acks_sent + 1;
-    t.st.ack_bytes <- t.st.ack_bytes + Bytes.length ack;
+    t.st.ack_bytes <- t.st.ack_bytes + Wire.ack_overhead;
     List.iter
       (fun copy ->
         transmit t ~src ~dst ~seq:(-1) copy;

@@ -3,7 +3,7 @@
     Phases 1 and 3 run in-process; phase 2 and its transport send
     bytes.  This module pins down a canonical, versioned encoding for
     each of those frames — key announcements, proofs, ciphertext
-    batches, hop frames, envelopes, acks and checkpoints — so that (a)
+    batches, hop frames, envelopes and checkpoints — so that (a)
     the byte counts the evaluation charges are the real serialized
     sizes, and (b) decoding is validating: group elements are checked
     for membership, lengths for consistency.
@@ -95,7 +95,6 @@ let tag_zkp = 0x11
 let tag_cipher_batch = 0x12
 let tag_hop_frame = 0x13
 let tag_envelope = 0x14
-let tag_ack = 0x15
 let tag_checkpoint = 0x16
 
 (** {1 CRC-32}
@@ -122,7 +121,7 @@ let crc32 ?(pos = 0) ?len (data : Bytes.t) =
   done;
   !c lxor 0xFFFFFFFF
 
-(* The CRC-32 trailer every envelope, ack and checkpoint carries: the
+(* The CRC-32 trailer every envelope and checkpoint carries: the
    CRC covers every byte before it and is checked before any length
    field is trusted, so a corrupted length prefix cannot steer a
    parse. *)
@@ -239,34 +238,9 @@ let hop_frame_bytes payload_sizes =
     count + two elements per ciphertext. *)
 let cipher_batch_bytes ~elem_bytes k = 1 + 4 + (k * 2 * elem_bytes)
 
-(** {1 Ack frames}
-
-    The transport's cumulative acknowledgements.  [ack_cum] is the
-    receiver's next expected sequence number on the directed link
-    [(ack_src, ack_dst)]: everything below it has been accepted.  Acks
-    travel the reverse link under the same CRC-32 trailer as data:
-    [tag(1) | src u16 | dst u16 | cum u32 | crc u32]. *)
-
-type ack = { ack_src : int; ack_dst : int; ack_cum : int }
-
-let encode_ack (a : ack) =
-  let b = W.create () in
-  W.u8 b tag_ack;
-  W.u16 b a.ack_src;
-  W.u16 b a.ack_dst;
-  W.u32 b a.ack_cum;
-  append_crc (W.contents b)
-
-let decode_ack data =
-  let r = check_crc ~what:"ack" ~min_len:13 data in
-  if R.u8 r <> tag_ack then fail "bad tag for ack";
-  let ack_src = R.u16 r in
-  let ack_dst = R.u16 r in
-  let ack_cum = R.u32 r in
-  R.expect_end r;
-  { ack_src; ack_dst; ack_cum }
-
-(** Serialized ack size: fixed — tag, src, dst, cum, CRC. *)
+(** Modelled size of the transport's cumulative ack, which the
+    transport counts but never encodes: tag, src u16, dst u16,
+    cumulative seq u32 and the CRC-32 trailer. *)
 let ack_overhead = 1 + 2 + 2 + 4 + 4
 
 (** {1 Checkpoint frames}
@@ -285,8 +259,8 @@ let ack_overhead = 1 + 2 + 2 + 4 + 4
     position).  Nothing is ever in flight at a checkpoint: every
     delivery completes within its flush.
 
-    The whole frame rides the same CRC-32 trailer as envelopes and
-    acks; decoding validates the CRC before trusting any length, and
+    The whole frame rides the same CRC-32 trailer as envelopes;
+    decoding validates the CRC before trusting any length, and
     every count is re-checked against the remaining buffer before it
     sizes an allocation (the {!decode_hop_frame} hardening). *)
 

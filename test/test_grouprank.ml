@@ -430,10 +430,7 @@ let cost_model_tests =
         Alcotest.(check bool) "bytes" true (Cost.total_bytes sched > 0);
         Alcotest.(check bool) "ops" true (Cost.total_critical_ops sched > 0);
         let sm = Cost_model.Ss_model.measure rng ~l () in
-        let ss_sched =
-          Cost_model.Ss_model.schedule sm ~n:10 ~field_bytes:24
-            ~sec_per_field_mult:1e-6 ~sec_per_op:1e-6
-        in
+        let ss_sched = Cost_model.Ss_model.schedule sm ~n:10 ~field_bytes:24 in
         Alcotest.(check bool) "ss rounds" true (List.length ss_sched > 10);
         Alcotest.(check bool) "ss bytes" true (Cost.total_bytes ss_sched > 0));
     Alcotest.test_case "HE schedule is the one Runtime posts" `Slow (fun () ->

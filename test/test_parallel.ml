@@ -9,8 +9,13 @@ open Ppgr_group
 open Ppgr_grouprank
 module Pool = Ppgr_exec.Pool
 module Meter = Ppgr_exec.Meter
+module Trace = Ppgr_obs.Trace
 
 (* ---- Pool combinators ---- *)
+
+(* A few microseconds of work, so that an idle domain has time to claim
+   a task from a batch that is still being drained. *)
+let busy () = ignore (Ppgr_hash.Sha256.digest_string (String.make 4096 'x'))
 
 let pool_suite =
   [
@@ -52,21 +57,28 @@ let pool_suite =
         Alcotest.(check (array int)) "pool reusable after failure"
           (Array.init 8 (fun i -> i * 2))
           ok);
-    Alcotest.test_case "nested combinators run under work stealing" `Quick
+    Alcotest.test_case "nested tasks run inline, in index order" `Quick
       (fun () ->
         Pool.set_jobs 4;
         let got =
-          Pool.parallel_init 6 (fun i ->
-              ( Pool.in_parallel_task (),
-                Array.fold_left ( + ) 0 (Pool.parallel_init 10 (fun j -> i + j)) ))
+          Pool.parallel_init 8 (fun i ->
+              let runs = ref [] in
+              Pool.parallel_for 6 (fun j ->
+                  busy ();
+                  runs := (j, Meter.slot ()) :: !runs);
+              (Pool.in_parallel_task (), (Meter.slot (), i), List.rev !runs))
         in
         Pool.set_jobs 1;
         (* Assert on the main domain: Alcotest's reporter is not safe to
            call from several domains at once. *)
-        Alcotest.(check (array bool)) "inner sees task context"
-          (Array.make 6 true) (Array.map fst got);
-        let expect = Array.init 6 (fun i -> (10 * i) + 45) in
-        Alcotest.(check (array int)) "nested sums" expect (Array.map snd got));
+        Array.iter
+          (fun (in_task, (slot, i), runs) ->
+            Alcotest.(check bool) "in task after the nested loop" true in_task;
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "outer %d: each inner task once, ascending, on slot %d" i slot)
+              (List.init 6 (fun j -> (j, slot)))
+              runs)
+          got);
     Alcotest.test_case "three-deep nesting keeps slot order" `Quick (fun () ->
         Pool.set_jobs 4;
         let got =
@@ -104,20 +116,49 @@ let pool_suite =
         Alcotest.(check (array int)) "reusable after nested failure"
           (Array.init 5 (fun i -> 6 * i))
           ok);
-    Alcotest.test_case "uneven nested loads drain (stealing smoke)" `Quick
+    Alcotest.test_case "nested spans parent under the outer task" `Quick
       (fun () ->
-        (* One long task fans out a wide inner batch while the others
-           finish instantly: with stealing, idle domains help the inner
-           job; without it this still passes (the submitter drains its
-           own job), so the check is for liveness + exactness. *)
-        Pool.set_jobs 4;
-        let hits = Array.make 512 0 in
-        Pool.parallel_for 4 (fun i ->
-            if i = 0 then
-              Pool.parallel_for 512 (fun k -> hits.(k) <- hits.(k) + 1));
-        Pool.set_jobs 1;
-        Alcotest.(check (array int)) "each inner task exactly once"
-          (Array.make 512 1) hits);
+        (* Each span as its name and index attributes beside its
+           parent's. *)
+        let show (sp : Trace.span) =
+          String.concat " "
+            (sp.Trace.name
+            :: List.filter_map
+                 (function k, Trace.Int v -> Some (Printf.sprintf "%s=%d" k v) | _ -> None)
+                 sp.Trace.attrs)
+        in
+        let tree jobs =
+          Pool.set_jobs jobs;
+          let (), spans =
+            Trace.capture (fun () ->
+                Trace.with_span "batch" (fun () ->
+                    Pool.parallel_for 8 (fun i ->
+                        Trace.with_span ~attrs:[ ("i", Trace.Int i) ] "outer" (fun () ->
+                            Pool.parallel_for 4 (fun j ->
+                                Trace.with_span
+                                  ~attrs:[ ("i", Trace.Int i); ("j", Trace.Int j) ]
+                                  "inner" busy)))))
+          in
+          Pool.set_jobs 1;
+          List.sort compare
+            (List.map
+               (fun (sp : Trace.span) ->
+                 match List.find_opt (fun (p : Trace.span) -> p.Trace.id = sp.Trace.parent) spans with
+                 | Some p -> show sp ^ " <- " ^ show p
+                 | None -> show sp)
+               spans)
+        in
+        let expect =
+          List.sort compare
+            ("batch"
+            :: List.concat
+                 (List.init 8 (fun i ->
+                      Printf.sprintf "outer i=%d <- batch" i
+                      :: List.init 4 (fun j ->
+                             Printf.sprintf "inner i=%d j=%d <- outer i=%d" i j i))))
+        in
+        Alcotest.(check (list string)) "jobs=1 tree" expect (tree 1);
+        Alcotest.(check (list string)) "jobs=4 tree" expect (tree 4));
     Alcotest.test_case "meter lanes merge to the sequential count" `Quick
       (fun () ->
         Pool.set_jobs 4;

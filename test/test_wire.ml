@@ -186,7 +186,6 @@ let fuzz_tests =
       [| W.encode_cipher_batch batch; Bytes.of_string "opaque"; Bytes.empty |]
     in
     let envelope_payload = W.encode_pubkey y in
-    let ack = { Wire.ack_src = 2; ack_dst = 0; ack_cum = 41 } in
     [
       ( "pubkey (0x10)",
         W.encode_pubkey y,
@@ -206,9 +205,6 @@ let fuzz_tests =
           let e = Wire.decode_envelope b in
           Wire.encode_envelope ~src:e.Wire.env_src ~dst:e.Wire.env_dst
             ~seq:e.Wire.env_seq e.Wire.env_payload );
-      ( "ack (0x15)",
-        Wire.encode_ack ack,
-        fun b -> Wire.encode_ack (Wire.decode_ack b) );
       ( "checkpoint (0x16)",
         Wire.encode_checkpoint (exemplar_checkpoint ()),
         fun b -> Wire.encode_checkpoint (Wire.decode_checkpoint b) );
@@ -312,10 +308,10 @@ let fuzz_tests =
              with Wire.Malformed _ -> true));
     ]
 
-(* The transport control plane and checkpoint/restart frames.  Both ride
-   the CRC-32 trailer, so random damage is CRC-rejected; the interesting
-   paths are the post-CRC validations, reached by re-sealing a tampered
-   body with a fresh CRC. *)
+(* Checkpoint/restart frames.  They ride the CRC-32 trailer, so random
+   damage is CRC-rejected; the interesting paths are the post-CRC
+   validations, reached by re-sealing a tampered body with a fresh
+   CRC. *)
 let ack_checkpoint_tests =
   let rejects what thunk =
     Alcotest.(check bool) what true
@@ -342,34 +338,6 @@ let ack_checkpoint_tests =
     out
   in
   [
-    Alcotest.test_case "ack round trip, documented size" `Quick (fun () ->
-        let a = { Wire.ack_src = 3; ack_dst = 1; ack_cum = 1000 } in
-        let data = Wire.encode_ack a in
-        Alcotest.(check int) "ack_overhead" Wire.ack_overhead
-          (Bytes.length data);
-        let a' = Wire.decode_ack data in
-        Alcotest.(check int) "src" a.Wire.ack_src a'.Wire.ack_src;
-        Alcotest.(check int) "dst" a.Wire.ack_dst a'.Wire.ack_dst;
-        Alcotest.(check int) "cum" a.Wire.ack_cum a'.Wire.ack_cum);
-    Alcotest.test_case "ack: every single-bit flip CRC-rejected" `Quick
-      (fun () ->
-        let data =
-          Wire.encode_ack
-            { Wire.ack_src = 0; ack_dst = 2; ack_cum = 7 }
-        in
-        for i = 0 to (8 * Bytes.length data) - 1 do
-          rejects
-            (Printf.sprintf "bit %d" i)
-            (fun () -> Wire.decode_ack (flip_bit data i))
-        done);
-    Alcotest.test_case "ack: resealed trailing byte rejected" `Quick (fun () ->
-        let data =
-          Wire.encode_ack
-            { Wire.ack_src = 1; ack_dst = 0; ack_cum = 3 }
-        in
-        (* Valid CRC over a too-long body must still be refused. *)
-        let padded = Bytes.cat data (Bytes.make 1 '\x00') in
-        rejects "trailing byte" (fun () -> Wire.decode_ack (reseal padded)));
     Alcotest.test_case "checkpoint round trip preserves every section"
       `Quick (fun () ->
         let c = exemplar_checkpoint () in
